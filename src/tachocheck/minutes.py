@@ -13,27 +13,31 @@ silent choice:
   upgrade runs in a single pass.
 - NeighborRaw: a neighbour counts only if every one of its raw seconds is
   driving.
-- Fixpoint: the NeighborRule52 pass is re-applied until stable. (A single
-  pass is provably already stable: an upgrade needs both raw-layer
-  neighbours labeled driving, and an upgraded neighbour would itself have
-  needed this minute to be driving already. The mode exists so the reading
-  can be selected and audited, not because it changes results.)
+- Fixpoint: the NeighborRule52 pass re-applied until stable. A single pass
+  is provably already stable: an upgrade needs both raw-layer neighbours
+  labeled driving, and an upgraded neighbour would itself have needed this
+  minute to be driving already. So Fixpoint shares the NeighborRule52 code;
+  the value exists so the reading can be selected and audited.
+
+Both layers work on runs: only minutes that straddle a run boundary are
+scanned, and only a one-minute run between two driving runs can upgrade.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
 from .timeline import (
-    ACTIVITY_BY_CODE,
     SECONDS_PER_MINUTE,
     Activity,
     SecondTrace,
     TimeGrid,
     TraceError,
+    coalesce,
 )
 
 
@@ -49,14 +53,29 @@ class Rule51Semantics(Enum):
 
 @dataclass(frozen=True)
 class MinuteTrace:
-    """One activity label per complete calendar minute of the source trace."""
+    """One activity label per complete calendar minute, held as label runs.
+
+    `segments` lists (activity, minutes) pairs in time order; construction
+    merges adjacent pairs of the same activity.
+    """
 
     start_minute: int
-    labels: tuple[Activity, ...]
+    segments: tuple[tuple[Activity, int], ...]
     grid: TimeGrid
+    # first minute of each run (then the total) and driving minutes before it
+    _bounds: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _driving: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        segments = coalesce(self.segments)
+        object.__setattr__(self, "segments", segments)
+        counts = [n for _, n in segments]
+        driving = [n if a is Activity.DRIVING else 0 for a, n in segments]
+        object.__setattr__(self, "_bounds", tuple(itertools.accumulate(counts, initial=0)))
+        object.__setattr__(self, "_driving", tuple(itertools.accumulate(driving, initial=0)))
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return self._bounds[-1]
 
     @property
     def start_instant(self) -> int:
@@ -64,59 +83,38 @@ class MinuteTrace:
 
     @property
     def end_instant(self) -> int:
-        return self.grid.minute_start(self.start_minute + len(self.labels))
+        return self.grid.minute_start(self.start_minute + len(self))
 
     def minute_instant(self, index: int) -> int:
         """Instant at which minute `index` (relative to this trace) begins."""
         return self.grid.minute_start(self.start_minute + index)
 
     def driving_minutes(self) -> int:
-        return self.labels.count(Activity.DRIVING)
+        return self._driving[-1]
 
     def label_runs(self) -> Iterator[tuple[Activity, int, int]]:
         """Yield maximal (activity, first minute index, minute count) runs."""
-        index = 0
-        for activity, group in itertools.groupby(self.labels):
-            count = len(list(group))
+        for (activity, count), index in zip(self.segments, self._bounds):
             yield activity, index, count
-            index += count
+
+    def _driving_before(self, index: int) -> int:
+        i = bisect.bisect_right(self._bounds, index, hi=len(self.segments)) - 1
+        inside = index - self._bounds[i] if self.segments[i][0] is Activity.DRIVING else 0
+        return self._driving[i] + inside
 
     def driving_between(self, start: int, end: int) -> int:
         """Count driving-labeled minutes in the instant range [start, end)."""
-        lo = max(0, (start - self.start_instant) // SECONDS_PER_MINUTE)
-        hi = min(len(self.labels), (end - self.start_instant) // SECONDS_PER_MINUTE)
-        return self.labels[lo:hi].count(Activity.DRIVING)
+        lo = min(len(self), max(0, (start - self.start_instant) // SECONDS_PER_MINUTE))
+        hi = min(len(self), max(0, (end - self.start_instant) // SECONDS_PER_MINUTE))
+        return max(0, self._driving_before(hi) - self._driving_before(lo))
 
     def to_records(self) -> str:
         """Serialize to the trace record format at 60-second granularity."""
-        lines = []
-        for activity, index, count in self.label_runs():
-            start = self.minute_instant(index)
-            lines.append(f"{start},{activity.value},{count * SECONDS_PER_MINUTE}")
+        lines = [
+            f"{self.minute_instant(index)},{activity.value},{count * SECONDS_PER_MINUTE}"
+            for activity, index, count in self.label_runs()
+        ]
         return "\n".join(lines) + "\n"
-
-
-def _minute_window(trace: SecondTrace, grid: TimeGrid, minute: int) -> bytes:
-    offset = grid.minute_start(minute) - trace.start
-    return trace.samples[offset : offset + SECONDS_PER_MINUTE]
-
-
-def _longest_latest(window: bytes) -> Activity:
-    # Scan runs; ">=" hands ties to the run seen later.
-    best_len = 0
-    best_code = window[0]
-    run_len = 0
-    prev = -1
-    for code in window:
-        if code == prev:
-            run_len += 1
-        else:
-            prev = code
-            run_len = 1
-        if run_len >= best_len:
-            best_len = run_len
-            best_code = code
-    return ACTIVITY_BY_CODE[best_code]
 
 
 def label_rule52(trace: SecondTrace, grid: TimeGrid) -> MinuteTrace:
@@ -131,27 +129,35 @@ def label_rule52(trace: SecondTrace, grid: TimeGrid) -> MinuteTrace:
         raise TraceTooShortError(
             "trace does not cover a complete minute on the given grid"
         )
-    labels = []
-    for minute in range(first, first + count):
-        window = _minute_window(trace, grid, minute)
-        head = window[0]
-        if window.count(head) == SECONDS_PER_MINUTE:
-            labels.append(ACTIVITY_BY_CODE[head])
-        else:
-            labels.append(_longest_latest(window))
+    # Walk the runs, closing minutes as they fill: a run covering whole
+    # minutes labels them in bulk; a minute straddling run boundaries takes
+    # its longest piece, ">=" handing ties to the piece seen later.
+    labels: list[tuple[Activity, int]] = []
+    t = grid.minute_start(first)  # start of the minute being filled
+    stop = grid.minute_start(first + count)
+    best_len, best = 0, None
+    for activity, start, seconds in trace.runs():
+        end = min(start + seconds, stop)
+        if end <= t:
+            continue
+        piece = min(end, t + SECONDS_PER_MINUTE) - max(start, t)
+        if piece >= best_len:
+            best_len, best = piece, activity
+        if end < t + SECONDS_PER_MINUTE:
+            continue
+        labels.append((best, 1))
+        t += SECONDS_PER_MINUTE
+        whole = (end - t) // SECONDS_PER_MINUTE
+        if whole:
+            labels.append((activity, whole))
+            t += whole * SECONDS_PER_MINUTE
+        best_len, best = end - t, activity
     return MinuteTrace(first, tuple(labels), grid)
 
 
-def _upgrade_pass(labels: list[Activity], neighbor_is_driving: list[bool]) -> list[Activity]:
-    out = list(labels)
-    for i in range(1, len(labels) - 1):
-        if (
-            labels[i] is not Activity.DRIVING
-            and neighbor_is_driving[i - 1]
-            and neighbor_is_driving[i + 1]
-        ):
-            out[i] = Activity.DRIVING
-    return out
+def _all_driving(trace: SecondTrace, grid: TimeGrid, minute: int) -> bool:
+    activity, start, seconds = trace.run_at(grid.minute_start(minute))
+    return activity is Activity.DRIVING and start + seconds >= grid.minute_start(minute + 1)
 
 
 def label_minutes(
@@ -165,27 +171,17 @@ def label_minutes(
     upgraded under any semantics.
     """
     base = label_rule52(trace, grid)
-    labels = list(base.labels)
-
-    if semantics is Rule51Semantics.NEIGHBOR_RULE52:
-        driving = [label is Activity.DRIVING for label in labels]
-        labels = _upgrade_pass(labels, driving)
-    elif semantics is Rule51Semantics.NEIGHBOR_RAW:
-        all_driving = []
-        for minute in range(base.start_minute, base.start_minute + len(labels)):
-            window = _minute_window(trace, grid, minute)
-            all_driving.append(window.count(Activity.DRIVING.code) == SECONDS_PER_MINUTE)
-        labels = _upgrade_pass(labels, all_driving)
-    elif semantics is Rule51Semantics.FIXPOINT:
-        # Each pass only adds driving labels, so this stabilises within
-        # len(labels) passes; in practice it stabilises after one.
-        for _ in range(len(labels) + 1):
-            driving = [label is Activity.DRIVING for label in labels]
-            new_labels = _upgrade_pass(labels, driving)
-            if new_labels == labels:
-                break
-            labels = new_labels
-    else:  # pragma: no cover - closed enum
-        raise TraceError(f"unknown semantics {semantics!r}")
-
-    return MinuteTrace(base.start_minute, tuple(labels), grid)
+    runs = list(base.segments)
+    # Fixpoint takes the NeighborRule52 path: see the module docstring.
+    raw = semantics is Rule51Semantics.NEIGHBOR_RAW
+    minute = base.start_minute
+    for k in range(1, len(runs) - 1):
+        minute += runs[k - 1][1]
+        (left, _), (activity, count), (right, _) = base.segments[k - 1 : k + 2]
+        if count > 1 or activity is Activity.DRIVING or not (left is right is Activity.DRIVING):
+            continue
+        if not raw or (
+            _all_driving(trace, grid, minute - 1) and _all_driving(trace, grid, minute + 1)
+        ):
+            runs[k] = (Activity.DRIVING, 1)
+    return MinuteTrace(base.start_minute, tuple(runs), grid)

@@ -89,45 +89,38 @@ def classify_rests(mt: MinuteTrace, profile: InterpretationProfile) -> list[Peri
 
 def accumulate_driving(
     mt: MinuteTrace, rests: Sequence[Period]
-) -> list[tuple[int, int]]:
-    """Running count of driving minutes since the last qualifying break.
+) -> list[tuple[int, int, int, int]]:
+    """Driving minutes since the last qualifying break, one item per label run.
 
-    Emits one (minute start instant, accumulated minutes) sample per minute.
-    The accumulator resets upon completion of a single break of at least 45
-    minutes, of any daily or weekly rest period, or of the second part
-    (>= 30 min) of a split break whose first part (>= 15 min) is still
-    pending. The first split part alone never resets, and other work neither
-    accumulates driving nor counts toward any break.
+    Items are (start instant, minutes, accumulated before, accumulated
+    after). The accumulator resets upon completion of a single break of at
+    least 45 minutes, of any daily or weekly rest period, or of the second
+    part (>= 30 min) of a split break whose first part (>= 15 min) is still
+    pending. The first split part alone never resets, and other work
+    neither accumulates driving nor counts toward any break.
     """
     rest_period_ends = {p.end for p in rests if p.kind in REST_PERIOD_KINDS}
-    stream: list[tuple[int, int]] = []
+    items: list[tuple[int, int, int, int]] = []
     acc = 0
     pending_first_part = False
 
     for activity, index, count in mt.label_runs():
+        start = mt.minute_instant(index)
+        before = acc
         if activity is Activity.DRIVING:
-            for k in range(index, index + count):
-                acc += 1
-                stream.append((mt.minute_instant(k), acc))
+            acc += count
         elif activity is Activity.REST:
-            run_end = mt.minute_instant(index) + count * SECONDS_PER_MINUTE
-            resets = (
+            if (
                 count >= FULL_BREAK_MIN_MINUTES
-                or run_end in rest_period_ends
+                or start + count * SECONDS_PER_MINUTE in rest_period_ends
                 or (pending_first_part and count >= SPLIT_SECOND_MIN_MINUTES)
-            )
-            for k in range(index, index + count - 1):
-                stream.append((mt.minute_instant(k), acc))
-            if resets:
+            ):
                 acc = 0
                 pending_first_part = False
             elif count >= SPLIT_FIRST_MIN_MINUTES:
                 pending_first_part = True
-            stream.append((mt.minute_instant(index + count - 1), acc))
-        else:  # OTHER_WORK
-            for k in range(index, index + count):
-                stream.append((mt.minute_instant(k), acc))
-    return stream
+        items.append((start, count, before, acc))
+    return items
 
 
 def daily_driving_spans(

@@ -20,8 +20,8 @@ Implemented checks, each relative to an interpretation profile:
 
 from __future__ import annotations
 
-import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -53,8 +53,6 @@ EXTENDED_DAILY_LIMIT_MINUTES = 600
 MAX_EXTENSIONS_PER_WEEK = 2
 COMPENSATION_WINDOW_WEEKS = 3
 NEW_REST_WINDOW_SECONDS = SECONDS_PER_DAY
-
-_MAX_CROSSING_SPANS = 20
 
 
 @dataclass(frozen=True)
@@ -107,29 +105,28 @@ class Report:
 
 
 def check_article7(
-    stream: Sequence[tuple[int, int]], profile_id: str = ""
+    stream: Sequence[tuple[int, int, int, int]], profile_id: str = ""
 ) -> list[Violation]:
     """One violation per maximal interval of accumulation beyond 270 minutes.
 
-    The reported window runs from the minute the accumulator first exceeded
-    the limit to the end of the last minute that still added driving before
-    the next reset.
+    Takes the per-run items of `accumulate_driving`. The reported window
+    runs from the minute the accumulator first exceeded the limit to the
+    end of the last minute that still added driving before the next reset.
     """
     violations = []
-    prev = 0
     over_start: Optional[int] = None
     last_drive_end = 0
     peak = 0
-    for instant, acc in stream:
-        if acc < prev and over_start is not None:
+    for start, minutes, before, after in stream:
+        if after > before:
+            last_drive_end = start + minutes * SECONDS_PER_MINUTE
+            peak = after
+            if after > DRIVE_BEFORE_BREAK_LIMIT_MINUTES and over_start is None:
+                first_over = max(0, DRIVE_BEFORE_BREAK_LIMIT_MINUTES - before)
+                over_start = start + first_over * SECONDS_PER_MINUTE
+        elif after < before and over_start is not None:
             violations.append(_article7_violation(over_start, last_drive_end, peak, profile_id))
             over_start = None
-        if acc > prev:
-            last_drive_end = instant + SECONDS_PER_MINUTE
-            if acc > DRIVE_BEFORE_BREAK_LIMIT_MINUTES and over_start is None:
-                over_start = instant
-            peak = acc
-        prev = acc
     if over_start is not None:
         violations.append(_article7_violation(over_start, last_drive_end, peak, profile_id))
     return violations
@@ -187,11 +184,6 @@ def check_article61(
             crossing.append((span, start_week, end_week))
 
     if crossing:
-        if len(crossing) > _MAX_CROSSING_SPANS:
-            raise ValueError(
-                f"{len(crossing)} week-crossing extensions exceed the exact "
-                f"attribution search bound of {_MAX_CROSSING_SPANS}"
-            )
         fixed.update(_minimize_extension_violations(fixed, crossing))
 
     by_week: dict[int, list[DailyDrivingSpan]] = {}
@@ -214,30 +206,41 @@ def check_article61(
 
 
 def _minimize_extension_violations(fixed, crossing):
-    """Exact search over attributions of week-crossing extensions.
+    """Exact minimum over attributions of week-crossing extensions.
 
-    Ties prefer the start week, earlier spans first, so the choice is
-    deterministic.
+    Spans are disjoint, so two crossing spans can only compete for a week
+    when one ends in the week the next one starts in. A backward pass finds
+    the least cost of each suffix; the forward pass then picks the start
+    week whenever that is still optimal, so ties prefer the start week,
+    earlier spans first.
     """
-    base_counts: dict[int, int] = {}
-    for week in fixed.values():
-        base_counts[week] = base_counts.get(week, 0) + 1
-
+    counts = Counter(fixed.values())
     crossing = sorted(crossing, key=lambda item: (item[0].start, item[0].end))
-    best_cost = None
-    best_choice = None
-    for choice in itertools.product((0, 1), repeat=len(crossing)):
-        counts = dict(base_counts)
-        for picked, (span, start_week, end_week) in zip(choice, crossing):
-            week = start_week if picked == 0 else end_week
-            counts[week] = counts.get(week, 0) + 1
-        cost = sum(max(0, c - MAX_EXTENSIONS_PER_WEEK) for c in counts.values())
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_choice = choice
+    n = len(crossing)
+
+    def step_cost(i: int, prev_end: int, end: int) -> int:
+        # Excess in span i's start week (shared with span i-1's end week when
+        # they coincide) and in its end week, unless span i+1 starts there.
+        _span, start_week, end_week = crossing[i]
+        shared = i > 0 and prev_end and crossing[i - 1][2] == start_week
+        settled = {start_week: 1 - end + shared}
+        if i + 1 == n or crossing[i + 1][1] != end_week:
+            settled[end_week] = end
+        return sum(
+            max(0, counts[week] + extra - MAX_EXTENSIONS_PER_WEEK)
+            for week, extra in settled.items()
+        )
+
+    # best[i][prev_end]: least cost of spans i.. given span i-1's choice
+    best = [[0, 0] for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        best[i] = [min(step_cost(i, p, e) + best[i + 1][e] for e in (0, 1)) for p in (0, 1)]
+
     result = {}
-    for picked, (span, start_week, end_week) in zip(best_choice, crossing):
-        result[span] = start_week if picked == 0 else end_week
+    prev_end = 0
+    for i, (span, start_week, end_week) in enumerate(crossing):
+        prev_end = int(step_cost(i, prev_end, 0) + best[i + 1][0] != best[i][prev_end])
+        result[span] = end_week if prev_end else start_week
     return result
 
 

@@ -9,10 +9,11 @@ explicitly as a table of end-of-Sunday adjustments and default to none.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import itertools
 import json
-import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
@@ -40,18 +41,23 @@ class Activity(Enum):
 
     @property
     def code(self) -> int:
-        return _CODE_BY_ACTIVITY[self]
+        # the byte standing for one second of this activity in a digest
+        return ord(self.value[0])
 
 
-_CODE_BY_ACTIVITY = {
-    Activity.DRIVING: ord("D"),
-    Activity.REST: ord("R"),
-    Activity.OTHER_WORK: ord("O"),
-}
-ACTIVITY_BY_CODE = {code: act for act, code in _CODE_BY_ACTIVITY.items()}
 _ACTIVITY_BY_NAME = {act.value: act for act in Activity}
 
-_RUN_RE = re.compile(rb"(.)\1*", re.DOTALL)
+_DIGEST_CHUNK = 1 << 16
+
+
+def coalesce(runs: Iterable[tuple[Activity, int]]) -> tuple[tuple[Activity, int], ...]:
+    """Merge adjacent runs of the same activity; every length must be positive."""
+    runs = tuple(runs)
+    for _activity, length in runs:
+        if length <= 0:
+            raise TraceError(f"run duration must be positive, got {length}")
+    groups = itertools.groupby(runs, key=lambda run: run[0])
+    return tuple((activity, sum(n for _, n in group)) for activity, group in groups)
 
 
 class WeekPolicy(Enum):
@@ -102,10 +108,6 @@ class TimeGrid:
     def minute_start(self, index: int) -> int:
         return index * SECONDS_PER_MINUTE + self.minute_offset_seconds
 
-    def minute_index(self, t: int) -> int:
-        """Index of the grid minute containing instant t."""
-        return (t - self.minute_offset_seconds) // SECONDS_PER_MINUTE
-
     def first_full_minute(self, t: int) -> int:
         """Index of the first grid minute starting at or after t."""
         return -((self.minute_offset_seconds - t) // SECONDS_PER_MINUTE)
@@ -113,66 +115,72 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SecondTrace:
-    """Contiguous per-second activity samples starting at a given instant.
+    """Per-second activity from a given instant on, held as maximal runs.
 
-    Samples are stored expanded, one byte per second (codes D/R/O), which
-    keeps multi-week traces cheap to slice and label.
+    `segments` lists (activity, seconds) pairs in time order. Construction
+    merges adjacent pairs of the same activity, so two traces compare equal
+    exactly when they agree on every second.
     """
 
     start: int
-    samples: bytes
+    segments: tuple[tuple[Activity, int], ...]
+    _ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.samples:
+        segments = coalesce(self.segments)
+        if not segments:
             raise TraceError("trace must cover at least one second")
-        bad = set(self.samples) - set(ACTIVITY_BY_CODE)
-        if bad:
-            raise TraceError(f"unknown activity codes in samples: {sorted(bad)}")
+        object.__setattr__(self, "segments", segments)
+        ends = itertools.accumulate((n for _, n in segments), initial=self.start)
+        object.__setattr__(self, "_ends", tuple(ends)[1:])
 
     @classmethod
     def from_runs(cls, start: int, runs: Iterable[tuple[Activity, int]]) -> "SecondTrace":
-        chunks = []
-        for activity, seconds in runs:
-            if seconds <= 0:
-                raise TraceError(f"run duration must be positive, got {seconds}")
-            chunks.append(bytes([activity.code]) * seconds)
-        return cls(start, b"".join(chunks))
+        return cls(start, tuple(runs))
 
     @property
     def duration(self) -> int:
-        return len(self.samples)
+        return self._ends[-1] - self.start
 
     @property
     def end(self) -> int:
-        return self.start + len(self.samples)
+        return self._ends[-1]
 
-    def activity_at(self, t: int) -> Activity:
+    def run_at(self, t: int) -> tuple[Activity, int, int]:
+        """The maximal (activity, start instant, seconds) run containing t."""
         if not self.start <= t < self.end:
             raise TraceError(f"instant {t} outside trace [{self.start}, {self.end})")
-        return ACTIVITY_BY_CODE[self.samples[t - self.start]]
+        i = bisect.bisect_right(self._ends, t)
+        activity, seconds = self.segments[i]
+        return activity, self._ends[i] - seconds, seconds
+
+    def activity_at(self, t: int) -> Activity:
+        return self.run_at(t)[0]
 
     def activities(self) -> Iterator[Activity]:
-        for code in self.samples:
-            yield ACTIVITY_BY_CODE[code]
+        for activity, seconds in self.segments:
+            yield from itertools.repeat(activity, seconds)
 
     def runs(self) -> Iterator[tuple[Activity, int, int]]:
         """Yield maximal (activity, start instant, seconds) runs."""
-        pos = self.start
-        for match in _RUN_RE.finditer(self.samples):
-            length = match.end() - match.start()
-            yield ACTIVITY_BY_CODE[match.group()[0]], pos, length
-            pos += length
+        for (activity, seconds), end in zip(self.segments, self._ends):
+            yield activity, end - seconds, seconds
 
     def truncated(self, end: int) -> "SecondTrace":
         """The prefix of this trace strictly before instant `end`."""
         if end <= self.start:
             raise TraceError("truncation would leave an empty trace")
-        return SecondTrace(self.start, self.samples[: end - self.start])
+        head = [(a, min(n, end - start)) for a, start, n in self.runs() if start < end]
+        return SecondTrace(self.start, tuple(head))
 
     def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(f"{self.start}:".encode("ascii"))
-        h.update(self.samples)
+        """SHA-256 of the start and one activity code per second, in bounded chunks."""
+        h = hashlib.sha256(f"{self.start}:".encode("ascii"))
+        for activity, seconds in self.segments:
+            chunk = bytes([activity.code]) * min(seconds, _DIGEST_CHUNK)
+            for _ in range(seconds // len(chunk)):
+                h.update(chunk)
+            h.update(chunk[: seconds % len(chunk)])
         return h.hexdigest()
 
     def to_records(self) -> str:
@@ -184,7 +192,7 @@ class SecondTrace:
 
 
 def parse_trace(data: bytes | str) -> SecondTrace:
-    """Parse the record-per-line text format into an expanded trace.
+    """Parse the record-per-line text format into a trace.
 
     Each record is `start_second,ACTIVITY,duration_seconds`; records must be
     sorted and contiguous. Blank lines and lines starting with '#' are skipped.
@@ -222,9 +230,8 @@ def parse_trace(data: bytes | str) -> SecondTrace:
     if not records:
         raise TraceParseError("trace contains no records")
 
-    chunks = []
     expected = records[0][0]
-    for start, activity, duration in records:
+    for start, _activity, duration in records:
         if start < expected:
             raise TraceParseError(
                 f"records overlap or are unsorted at second {start} (expected {expected})"
@@ -233,9 +240,8 @@ def parse_trace(data: bytes | str) -> SecondTrace:
             raise TraceParseError(
                 f"gap of {start - expected} s before record starting at second {start}"
             )
-        chunks.append(bytes([activity.code]) * duration)
         expected = start + duration
-    return SecondTrace(records[0][0], b"".join(chunks))
+    return SecondTrace(records[0][0], tuple((a, n) for _, a, n in records))
 
 
 def week_start(week: int, leap_table: Sequence[LeapSecond] = ()) -> int:
@@ -278,4 +284,4 @@ def shift_grid(trace: SecondTrace, offset: int) -> SecondTrace:
     grids whose origins differ, e.g. timestamps with and without accumulated
     leap seconds.
     """
-    return SecondTrace(trace.start + offset, trace.samples)
+    return SecondTrace(trace.start + offset, trace.segments)

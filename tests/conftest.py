@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+
 from tachocheck.timeline import SECONDS_PER_WEEK, Activity, SecondTrace
 
 HOUR = 3600
 D = Activity.DRIVING
 R = Activity.REST
 O = Activity.OTHER_WORK
+ACTIVITY_BY_CODE = {activity.code: activity for activity in Activity}
 
 
 def trace_of(*runs: tuple[Activity, int], start: int = 0) -> SecondTrace:
@@ -17,6 +20,40 @@ def trace_of(*runs: tuple[Activity, int], start: int = 0) -> SecondTrace:
 def minutes_of(*runs: tuple[Activity, int], start: int = 0) -> SecondTrace:
     """Like trace_of but with durations given in minutes."""
     return SecondTrace.from_runs(start, [(a, m * 60) for a, m in runs])
+
+
+def samples(trace: SecondTrace) -> bytes:
+    """The trace expanded to one activity code per second."""
+    return b"".join(bytes([a.code]) * n for a, n in trace.segments)
+
+
+def from_samples(start: int, data: bytes) -> SecondTrace:
+    """The trace whose per-second activity codes are `data`."""
+    return SecondTrace.from_runs(
+        start, [(ACTIVITY_BY_CODE[code], len(list(g))) for code, g in itertools.groupby(data)]
+    )
+
+
+def labels(mt) -> tuple[Activity, ...]:
+    """One label per minute of a minute trace."""
+    return tuple(a for a, n in mt.segments for _ in range(n))
+
+
+def per_minute(items) -> list[tuple[int, int]]:
+    """Expand accumulate_driving items to one (minute start, count) per minute.
+
+    Driving minutes count up; other minutes hold the count, except the last
+    minute of a run, which shows the count after any reset.
+    """
+    stream = []
+    for start, minutes, before, after in items:
+        for k in range(minutes):
+            if after > before:
+                acc = before + k + 1
+            else:
+                acc = after if k == minutes - 1 else before
+            stream.append((start + k * 60, acc))
+    return stream
 
 
 def day_cycle() -> list[tuple[Activity, int]]:

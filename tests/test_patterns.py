@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from conftest import D, R
+from conftest import D, R, labels
 from tachocheck.minutes import label_minutes
 from tachocheck.patterns import (
     PatternNotFoundError,
@@ -55,7 +55,7 @@ def test_one_minute_stop_merges_into_one_driving_period():
 def test_two_minute_stop_splits_the_labels_but_not_the_period():
     mt = label_minutes(gen_pattern(1, 3600, 120), GRID)
     assert mt.driving_minutes() == 120
-    rests = [i for i, label in enumerate(mt.labels) if label is Activity.REST]
+    rests = [i for i, label in enumerate(labels(mt)) if label is Activity.REST]
     assert rests == [60, 61]
 
 
@@ -90,8 +90,8 @@ def test_single_minute_label_flips_with_the_grid_phase():
     trace = SecondTrace.from_runs(0, [(R, 31), (D, 29)] * 2)
     aligned = label_minutes(trace, TimeGrid(0))
     shifted = label_minutes(trace, TimeGrid(27))
-    assert aligned.labels == (Activity.REST, Activity.REST)
-    assert shifted.labels == (Activity.DRIVING,)
+    assert labels(aligned) == (Activity.REST, Activity.REST)
+    assert labels(shifted) == (Activity.DRIVING,)
 
 
 def test_find_shift_divergent_is_a_genuine_witness():

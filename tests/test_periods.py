@@ -1,7 +1,7 @@
 import dataclasses
 import random
 
-from conftest import D, HOUR, O, R, minutes_of, trace_of
+from conftest import D, HOUR, O, R, minutes_of, per_minute, trace_of
 from tachocheck.minutes import label_minutes
 from tachocheck.periods import (
     PeriodKind,
@@ -63,7 +63,7 @@ def test_period_instants():
 
 
 def _stream(mt, profile=SPIRIT):
-    return accumulate_driving(mt, classify_rests(mt, profile))
+    return per_minute(accumulate_driving(mt, classify_rests(mt, profile)))
 
 
 def test_accumulator_simple_peak():

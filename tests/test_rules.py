@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -187,6 +188,37 @@ def test_minimize_violations_cannot_fix_two_full_weeks():
     for attribution in ExtendedAttribution:
         profile = dataclasses.replace(SPIRIT, id="x", extended_attribution=attribution)
         assert len(check_article61(spans, profile)) >= 1
+
+
+def test_minimize_violations_is_linear_in_crossing_extensions():
+    # 26 weeks; a 10 h day crosses each of the 25 Sunday boundaries. Even
+    # weeks already hold two mid-week 10 h days, odd weeks one, so each odd
+    # week can absorb one of its two crossing neighbours: 13 are absorbed
+    # and 12 are violations whatever the attribution.
+    week_minutes = SECONDS_PER_WEEK // 60
+    days = []
+    for week in range(26):
+        for weekday in (1, 3) if week % 2 == 0 else (2,):
+            days.append(week * week_minutes + weekday * 1440 + 480)
+        if week < 25:
+            days.append((week + 1) * week_minutes - 300)
+    runs, at = [], 0
+    for day in days:
+        runs.append((R, (day - at) * 60))
+        runs += ext_day(60)
+        at = day + 690
+    runs.append((R, (26 * week_minutes - at) * 60))
+    trace = SecondTrace.from_runs(0, runs)
+    mt, rests = pipeline(trace)
+    spans = daily_driving_spans(mt, rests, SPIRIT)
+    assert sum(1 for s in spans if s.driving_minutes == 600) == 25 + 13 * 2 + 13
+    profile = dataclasses.replace(
+        SPIRIT, id="x", extended_attribution=ExtendedAttribution.MINIMIZE_VIOLATIONS
+    )
+    started = time.perf_counter()
+    violations = check_article61(spans, profile)
+    assert time.perf_counter() - started < 1.0
+    assert len(violations) == 12
 
 
 def test_letter_leap_policy_surfaces_in_week_attribution():

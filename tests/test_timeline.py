@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
-from conftest import D, O, R, minutes_of, trace_of
+from conftest import D, O, R, labels, minutes_of, samples, trace_of
 from tachocheck.timeline import (
     SECONDS_PER_WEEK,
     Activity,
@@ -81,6 +82,20 @@ def test_roundtrip_records():
 def test_runs_merges_adjacent_same_activity():
     trace = trace_of((D, 10), (D, 5), (R, 3))
     assert list(trace.runs()) == [(D, 0, 15), (R, 15, 3)]
+    parsed = parse_trace("0,DRIVING,10\n10,DRIVING,5\n15,REST,3")
+    assert parsed == trace_of((D, 15), (R, 3))
+    assert parsed.digest() == trace_of((D, 15), (R, 3)).digest()
+
+
+def test_parsing_a_long_record_allocates_no_per_second_storage():
+    tracemalloc.start()
+    try:
+        trace = parse_trace("0,REST,100000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.duration == 100_000_000
+    assert peak < 1_000_000
 
 
 def test_week_of_epoch_anchor():
@@ -145,7 +160,7 @@ def test_shift_grid_displaces_only_start():
     trace = minutes_of((D, 3), (R, 2))
     shifted = shift_grid(trace, 27)
     assert shifted.start == 27
-    assert shifted.samples == trace.samples
+    assert samples(shifted) == samples(trace)
 
 
 def test_shift_by_full_minute_shifts_labels_by_index():
@@ -155,7 +170,7 @@ def test_shift_by_full_minute_shifts_labels_by_index():
     grid = TimeGrid(0)
     base = label_minutes(trace, grid)
     shifted = label_minutes(shift_grid(trace, 60), grid)
-    assert shifted.labels == base.labels
+    assert labels(shifted) == labels(base)
     assert shifted.start_minute == base.start_minute + 1
 
 
