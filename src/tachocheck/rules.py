@@ -12,10 +12,10 @@ Implemented checks, each relative to an interpretation profile:
 - Article 8.6 with 8.9: every two consecutive weeks need two regular weekly
   rests, or one regular plus one reduced rest of at least 24 hours whose
   reduction is compensated en bloc before the end of the third following
-  week. Evaluated exactly, by search over all ways of counting rests into
-  weeks and placing compensation blocks; greedy choices are unsound because
-  a compensation can force the donor week's own rest to shrink, cascading
-  arbitrarily far forward.
+  week. Evaluated exactly, by one forward pass over the rest runs that
+  keeps every undominated state of open compensation debts and pair
+  tallies; greedy choices are unsound because a compensation can force the
+  donor week's own rest to shrink, cascading arbitrarily far forward.
 """
 
 from __future__ import annotations
@@ -283,18 +283,6 @@ def check_article82(
     return violations
 
 
-@dataclass(frozen=True)
-class RestRun:
-    """A maximal rest run usable by the weekly-rest solver."""
-
-    start: int
-    minutes: int
-
-    @property
-    def end(self) -> int:
-        return self.start + self.minutes * SECONDS_PER_MINUTE
-
-
 def solve_weekly_rests(
     scope_weeks: Sequence[int],
     rests: Sequence[Period],
@@ -302,180 +290,164 @@ def solve_weekly_rests(
     leap_table: Sequence[LeapSecond] = (),
     waived: frozenset[int] = frozenset(),
 ) -> Optional[dict]:
-    """Exact feasibility search for Articles 8.6/8.9 over the given weeks.
+    """Exact feasibility check for Articles 8.6/8.9 over the given weeks.
 
-    Model: every classified rest run may be counted as the weekly rest of at
-    most one week it overlaps (never two). A counted run serves as a regular
-    rest when at least 2700 of its minutes remain counted, or as a reduced
-    rest when at least 1440 do; minutes not counted may be carved off as
-    compensation blocks. Each reduction (2700 minus the counted minutes)
-    must be covered by one contiguous block from a single run that starts no
-    earlier than the reduced run and whose block completes before the end of
-    the third following week. Donating from a counted run shrinks that run's
-    own weekly rest, which may turn it reduced and create a further debt —
-    the search explores these cascades exhaustively.
+    Model: a rest run of at least 1440 minutes may be counted as the weekly
+    rest of at most one non-waived week it overlaps. It keeps at most 2700
+    of its minutes, less the compensation it hosts: regular at 2700,
+    reduced below. Each reduction (2700 minus the minutes kept) is paid by
+    one contiguous block in a later run. A run's blocks tile it from its
+    start in deadline order, each completing before the end of the third
+    week after the reduced week. A counted host keeps 1440 minutes; with
+    `attached_compensation` an uncounted host keeps the daily-rest
+    threshold. Every pair of consecutive non-waived weeks needs two counted
+    rests, one of them regular.
+
+    Hosting can reduce a counted run and so create a further debt. One pass
+    over the runs in start order keeps every reachable state: the open
+    debts as sorted (week, minutes), and for each pair not yet judged its
+    counted rests (capped at two) and whether one is regular. A pair is
+    judged at the last run that could count for either week. A state is
+    dropped when a debt no longer fits, when a judged pair is unmet, or
+    when another state has no lower tally and a sub-multiset of its debts.
 
     Returns a witness dict when an assignment satisfying every pair of
     consecutive non-waived weeks exists, else None.
     """
     active = [w for w in scope_weeks if w not in waived]
-    pairs = [
-        (w, w + 1)
-        for w in list(scope_weeks)[:-1]
-        if w not in waived and (w + 1) not in waived
-    ]
-
-    runs = sorted(
-        (RestRun(p.start, p.minutes) for p in rests), key=lambda r: r.start
-    )
-    week_bounds = {
-        w: (week_start(w, leap_table), week_start(w + 1, leap_table))
-        for w in active
-    }
-
-    def overlapped_weeks(run: RestRun) -> list[int]:
-        return [
-            w
-            for w, (lo, hi) in week_bounds.items()
-            if run.start < hi and run.end > lo
-        ]
-
-    weekly_candidates = [
-        (run, overlapped_weeks(run))
-        for run in runs
+    pairs = {w for w in list(scope_weeks)[:-1] if w not in waived and w + 1 not in waived}
+    bounds = [(w, week_start(w, leap_table), week_start(w + 1, leap_table)) for w in active]
+    deadlines = {w: week_start(w + COMPENSATION_WINDOW_WEEKS + 1, leap_table) for w in active}
+    runs = sorted(rests, key=lambda p: p.start)
+    candidates = [
+        [w for w, lo, hi in bounds if run.start < hi and run.end > lo]
         if run.minutes >= REDUCED_WEEKLY_MIN_MINUTES
+        else []
+        for run in runs
     ]
-    weekly_candidates = [(run, weeks) for run, weeks in weekly_candidates if weeks]
-
-    # A pair is decided once every run able to serve either week has been
-    # assigned or passed over; from then on it must already hold two counted
-    # rests, at least one long enough to stay regular. Pruning on this keeps
-    # infeasible instances from enumerating every assignment.
-    pairs_decided_at: dict[int, list[tuple[int, int]]] = {}
+    last_candidate = {w: i for i, weeks in enumerate(candidates) for w in weeks}
+    judged_at: dict[int, list[int]] = {}  # run index -> pairs, by first week
     for pair in pairs:
-        last = -1
-        for index, (_run, weeks) in enumerate(weekly_candidates):
-            if pair[0] in weeks or pair[1] in weeks:
-                last = index
+        last = max(last_candidate.get(pair, -1), last_candidate.get(pair + 1, -1))
         if last == -1:
             return None  # no rest can ever serve this pair
-        pairs_decided_at.setdefault(last, []).append(pair)
+        judged_at.setdefault(last, []).append(pair)
 
-    assign: dict[RestRun, int] = {}
-    donated: dict[RestRun, int] = {}
-    blocks: list[tuple[RestRun, int, int, int]] = []  # host, minutes, deadline, week
+    uncounted_reserve = profile.daily_rest_threshold if profile.attached_compensation else 0
+    states = [((), ())]  # (open debts, pair tallies)
+    smallest_debt = float("inf")
+    trail = []  # (run, {state: (previous state, counted week, hosted debts)})
+    for i, run in enumerate(runs):
+        if not candidates[i] and run.minutes - uncounted_reserve < smallest_debt:
+            continue  # can neither be counted nor host a debt
+        step: dict = {}
+        for state in states:
+            debts, tallies = state
+            if any(run.start + m * SECONDS_PER_MINUTE > deadlines[w] for w, m in debts):
+                continue
+            for week in [None] + candidates[i]:
+                reserve = uncounted_reserve if week is None else REDUCED_WEEKLY_MIN_MINUTES
+                for hosted, kept, total in _hostings(run, reserve, debts, deadlines):
+                    pair_tallies = dict(tallies)
+                    if week is not None:
+                        minutes = min(REGULAR_WEEKLY_MIN_MINUTES, run.minutes - total)
+                        if minutes < REGULAR_WEEKLY_MIN_MINUTES:
+                            debt = (week, REGULAR_WEEKLY_MIN_MINUTES - minutes)
+                            kept = tuple(sorted(kept + (debt,)))
+                        for pair in {week - 1, week} & pairs:
+                            count, regular = pair_tallies.get(pair, (0, False))
+                            pair_tallies[pair] = (
+                                min(2, count + 1),
+                                regular or minutes == REGULAR_WEEKLY_MIN_MINUTES,
+                            )
+                    judged = [pair_tallies.pop(pair, None) for pair in judged_at.get(i, ())]
+                    if all(tally == (2, True) for tally in judged):
+                        state_after = (kept, tuple(sorted(pair_tallies.items())))
+                        step.setdefault(state_after, (state, week, hosted))
+        states = _undominated(step)
+        if not states:
+            return None
+        trail.append((run, step))
+        smallest_debt = min((m for debts, _ in states for _, m in debts), default=float("inf"))
 
-    def pair_still_possible(pair: tuple[int, int]) -> bool:
-        members = [run for run, week in assign.items() if week in pair]
-        if len(members) < 2:
-            return False
-        return any(r.minutes >= REGULAR_WEEKLY_MIN_MINUTES for r in members)
-
-    def finalize() -> Optional[dict]:
-        roles = {}
-        for run, week in assign.items():
-            counted = min(
-                REGULAR_WEEKLY_MIN_MINUTES, run.minutes - donated.get(run, 0)
+    state = next((s for s in states if not s[0]), None)
+    if state is None:
+        return None
+    choices = []
+    for run, step in reversed(trail):
+        state, week, hosted = step[state]
+        choices.append((run, week, hosted))
+    assignments, compensations, owed = [], [], []  # owed: (week, minutes, debtor start)
+    for run, week, hosted in reversed(choices):
+        for debt in hosted:
+            debtor = next(o for o in owed if o[:2] == debt)
+            owed.remove(debtor)
+            compensations.append(
+                {
+                    "week": debt[0],
+                    "minutes": debt[1],
+                    "debtor_start": debtor[2],
+                    "donor_start": run.start,
+                    "deadline": deadlines[debt[0]],
+                }
             )
-            roles[run] = (week, counted)
-        for w1, w2 in pairs:
-            regular = reduced = 0
-            for week, counted in roles.values():
-                if week not in (w1, w2):
-                    continue
-                if counted >= REGULAR_WEEKLY_MIN_MINUTES:
-                    regular += 1
-                else:
-                    reduced += 1
-            if not (regular >= 2 or (regular >= 1 and reduced >= 1)):
-                return None
-        # Deadlines: blocks in one host run tile it from the start; check the
-        # earliest-deadline-first schedule.
-        per_host: dict[RestRun, list[tuple[int, int]]] = {}
-        for host, minutes, deadline, _week in blocks:
-            per_host.setdefault(host, []).append((deadline, minutes))
-        for host, items in per_host.items():
-            t = host.start
-            for deadline, minutes in sorted(items):
-                t += minutes * SECONDS_PER_MINUTE
-                if t > deadline:
-                    return None
-            if profile.attached_compensation:
-                leftover = host.minutes - donated.get(host, 0)
-                if host not in assign and leftover < profile.daily_rest_threshold:
-                    return None
-        return {
-            "assignments": [
+        if week is not None:
+            counted = min(REGULAR_WEEKLY_MIN_MINUTES, run.minutes - sum(m for _, m in hosted))
+            if counted < REGULAR_WEEKLY_MIN_MINUTES:
+                owed.append((week, REGULAR_WEEKLY_MIN_MINUTES - counted, run.start))
+            assignments.append(
                 {
                     "week": week,
                     "run_start": run.start,
                     "run_minutes": run.minutes,
                     "counted_minutes": counted,
-                    "role": "regular"
-                    if counted >= REGULAR_WEEKLY_MIN_MINUTES
-                    else "reduced",
+                    "role": "regular" if counted >= REGULAR_WEEKLY_MIN_MINUTES else "reduced",
                 }
-                for run, (week, counted) in sorted(
-                    roles.items(), key=lambda item: (item[1][0], item[0].start)
-                )
-            ],
-            "compensations": [
-                {
-                    "week": week,
-                    "minutes": minutes,
-                    "donor_start": host.start,
-                    "deadline": deadline,
-                }
-                for host, minutes, deadline, week in blocks
-            ],
-        }
+            )
+    return {
+        "assignments": sorted(assignments, key=lambda a: (a["week"], a["run_start"])),
+        "compensations": sorted(compensations, key=lambda c: c["debtor_start"]),
+    }
 
-    def resolve(index: int) -> Optional[dict]:
-        if index == len(runs):
-            return finalize()
-        run = runs[index]
-        week = assign.get(run)
-        if week is None:
-            return resolve(index + 1)
-        counted = run.minutes - donated.get(run, 0)
-        if counted >= REGULAR_WEEKLY_MIN_MINUTES:
-            return resolve(index + 1)
-        if counted < REDUCED_WEEKLY_MIN_MINUTES:
-            return None
-        debt = REGULAR_WEEKLY_MIN_MINUTES - counted
-        deadline = week_start(week + COMPENSATION_WINDOW_WEEKS + 1, leap_table)
-        for host in runs[index + 1 :]:
-            reserve = REDUCED_WEEKLY_MIN_MINUTES if host in assign else 0
-            capacity = host.minutes - donated.get(host, 0) - reserve
-            if capacity < debt:
-                continue
-            if host.start + debt * SECONDS_PER_MINUTE > deadline:
-                continue
-            donated[host] = donated.get(host, 0) + debt
-            blocks.append((host, debt, deadline, week))
-            witness = resolve(index + 1)
-            if witness is not None:
-                return witness
-            blocks.pop()
-            donated[host] -= debt
-        return None
 
-    def choose(index: int) -> Optional[dict]:
-        if index == len(weekly_candidates):
-            return resolve(0)
-        run, weeks = weekly_candidates[index]
-        for week in [None] + sorted(weeks):
-            if week is not None:
-                assign[run] = week
-            if all(pair_still_possible(p) for p in pairs_decided_at.get(index, ())):
-                witness = choose(index + 1)
-                if witness is not None:
-                    return witness
-            if week is not None:
-                del assign[run]
-        return None
+def _hostings(run: Period, reserve: int, debts: tuple, deadlines: dict) -> list:
+    """(hosted, kept, hosted minutes) for each subset of `debts` that `run`
+    can host and still keep `reserve` minutes. Debts come in deadline order,
+    so each block is checked where it lands when tiled from the run start."""
+    options = [((), (), 0)]
+    for debt in debts:
+        week, minutes = debt
+        grown = []
+        for hosted, kept, total in options:
+            grown.append((hosted, kept + (debt,), total))
+            end = total + minutes
+            if end <= run.minutes - reserve and (
+                run.start + end * SECONDS_PER_MINUTE <= deadlines[week]
+            ):
+                grown.append((hosted + (debt,), kept, end))
+        options = grown
+    return options
 
-    return choose(0)
+
+def _undominated(states) -> list:
+    survivors: list = []
+    for state in states:
+        if not any(_dominates(other, state) for other in survivors):
+            survivors = [other for other in survivors if not _dominates(state, other)]
+            survivors.append(state)
+    return survivors
+
+
+def _dominates(a: tuple, b: tuple) -> bool:
+    """Whether state a completes whenever state b does."""
+    remaining = iter(b[0])
+    if not all(debt in remaining for debt in a[0]):  # sorted: a sub-multiset
+        return False
+    tallies = dict(a[1])
+    return all(
+        pair in tallies and tallies[pair][0] >= count and tallies[pair][1] >= regular
+        for pair, (count, regular) in b[1]
+    )
 
 
 def check_article86(

@@ -1,28 +1,37 @@
 """Reference implementations on expanded forms, kept as test oracles.
 
-They label one activity code per second, accumulate one sample per minute
-and attribute Article 6.1 extensions by brute-force search. They are slow
-and literal on purpose; the differential tests compare the engine with them.
+They label one activity code per second, accumulate one sample per minute,
+attribute Article 6.1 extensions by brute-force search and decide Article
+8.6 by backtracking over every assignment of rests to weeks and every
+compensation cascade. They are slow and literal on purpose; the
+differential tests compare the engine with them.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from conftest import ACTIVITY_BY_CODE, samples
 from tachocheck.minutes import Rule51Semantics, TraceTooShortError
 from tachocheck.periods import (
     FULL_BREAK_MIN_MINUTES,
+    REDUCED_WEEKLY_MIN_MINUTES,
+    REGULAR_WEEKLY_MIN_MINUTES,
     REST_PERIOD_KINDS,
     SPLIT_FIRST_MIN_MINUTES,
     SPLIT_SECOND_MIN_MINUTES,
+    Period,
 )
+from tachocheck.profiles import InterpretationProfile
 from tachocheck.rules import (
+    COMPENSATION_WINDOW_WEEKS,
     DRIVE_BEFORE_BREAK_LIMIT_MINUTES,
     MAX_EXTENSIONS_PER_WEEK,
     Violation,
 )
-from tachocheck.timeline import SECONDS_PER_MINUTE, Activity
+from tachocheck.timeline import SECONDS_PER_MINUTE, Activity, LeapSecond, week_start
 
 
 def _longest_latest(window: bytes) -> Activity:
@@ -172,3 +181,198 @@ def minimize_extension_violations(fixed, crossing):
         span: start_week if picked == 0 else end_week
         for picked, (span, start_week, end_week) in zip(best_choice, crossing)
     }
+
+
+@dataclass(frozen=True)
+class RestRun:
+    """A maximal rest run usable by the weekly-rest solver."""
+
+    start: int
+    minutes: int
+
+    @property
+    def end(self) -> int:
+        return self.start + self.minutes * SECONDS_PER_MINUTE
+
+
+def solve_weekly_rests(
+    scope_weeks: Sequence[int],
+    rests: Sequence[Period],
+    profile: InterpretationProfile,
+    leap_table: Sequence[LeapSecond] = (),
+    waived: frozenset[int] = frozenset(),
+) -> Optional[dict]:
+    """Exact feasibility search for Articles 8.6/8.9 over the given weeks.
+
+    Model: every classified rest run may be counted as the weekly rest of at
+    most one week it overlaps (never two). A counted run serves as a regular
+    rest when at least 2700 of its minutes remain counted, or as a reduced
+    rest when at least 1440 do; minutes not counted may be carved off as
+    compensation blocks. Each reduction (2700 minus the counted minutes)
+    must be covered by one contiguous block from a single run that starts no
+    earlier than the reduced run and whose block completes before the end of
+    the third following week. Donating from a counted run shrinks that run's
+    own weekly rest, which may turn it reduced and create a further debt —
+    the search explores these cascades exhaustively.
+
+    Returns a witness dict when an assignment satisfying every pair of
+    consecutive non-waived weeks exists, else None.
+    """
+    active = [w for w in scope_weeks if w not in waived]
+    pairs = [
+        (w, w + 1)
+        for w in list(scope_weeks)[:-1]
+        if w not in waived and (w + 1) not in waived
+    ]
+
+    runs = sorted(
+        (RestRun(p.start, p.minutes) for p in rests), key=lambda r: r.start
+    )
+    week_bounds = {
+        w: (week_start(w, leap_table), week_start(w + 1, leap_table))
+        for w in active
+    }
+
+    def overlapped_weeks(run: RestRun) -> list[int]:
+        return [
+            w
+            for w, (lo, hi) in week_bounds.items()
+            if run.start < hi and run.end > lo
+        ]
+
+    weekly_candidates = [
+        (run, overlapped_weeks(run))
+        for run in runs
+        if run.minutes >= REDUCED_WEEKLY_MIN_MINUTES
+    ]
+    weekly_candidates = [(run, weeks) for run, weeks in weekly_candidates if weeks]
+
+    # A pair is decided once every run able to serve either week has been
+    # assigned or passed over; from then on it must already hold two counted
+    # rests, at least one long enough to stay regular. Pruning on this keeps
+    # infeasible instances from enumerating every assignment.
+    pairs_decided_at: dict[int, list[tuple[int, int]]] = {}
+    for pair in pairs:
+        last = -1
+        for index, (_run, weeks) in enumerate(weekly_candidates):
+            if pair[0] in weeks or pair[1] in weeks:
+                last = index
+        if last == -1:
+            return None  # no rest can ever serve this pair
+        pairs_decided_at.setdefault(last, []).append(pair)
+
+    assign: dict[RestRun, int] = {}
+    donated: dict[RestRun, int] = {}
+    blocks: list[tuple[RestRun, int, int, int]] = []  # host, minutes, deadline, week
+
+    def pair_still_possible(pair: tuple[int, int]) -> bool:
+        members = [run for run, week in assign.items() if week in pair]
+        if len(members) < 2:
+            return False
+        return any(r.minutes >= REGULAR_WEEKLY_MIN_MINUTES for r in members)
+
+    def finalize() -> Optional[dict]:
+        roles = {}
+        for run, week in assign.items():
+            counted = min(
+                REGULAR_WEEKLY_MIN_MINUTES, run.minutes - donated.get(run, 0)
+            )
+            roles[run] = (week, counted)
+        for w1, w2 in pairs:
+            regular = reduced = 0
+            for week, counted in roles.values():
+                if week not in (w1, w2):
+                    continue
+                if counted >= REGULAR_WEEKLY_MIN_MINUTES:
+                    regular += 1
+                else:
+                    reduced += 1
+            if not (regular >= 2 or (regular >= 1 and reduced >= 1)):
+                return None
+        # Deadlines: blocks in one host run tile it from the start; check the
+        # earliest-deadline-first schedule.
+        per_host: dict[RestRun, list[tuple[int, int]]] = {}
+        for host, minutes, deadline, _week in blocks:
+            per_host.setdefault(host, []).append((deadline, minutes))
+        for host, items in per_host.items():
+            t = host.start
+            for deadline, minutes in sorted(items):
+                t += minutes * SECONDS_PER_MINUTE
+                if t > deadline:
+                    return None
+            if profile.attached_compensation:
+                leftover = host.minutes - donated.get(host, 0)
+                if host not in assign and leftover < profile.daily_rest_threshold:
+                    return None
+        return {
+            "assignments": [
+                {
+                    "week": week,
+                    "run_start": run.start,
+                    "run_minutes": run.minutes,
+                    "counted_minutes": counted,
+                    "role": "regular"
+                    if counted >= REGULAR_WEEKLY_MIN_MINUTES
+                    else "reduced",
+                }
+                for run, (week, counted) in sorted(
+                    roles.items(), key=lambda item: (item[1][0], item[0].start)
+                )
+            ],
+            "compensations": [
+                {
+                    "week": week,
+                    "minutes": minutes,
+                    "donor_start": host.start,
+                    "deadline": deadline,
+                }
+                for host, minutes, deadline, week in blocks
+            ],
+        }
+
+    def resolve(index: int) -> Optional[dict]:
+        if index == len(runs):
+            return finalize()
+        run = runs[index]
+        week = assign.get(run)
+        if week is None:
+            return resolve(index + 1)
+        counted = run.minutes - donated.get(run, 0)
+        if counted >= REGULAR_WEEKLY_MIN_MINUTES:
+            return resolve(index + 1)
+        if counted < REDUCED_WEEKLY_MIN_MINUTES:
+            return None
+        debt = REGULAR_WEEKLY_MIN_MINUTES - counted
+        deadline = week_start(week + COMPENSATION_WINDOW_WEEKS + 1, leap_table)
+        for host in runs[index + 1 :]:
+            reserve = REDUCED_WEEKLY_MIN_MINUTES if host in assign else 0
+            capacity = host.minutes - donated.get(host, 0) - reserve
+            if capacity < debt:
+                continue
+            if host.start + debt * SECONDS_PER_MINUTE > deadline:
+                continue
+            donated[host] = donated.get(host, 0) + debt
+            blocks.append((host, debt, deadline, week))
+            witness = resolve(index + 1)
+            if witness is not None:
+                return witness
+            blocks.pop()
+            donated[host] -= debt
+        return None
+
+    def choose(index: int) -> Optional[dict]:
+        if index == len(weekly_candidates):
+            return resolve(0)
+        run, weeks = weekly_candidates[index]
+        for week in [None] + sorted(weeks):
+            if week is not None:
+                assign[run] = week
+            if all(pair_still_possible(p) for p in pairs_decided_at.get(index, ())):
+                witness = choose(index + 1)
+                if witness is not None:
+                    return witness
+            if week is not None:
+                del assign[run]
+        return None
+
+    return choose(0)

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from conftest import week_runs
 from tachocheck.cli import main
 from tachocheck.patterns import gen_weekly_sandwich
 from tachocheck.profiles import builtin_profiles
+from tachocheck.timeline import SecondTrace
 
 
 @pytest.fixture
@@ -35,6 +37,17 @@ def test_check_compliant_trace_exits_zero(tmp_path, all_rest_file, capsys):
     assert status == 0
     assert report["violations"] == []
     assert report["statistics"]["total_driving_minutes"] == 0
+
+
+def test_check_two_year_compliant_trace_exits_zero(tmp_path, capsys):
+    # 104 weeks, 1,144 rest runs: the weekly-rest check must not recurse
+    # once per rest run
+    path = tmp_path / "two_years.trace"
+    path.write_text(SecondTrace.from_runs(0, week_runs(45) * 104).to_records())
+    status = main(["check", str(path), "--profile", "spirit"])
+    report = json.loads(capsys.readouterr().out)
+    assert status == 0
+    assert report["violations"] == []
 
 
 def test_check_violating_trace_exits_one(tmp_path, sandwich_file, capsys):

@@ -1,15 +1,27 @@
 """Differential tests: the run-based engine against the expanded oracles."""
 
+import dataclasses
 import itertools
 import random
 
 import oracles
 from conftest import D, O, R, labels, per_minute
 from tachocheck.minutes import Rule51Semantics, label_minutes
-from tachocheck.periods import DailyDrivingSpan, accumulate_driving, classify_rests
+from tachocheck.periods import (
+    DailyDrivingSpan,
+    Period,
+    PeriodKind,
+    accumulate_driving,
+    classify_rests,
+)
 from tachocheck.profiles import builtin_profiles
-from tachocheck.rules import _minimize_extension_violations, check_article7
-from tachocheck.timeline import SecondTrace, TimeGrid
+from tachocheck.rules import (
+    _minimize_extension_violations,
+    check_article7,
+    solve_weekly_rests,
+)
+from tachocheck.timeline import LeapSecond, SecondTrace, TimeGrid, week_start
+from test_rules import verify_witness
 
 SPIRIT = builtin_profiles()["spirit"]
 
@@ -95,3 +107,64 @@ def test_extension_attribution_matches_exhaustive_search():
         fixed, crossing = _random_attribution_instance(rng)
         expected = oracles.minimize_extension_violations(fixed, crossing)
         assert _minimize_extension_violations(fixed, crossing) == expected
+
+
+def _random_weekly_rest_instance(rng: random.Random):
+    """2-6 weeks of breaks, daily rests and 24-75 h rests, with random waived
+    weeks, leap seconds and compensation knobs."""
+    first = rng.randint(0, 3)
+    scope = list(range(first, first + rng.randint(2, 6)))
+    leap_table = tuple(
+        sorted(
+            {
+                LeapSecond(rng.randint(first - 1, scope[-1] + 1), rng.choice((-1, 1)))
+                for _ in range(rng.randint(0, 2))
+            },
+            key=lambda ls: ls.sunday_index,
+        )
+    )
+    long_share = rng.uniform(0.03, 0.4)
+    rests = []
+    t = week_start(first) + rng.randint(-2000, 600) * 60
+    while t < week_start(scope[-1] + 1, leap_table) + 3 * 86400:
+        t += rng.randint(60, 900) * 60
+        roll = rng.random()
+        if roll < long_share:
+            kind, minutes = PeriodKind.WEEKLY_REST_REDUCED, rng.randint(1440, 4500)
+        elif roll < 0.6:
+            kind, minutes = PeriodKind.DAILY_REST, rng.randint(540, 1439)
+        else:
+            kind, minutes = PeriodKind.BREAK, rng.randint(15, 60)
+        rests.append(Period(kind, t, t + minutes * 60))
+        t += minutes * 60
+    rng.shuffle(rests)
+    waived = frozenset(w for w in scope if rng.random() < 0.15)
+    profile = dataclasses.replace(
+        SPIRIT,
+        id="random",
+        attached_compensation=rng.random() < 0.4,
+        daily_rest_threshold=rng.choice((15, 540, 660, 1440, rng.randint(15, 1440))),
+    )
+    return scope, rests, profile, leap_table, waived
+
+
+def test_weekly_rest_solver_matches_the_backtracking_search():
+    rng = random.Random(86)
+    feasible = 0
+    for _ in range(300):
+        scope, rests, profile, leap_table, waived = _random_weekly_rest_instance(rng)
+        witness = solve_weekly_rests(scope, rests, profile, leap_table, waived)
+        expected = oracles.solve_weekly_rests(scope, rests, profile, leap_table, waived)
+        assert (witness is None) == (expected is None)
+        if witness is not None:
+            feasible += 1
+            verify_witness(
+                witness,
+                scope,
+                rests,
+                profile.daily_rest_threshold,
+                profile.attached_compensation,
+                leap_table,
+                waived,
+            )
+    assert 60 <= feasible <= 240  # both verdicts are well represented

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import D, HOUR, O, R, day_cycle, minutes_of, trace_of, week_runs
 from tachocheck.minutes import label_minutes
+from tachocheck.patterns import gen_compensation_chain
 from tachocheck.periods import accumulate_driving, classify_rests, daily_driving_spans
 from tachocheck.profiles import (
     ExtendedAttribution,
@@ -349,14 +350,23 @@ def test_restless_week_can_be_carried_by_a_neighbour_with_two_rests():
     verify_witness(witness, scope, rests)
 
 
-def verify_witness(witness, scope, rests, daily_threshold=540, attached=False):
+def verify_witness(
+    witness,
+    scope,
+    rests,
+    daily_threshold=540,
+    attached=False,
+    leap_table=(),
+    waived=frozenset(),
+):
     """Check a weekly-rest witness by direct arithmetic, independently of the
     solver's own bookkeeping."""
     runs = {p.start: (p.end - p.start) // 60 for p in rests}
     assignments = witness["assignments"]
     blocks = witness["compensations"]
 
-    # each rest run is counted in at most one week, within its own length
+    # each rest run is counted in at most one week it overlaps, within its
+    # own length
     starts = [entry["run_start"] for entry in assignments]
     assert len(starts) == len(set(starts))
     for entry in assignments:
@@ -365,36 +375,36 @@ def verify_witness(witness, scope, rests, daily_threshold=540, attached=False):
         assert entry["role"] == (
             "regular" if entry["counted_minutes"] == 2700 else "reduced"
         )
+        week = entry["week"]
+        assert week in scope and week not in waived
+        run_end = entry["run_start"] + entry["run_minutes"] * 60
+        assert entry["run_start"] < week_start(week + 1, leap_table)
+        assert run_end > week_start(week, leap_table)
 
-    # every consecutive pair of weeks sees two regular rests or one of each
+    # every consecutive pair of non-waived weeks sees two regular rests or
+    # one of each
     for w1, w2 in zip(scope, scope[1:]):
+        if w1 in waived or w2 in waived:
+            continue
         roles = [e["role"] for e in assignments if e["week"] in (w1, w2)]
         regular = roles.count("regular")
         reduced = roles.count("reduced")
         assert regular >= 2 or (regular >= 1 and reduced >= 1), (w1, w2, roles)
 
     # each reduction is covered by exactly one block of exactly its size,
-    # placed no earlier than the reduced rest and inside its deadline
+    # in a later run and inside its deadline; reductions are keyed by their
+    # run, since one week may count two reduced rests
     debts = {
-        entry["week"]: 2700 - entry["counted_minutes"]
+        entry["run_start"]: (entry["week"], 2700 - entry["counted_minutes"])
         for entry in assignments
         if entry["role"] == "reduced"
     }
-    reduced_run_start = {
-        entry["week"]: entry["run_start"]
-        for entry in assignments
-        if entry["role"] == "reduced"
-    }
-    by_week = {}
+    assert sorted(block["debtor_start"] for block in blocks) == sorted(debts)
     for block in blocks:
-        by_week.setdefault(block["week"], []).append(block)
-    assert set(by_week) == set(debts)
-    for week, week_blocks in by_week.items():
-        assert len(week_blocks) == 1
-        block = week_blocks[0]
-        assert block["minutes"] == debts[week]
-        assert block["deadline"] == week_start(week + 4)
-        assert block["donor_start"] >= reduced_run_start[week]
+        week, minutes = debts[block["debtor_start"]]
+        assert (block["week"], block["minutes"]) == (week, minutes)
+        assert block["deadline"] == week_start(week + 4, leap_table)
+        assert block["donor_start"] > block["debtor_start"]
 
     # donors: counted part plus blocks fit, and blocks meet their deadlines
     # even when tiled from the run start in deadline order
@@ -471,6 +481,20 @@ def test_deadline_forces_a_cascade_instead_of_direct_donation():
     assert direct == []  # week 1 could not reach week 5 directly
 
 
+def test_counted_host_keeps_a_reduced_weekly_rest():
+    # week 0's 21 h debt must be paid before the end of week 3. Weeks 1 and
+    # 3 hold exactly 45 h, and week 2's 30 h rest is needed for the pairs
+    # but may keep no less than 24 h, so it cannot host the debt and pass a
+    # larger one on to week 4's spare. A 45 h week 2 can.
+    for week2_hours, feasible in ((30, False), (45, True)):
+        trace = chain_weeks(24, 45, week2_hours, 45, 66)
+        mt, rests = pipeline(trace)
+        witness = solve_weekly_rests([0, 1, 2, 3], rests, SPIRIT)
+        assert (witness is not None) == feasible
+        if feasible:
+            verify_witness(witness, [0, 1, 2, 3], rests)
+
+
 def test_attached_compensation_knob():
     # the 21 h donor block stands alone: allowed by default, rejected when
     # compensation must attach to another rest period
@@ -512,6 +536,33 @@ def test_solver_attribution_is_deterministic_on_messy_traces():
     assert first == second
     assert all(v.article == "8.6" for v in first)
     assert first != []
+
+
+def test_compensation_chain_has_no_depth_cliff():
+    # week 0's verdict hinges on week 49, forty-nine weeks later
+    trace = gen_compensation_chain(49)
+    started = time.perf_counter()
+    full = check_all(trace, GRID, SPIRIT)
+    cut = check_all(trace.truncated(week_start(49)), GRID, SPIRIT)
+    elapsed = time.perf_counter() - started
+    assert full.violations == ()
+    assert [(v.article, v.window_start // SECONDS_PER_WEEK) for v in cut.violations] == [
+        ("8.6", 0)
+    ]
+    assert elapsed < 2.0
+
+
+def test_long_reduced_rest_rotation_checks_quickly():
+    # 45/24/66 over 26 weeks ends on an unpaid reduction in week 25; the
+    # waiver loop blames week 24, as the backtracking solver did
+    trace = chain_weeks(*[(45, 24, 66)[w % 3] for w in range(26)])
+    started = time.perf_counter()
+    report = check_all(trace, GRID, SPIRIT)
+    elapsed = time.perf_counter() - started
+    assert [(v.article, v.window_start // SECONDS_PER_WEEK) for v in report.violations] == [
+        ("8.6", 24)
+    ]
+    assert elapsed < 1.0
 
 
 def test_short_trace_skips_86_with_notice():
