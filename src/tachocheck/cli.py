@@ -12,16 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import patterns
 from .machines import Halted, Program, run
-from .partition import Patrimony, optimal_split
-from .proplogic import (
-    FormulaSyntaxError,
-    find_falsifying,
-    format_formula,
-    parse_formula,
-    truth_table,
-)
 from .profiles import (
     InterpretationProfile,
     ProfileError,
@@ -79,6 +70,8 @@ def _cmd_diff(args) -> int:
 
 
 def _demo_trace(name: str, depth: int):
+    from . import patterns
+
     if name == "pattern1":
         return patterns.gen_pattern(1, 3600, 60)
     if name == "pattern2":
@@ -122,6 +115,8 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_partition(args) -> int:
+    from .partition import Patrimony, optimal_split
+
     if args.file:
         text = Path(args.file).read_text(encoding="utf-8")
         raw = [part for part in text.replace(",", "\n").split() if part]
@@ -165,6 +160,8 @@ def _cmd_machine(args) -> int:
 
 
 def _cmd_logic(args) -> int:
+    from .proplogic import find_falsifying, format_formula, parse_formula, truth_table
+
     formula = parse_formula(args.formula)
     witness = find_falsifying(formula)
     payload = {
@@ -246,7 +243,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (TraceError, ProfileError, FormulaSyntaxError, ValueError, OSError) as exc:
+    except (TraceError, ProfileError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

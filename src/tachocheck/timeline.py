@@ -48,16 +48,26 @@ class Activity(Enum):
 _ACTIVITY_BY_NAME = {act.value: act for act in Activity}
 
 _DIGEST_CHUNK = 1 << 16
+# One chunk of codes per activity; the digest hashes slices of these.
+_DIGEST_CHUNKS = {act: bytes([act.code]) * _DIGEST_CHUNK for act in Activity}
 
 
 def coalesce(runs: Iterable[tuple[Activity, int]]) -> tuple[tuple[Activity, int], ...]:
     """Merge adjacent runs of the same activity; every length must be positive."""
-    runs = tuple(runs)
-    for _activity, length in runs:
+    merged: list[tuple[Activity, int]] = []
+    current, total = None, 0
+    for activity, length in runs:
         if length <= 0:
             raise TraceError(f"run duration must be positive, got {length}")
-    groups = itertools.groupby(runs, key=lambda run: run[0])
-    return tuple((activity, sum(n for _, n in group)) for activity, group in groups)
+        if activity is current:
+            total += length
+            continue
+        if total:
+            merged.append((current, total))
+        current, total = activity, length
+    if total:
+        merged.append((current, total))
+    return tuple(merged)
 
 
 class WeekPolicy(Enum):
@@ -125,6 +135,7 @@ class SecondTrace:
     start: int
     segments: tuple[tuple[Activity, int], ...]
     _ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         segments = coalesce(self.segments)
@@ -174,14 +185,33 @@ class SecondTrace:
         return SecondTrace(self.start, tuple(head))
 
     def digest(self) -> str:
-        """SHA-256 of the start and one activity code per second, in bounded chunks."""
-        h = hashlib.sha256(f"{self.start}:".encode("ascii"))
-        for activity, seconds in self.segments:
-            chunk = bytes([activity.code]) * min(seconds, _DIGEST_CHUNK)
-            for _ in range(seconds // len(chunk)):
-                h.update(chunk)
-            h.update(chunk[: seconds % len(chunk)])
-        return h.hexdigest()
+        """SHA-256 of the start and one activity code per second.
+
+        Computed on the first call and kept, so each trace is hashed once.
+        Short runs are gathered into buffers of at least one chunk before
+        each update and long runs are fed chunk by chunk, so memory stays
+        bounded; the buffering does not change the bytes hashed.
+        """
+        if self._digest is None:
+            h = hashlib.sha256(f"{self.start}:".encode("ascii"))
+            pieces: list[bytes] = []
+            size = 0
+            for activity, seconds in self.segments:
+                chunk = _DIGEST_CHUNKS[activity]
+                if seconds >= _DIGEST_CHUNK:
+                    h.update(b"".join(pieces))
+                    pieces, size = [], 0
+                    whole, seconds = divmod(seconds, _DIGEST_CHUNK)
+                    for _ in range(whole):
+                        h.update(chunk)
+                pieces.append(chunk[:seconds])
+                size += seconds
+                if size >= _DIGEST_CHUNK:
+                    h.update(b"".join(pieces))
+                    pieces, size = [], 0
+            h.update(b"".join(pieces))
+            object.__setattr__(self, "_digest", h.hexdigest())
+        return self._digest
 
     def to_records(self) -> str:
         lines = [

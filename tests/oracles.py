@@ -1,14 +1,16 @@
 """Reference implementations on expanded forms, kept as test oracles.
 
-They label one activity code per second, accumulate one sample per minute,
-attribute Article 6.1 extensions by brute-force search and decide Article
-8.6 by backtracking over every assignment of rests to weeks and every
-compensation cascade. They are slow and literal on purpose; the
-differential tests compare the engine with them.
+They merge runs with `itertools.groupby`, hash each run in its own
+chunk-sized updates, label one activity code per second, accumulate one
+sample per minute, attribute Article 6.1 extensions by brute-force search
+and decide Article 8.6 by backtracking over every assignment of rests to
+weeks and every compensation cascade. They are slow and literal on purpose;
+the differential tests compare the engine with them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -31,7 +33,36 @@ from tachocheck.rules import (
     MAX_EXTENSIONS_PER_WEEK,
     Violation,
 )
-from tachocheck.timeline import SECONDS_PER_MINUTE, Activity, LeapSecond, week_start
+from tachocheck.timeline import (
+    SECONDS_PER_MINUTE,
+    Activity,
+    LeapSecond,
+    TraceError,
+    week_start,
+)
+
+_DIGEST_CHUNK = 1 << 16
+
+
+def coalesce(runs):
+    """Merge adjacent runs of the same activity; every length must be positive."""
+    runs = tuple(runs)
+    for _activity, length in runs:
+        if length <= 0:
+            raise TraceError(f"run duration must be positive, got {length}")
+    groups = itertools.groupby(runs, key=lambda run: run[0])
+    return tuple((activity, sum(n for _, n in group)) for activity, group in groups)
+
+
+def digest(trace) -> str:
+    """SHA-256 of the start and one activity code per second, in bounded chunks."""
+    h = hashlib.sha256(f"{trace.start}:".encode("ascii"))
+    for activity, seconds in trace.segments:
+        chunk = bytes([activity.code]) * min(seconds, _DIGEST_CHUNK)
+        for _ in range(seconds // len(chunk)):
+            h.update(chunk)
+        h.update(chunk[: seconds % len(chunk)])
+    return h.hexdigest()
 
 
 def _longest_latest(window: bytes) -> Activity:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tachocheck
 from conftest import week_runs
 from tachocheck.cli import main
 from tachocheck.patterns import gen_weekly_sandwich
@@ -269,3 +274,21 @@ def test_leap_table_flag(tmp_path, all_rest_file, capsys):
     )
     capsys.readouterr()
     assert status == 0
+
+
+def test_importing_the_cli_leaves_the_demo_modules_unloaded():
+    src = Path(tachocheck.__file__).resolve().parents[1]
+    code = (
+        "import sys, tachocheck.cli\n"
+        "demos = ('tachocheck.proplogic', 'tachocheck.partition', 'tachocheck.patterns')\n"
+        "print([name for name in demos if name in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

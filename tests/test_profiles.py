@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import tachocheck.timeline as timeline
 from conftest import D, HOUR, O, R, minutes_of, trace_of, week_runs
 from tachocheck.minutes import Rule51Semantics
 from tachocheck.profiles import (
@@ -237,3 +238,23 @@ def test_knob_grid_offset():
     shifted = run(trace, flip(grid_offset=27))
     assert base.violations == ()
     assert any(v.article == "7" for v in shifted.violations)
+
+
+def test_diff_hashes_the_trace_once(monkeypatch):
+    made = []
+    sha256 = timeline.hashlib.sha256
+
+    def counting_sha256(*args, **kwargs):
+        made.append(args)
+        return sha256(*args, **kwargs)
+
+    monkeypatch.setattr(timeline.hashlib, "sha256", counting_sha256)
+    trace = SecondTrace.from_runs(0, week_runs(45) * 2)
+    profiles = list(builtin_profiles().values())
+    raw = dataclasses.replace(SPIRIT, id="neighbor-raw", rule51=Rule51Semantics.NEIGHBOR_RAW)
+    profiles.append(raw)
+    assert len(profiles) == 5
+    diff_verdicts(trace, profiles)
+    assert len(made) == 1
+    check_all(trace, SPIRIT.grid(), SPIRIT)
+    assert len(made) == 1

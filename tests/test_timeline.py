@@ -1,8 +1,10 @@
+import dataclasses
 import random
 import tracemalloc
 
 import pytest
 
+import oracles
 from conftest import D, O, R, labels, minutes_of, samples, trace_of
 from tachocheck.timeline import (
     SECONDS_PER_WEEK,
@@ -14,6 +16,7 @@ from tachocheck.timeline import (
     TraceParseError,
     WeekPolicy,
     WeekUndefinedError,
+    coalesce,
     parse_leap_table,
     parse_trace,
     shift_grid,
@@ -97,6 +100,18 @@ def test_parsing_a_long_record_allocates_no_per_second_storage():
     assert trace.duration == 100_000_000
     assert peak < 1_000_000
 
+
+
+def test_digesting_many_short_runs_keeps_memory_bounded():
+    trace = trace_of(*[(D, 50), (R, 50)] * 30_000)
+    tracemalloc.start()
+    try:
+        trace.digest()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.duration == 3_000_000
+    assert peak < 1_000_000
 
 def test_week_of_epoch_anchor():
     assert week_of(0) == 0
@@ -202,5 +217,37 @@ def test_grid_validation():
 
 def test_digest_is_stable():
     trace = minutes_of((D, 3), (R, 2))
-    assert trace.digest() == trace.digest()
+    first = trace.digest()
+    assert first == oracles.digest(trace)
+    assert trace.digest() is first
     assert trace.digest() != shift_grid(trace, 1).digest()
+
+
+def test_copies_of_a_digested_trace_get_their_own_digest():
+    trace = minutes_of((D, 3), (R, 2), start=30)
+    trace.digest()
+    copies = (
+        shift_grid(trace, 7),
+        trace.truncated(trace.start + 100),
+        dataclasses.replace(trace, start=5),
+        dataclasses.replace(trace, segments=((O, 300),)),
+    )
+    for copy in copies:
+        assert copy.digest() == oracles.digest(copy)
+        assert copy.digest() != trace.digest()
+
+
+def test_digesting_one_of_two_equal_traces_keeps_them_equal():
+    a = minutes_of((D, 3), (R, 2))
+    b = minutes_of((D, 1), (D, 2), (R, 2))
+    a.digest()
+    assert a == b and b == a
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_coalesce_rejects_a_non_positive_length_on_every_run():
+    with pytest.raises(TraceError):
+        coalesce([(D, 5), (D, 0)])
+    with pytest.raises(TraceError):
+        SecondTrace(0, ((D, 5), (D, -1)))
