@@ -92,7 +92,7 @@ def _demo_trace(name: str, depth: int):
 def _cmd_demo(args) -> int:
     trace = _demo_trace(args.name, args.depth)
     out = Path(args.out if args.out else f"{args.name}.trace")
-    out.write_text(trace.to_records(), encoding="utf-8")
+    out.write_bytes(trace.to_records().encode("ascii"))
 
     builtins = builtin_profiles()
     summary: dict = {"demo": args.name, "trace_file": str(out)}

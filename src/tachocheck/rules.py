@@ -20,6 +20,7 @@ Implemented checks, each relative to an interpretation profile:
 
 from __future__ import annotations
 
+import bisect
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -259,16 +260,16 @@ def check_article82(
     rest_periods = sorted(
         (p for p in rests if p.kind in REST_PERIOD_KINDS), key=lambda p: p.start
     )
+    starts = [p.start for p in rest_periods]
     threshold_seconds = profile.daily_rest_threshold * SECONDS_PER_MINUTE
     violations = []
     for period in rest_periods:
         deadline = period.end + NEW_REST_WINDOW_SECONDS
         if deadline > mt.end_instant:
             continue
-        satisfied = any(
-            q.start >= period.end and q.start + threshold_seconds <= deadline
-            for q in rest_periods
-        )
+        # the earliest rest starting after this one ends completes first
+        i = bisect.bisect_left(starts, period.end)
+        satisfied = i < len(starts) and starts[i] + threshold_seconds <= deadline
         if not satisfied:
             violations.append(
                 Violation(

@@ -39,17 +39,8 @@ class Activity(Enum):
     REST = "REST"
     OTHER_WORK = "OTHER_WORK"
 
-    @property
-    def code(self) -> int:
-        # the byte standing for one second of this activity in a digest
-        return ord(self.value[0])
-
 
 _ACTIVITY_BY_NAME = {act.value: act for act in Activity}
-
-_DIGEST_CHUNK = 1 << 16
-# One chunk of codes per activity; the digest hashes slices of these.
-_DIGEST_CHUNKS = {act: bytes([act.code]) * _DIGEST_CHUNK for act in Activity}
 
 
 def coalesce(runs: Iterable[tuple[Activity, int]]) -> tuple[tuple[Activity, int], ...]:
@@ -168,10 +159,6 @@ class SecondTrace:
     def activity_at(self, t: int) -> Activity:
         return self.run_at(t)[0]
 
-    def activities(self) -> Iterator[Activity]:
-        for activity, seconds in self.segments:
-            yield from itertools.repeat(activity, seconds)
-
     def runs(self) -> Iterator[tuple[Activity, int, int]]:
         """Yield maximal (activity, start instant, seconds) runs."""
         for (activity, seconds), end in zip(self.segments, self._ends):
@@ -184,41 +171,31 @@ class SecondTrace:
         head = [(a, min(n, end - start)) for a, start, n in self.runs() if start < end]
         return SecondTrace(self.start, tuple(head))
 
-    def digest(self) -> str:
-        """SHA-256 of the start and one activity code per second.
+    def _record_lines(self) -> Iterator[str]:
+        # `_value_` is the plain attribute behind the slower `value` property
+        for (activity, seconds), end in zip(self.segments, self._ends):
+            yield f"{end - seconds},{activity._value_},{seconds}\n"
 
-        Computed on the first call and kept, so each trace is hashed once.
-        Short runs are gathered into buffers of at least one chunk before
-        each update and long runs are fed chunk by chunk, so memory stays
-        bounded; the buffering does not change the bytes hashed.
+    def digest(self) -> str:
+        """SHA-256 of the canonical record text that `to_records` returns.
+
+        It equals `sha256sum` of a trace file in that form, such as one
+        written by `demo --out`. Runs are coalesced, so equal traces get
+        equal digests, and the start is in the first line, so a shifted
+        trace gets another. Computed on the first call and kept; the lines
+        are hashed in batches, so the cost grows with the runs, not the
+        seconds, and memory stays bounded.
         """
         if self._digest is None:
-            h = hashlib.sha256(f"{self.start}:".encode("ascii"))
-            pieces: list[bytes] = []
-            size = 0
-            for activity, seconds in self.segments:
-                chunk = _DIGEST_CHUNKS[activity]
-                if seconds >= _DIGEST_CHUNK:
-                    h.update(b"".join(pieces))
-                    pieces, size = [], 0
-                    whole, seconds = divmod(seconds, _DIGEST_CHUNK)
-                    for _ in range(whole):
-                        h.update(chunk)
-                pieces.append(chunk[:seconds])
-                size += seconds
-                if size >= _DIGEST_CHUNK:
-                    h.update(b"".join(pieces))
-                    pieces, size = [], 0
-            h.update(b"".join(pieces))
+            h = hashlib.sha256()
+            lines = self._record_lines()
+            while batch := "".join(itertools.islice(lines, 4096)):
+                h.update(batch.encode("ascii"))
             object.__setattr__(self, "_digest", h.hexdigest())
         return self._digest
 
     def to_records(self) -> str:
-        lines = [
-            f"{start},{activity.value},{seconds}"
-            for activity, start, seconds in self.runs()
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(self._record_lines())
 
 
 def parse_trace(data: bytes | str) -> SecondTrace:

@@ -10,7 +10,9 @@ HOUR = 3600
 D = Activity.DRIVING
 R = Activity.REST
 O = Activity.OTHER_WORK
-ACTIVITY_BY_CODE = {activity.code: activity for activity in Activity}
+# the byte standing for one second of each activity in a per-second expansion
+CODE = {activity: ord(activity.value[0]) for activity in Activity}
+ACTIVITY_BY_CODE = {code: activity for activity, code in CODE.items()}
 
 
 def trace_of(*runs: tuple[Activity, int], start: int = 0) -> SecondTrace:
@@ -24,7 +26,7 @@ def minutes_of(*runs: tuple[Activity, int], start: int = 0) -> SecondTrace:
 
 def samples(trace: SecondTrace) -> bytes:
     """The trace expanded to one activity code per second."""
-    return b"".join(bytes([a.code]) * n for a, n in trace.segments)
+    return b"".join(bytes([CODE[a]]) * n for a, n in trace.segments)
 
 
 def from_samples(start: int, data: bytes) -> SecondTrace:

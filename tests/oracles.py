@@ -1,21 +1,20 @@
 """Reference implementations on expanded forms, kept as test oracles.
 
-They merge runs with `itertools.groupby`, hash each run in its own
-chunk-sized updates, label one activity code per second, accumulate one
-sample per minute, attribute Article 6.1 extensions by brute-force search
-and decide Article 8.6 by backtracking over every assignment of rests to
-weeks and every compensation cascade. They are slow and literal on purpose;
-the differential tests compare the engine with them.
+They merge runs with `itertools.groupby`, label one activity code per
+second, accumulate one sample per minute, look for the next daily rest of
+Article 8.2 among all rests, attribute Article 6.1 extensions by
+brute-force search and decide Article 8.6 by backtracking over every
+assignment of rests to weeks and every compensation cascade. They are slow
+and literal on purpose; the differential tests compare the engine with them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from conftest import ACTIVITY_BY_CODE, samples
+from conftest import ACTIVITY_BY_CODE, CODE, samples
 from tachocheck.minutes import Rule51Semantics, TraceTooShortError
 from tachocheck.periods import (
     FULL_BREAK_MIN_MINUTES,
@@ -31,6 +30,7 @@ from tachocheck.rules import (
     COMPENSATION_WINDOW_WEEKS,
     DRIVE_BEFORE_BREAK_LIMIT_MINUTES,
     MAX_EXTENSIONS_PER_WEEK,
+    NEW_REST_WINDOW_SECONDS,
     Violation,
 )
 from tachocheck.timeline import (
@@ -41,8 +41,6 @@ from tachocheck.timeline import (
     week_start,
 )
 
-_DIGEST_CHUNK = 1 << 16
-
 
 def coalesce(runs):
     """Merge adjacent runs of the same activity; every length must be positive."""
@@ -52,17 +50,6 @@ def coalesce(runs):
             raise TraceError(f"run duration must be positive, got {length}")
     groups = itertools.groupby(runs, key=lambda run: run[0])
     return tuple((activity, sum(n for _, n in group)) for activity, group in groups)
-
-
-def digest(trace) -> str:
-    """SHA-256 of the start and one activity code per second, in bounded chunks."""
-    h = hashlib.sha256(f"{trace.start}:".encode("ascii"))
-    for activity, seconds in trace.segments:
-        chunk = bytes([activity.code]) * min(seconds, _DIGEST_CHUNK)
-        for _ in range(seconds // len(chunk)):
-            h.update(chunk)
-        h.update(chunk[: seconds % len(chunk)])
-    return h.hexdigest()
 
 
 def _longest_latest(window: bytes) -> Activity:
@@ -114,7 +101,7 @@ def label_minutes(trace, grid, semantics=Rule51Semantics.NEIGHBOR_RULE52):
     if semantics is Rule51Semantics.NEIGHBOR_RULE52:
         labels = _upgrade_pass(labels, [a is Activity.DRIVING for a in labels])
     elif semantics is Rule51Semantics.NEIGHBOR_RAW:
-        raw = [w.count(Activity.DRIVING.code) == SECONDS_PER_MINUTE for w in windows]
+        raw = [w.count(CODE[Activity.DRIVING]) == SECONDS_PER_MINUTE for w in windows]
         labels = _upgrade_pass(labels, raw)
     else:
         for _ in range(len(labels) + 1):
@@ -188,6 +175,35 @@ def check_article7(stream, profile_id=""):
         prev = acc
     if over_start is not None:
         violations.append(violation(over_start, last_drive_end, peak))
+    return violations
+
+
+def check_article82(rests, mt, profile):
+    """Article 8.2, looking for the next rest among every rest."""
+    rest_periods = sorted(
+        (p for p in rests if p.kind in REST_PERIOD_KINDS), key=lambda p: p.start
+    )
+    threshold_seconds = profile.daily_rest_threshold * SECONDS_PER_MINUTE
+    violations = []
+    for period in rest_periods:
+        deadline = period.end + NEW_REST_WINDOW_SECONDS
+        if deadline > mt.end_instant:
+            continue
+        satisfied = any(
+            q.start >= period.end and q.start + threshold_seconds <= deadline
+            for q in rest_periods
+        )
+        if not satisfied:
+            violations.append(
+                Violation(
+                    "8.2",
+                    period.end,
+                    deadline,
+                    "no new daily rest completed within 24 hours of the end of "
+                    f"the rest finishing at second {period.end}",
+                    profile.id,
+                )
+            )
     return violations
 
 

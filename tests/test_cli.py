@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -168,6 +169,15 @@ def test_demo_writes_trace_and_summary(tmp_path, capsys, monkeypatch):
     assert summary["verdicts"]["spirit"]["total_driving_minutes"] == 121
     text = (tmp_path / "p1.trace").read_text()
     assert text.startswith("0,DRIVING,3600")
+
+
+def test_check_digest_is_the_sha256_of_the_demo_file(tmp_path, capsys):
+    path = tmp_path / "demo.trace"
+    assert main(["demo", "compensation-chain", "--out", str(path), "--depth", "3"]) == 0
+    capsys.readouterr()
+    main(["check", str(path), "--profile", "spirit"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["trace"]["digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_demo_unknown_name_exits_two(capsys):

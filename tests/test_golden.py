@@ -1,8 +1,11 @@
 """Outputs pinned byte for byte across code versions.
 
-The digests and report files come from the engine that stored traces one
-byte per second, so they check that the run representation changed no
-output.
+The report files come from the engine that stored traces one byte per
+second, so they check that the run representation changed no verdict. The
+digest format was changed on purpose once, from one byte per second to
+the SHA-256 of the canonical record text (the `sha256sum` of the file that
+`demo --out` writes); only the digests were re-pinned then, and every
+other byte of the reports stayed the same.
 """
 
 from pathlib import Path
@@ -21,15 +24,15 @@ GOLDEN = Path(__file__).parent / "golden"
     [
         (
             lambda: parse_trace("0,DRIVING,60\n60,REST,30\n90,OTHER_WORK,45\n"),
-            "245de3e2bd01ff173581188f6c41fbec428c7c689a0f4854826c63543987f3cb",
+            "abf0cad0b77b2bfac1ddaa0bd64e33ffe3ed92378cd4479e525564a8aeaf4837",
         ),
         (  # starts mid-minute
             lambda: parse_trace("30,REST,90\n120,DRIVING,3601\n3721,REST,17\n3738,DRIVING,1\n"),
-            "1aa1e89dfc06328827fe7f9fc7ada6203ca5fb7d12c7e28684da93f11ccaaaca",
+            "6f245629615194c69b94de4e4c5f88c975b0ddd70180ce4e237d910f3cf43746",
         ),
-        (  # two weeks: many digest chunks
+        (  # two weeks: many runs
             lambda: SecondTrace.from_runs(0, week_runs(45) + week_runs(24)),
-            "3d8516bb85d0292d4043521e4bd75540cbc6f80a1a787112c3facaae11d08de5",
+            "7dd959e0684e5c2811ce93992f22fe54c0b4ec23fb388fd17a8932385c10111b",
         ),
     ],
 )

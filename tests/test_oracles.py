@@ -6,7 +6,7 @@ import random
 
 import oracles
 from conftest import D, O, R, labels, per_minute
-from tachocheck.minutes import Rule51Semantics, label_minutes
+from tachocheck.minutes import MinuteTrace, Rule51Semantics, label_minutes
 from tachocheck.periods import (
     DailyDrivingSpan,
     Period,
@@ -18,6 +18,7 @@ from tachocheck.profiles import builtin_profiles
 from tachocheck.rules import (
     _minimize_extension_violations,
     check_article7,
+    check_article82,
     solve_weekly_rests,
 )
 from tachocheck.timeline import LeapSecond, SecondTrace, TimeGrid, coalesce, week_start
@@ -170,42 +171,27 @@ def test_weekly_rest_solver_matches_the_backtracking_search():
     assert 60 <= feasible <= 240  # both verdicts are well represented
 
 
-_CHUNK_EDGES = (65535, 65536, 65537, 3 * 65536 + 1)
-
-
-def _random_digest_trace(rng: random.Random) -> SecondTrace:
-    """Many short runs, so that buffers fill across runs, and a few runs
-    at, around and past the 64 KiB hash chunk."""
-    runs = []
-    for _ in range(rng.randint(1, 400)):
-        kind = rng.random()
-        if kind < 0.3:
-            seconds = 1
-        elif kind < 0.9:
-            seconds = rng.randint(2, 600)
-        elif kind < 0.95:
-            seconds = rng.choice(_CHUNK_EDGES)
-        else:
-            seconds = rng.randint(1, 4 * 65536)
-        runs.append((rng.choice([D, R, O]), seconds))
-    return SecondTrace.from_runs(rng.randint(0, 10**6), runs)
-
-
-def test_digest_matches_the_per_run_oracle():
-    rng = random.Random(256)
-    for _ in range(100):
-        trace = _random_digest_trace(rng)
-        assert trace.digest() == oracles.digest(trace)
-    # Each edge length alone and between 1-second runs, starting mid-minute.
-    for seconds in (1,) + _CHUNK_EDGES:
-        for runs in ([(D, seconds)], [(R, 1), (D, seconds), (O, 1)]):
-            trace = SecondTrace.from_runs(90, runs)
-            assert trace.digest() == oracles.digest(trace)
-
-
 def test_coalesce_matches_groupby_on_random_run_lists():
     rng = random.Random(5)
     for _ in range(500):
         kinds = rng.sample([D, R, O], rng.randint(1, 3))
         runs = [(rng.choice(kinds), rng.randint(1, 100)) for _ in range(rng.randint(0, 30))]
         assert coalesce(runs) == oracles.coalesce(runs)
+
+
+def test_article82_matches_the_all_rests_scan_on_random_layouts():
+    rng = random.Random(82)
+    kinds = list(PeriodKind)
+    for _ in range(2000):
+        profile = dataclasses.replace(SPIRIT, daily_rest_threshold=rng.choice([15, 540, 660]))
+        horizon = rng.randint(1, 6) * 1440
+        rests = []
+        for _ in range(rng.randint(0, 12)):
+            # minutes; periods may overlap, nest or share an edge
+            start = rng.randrange(horizon)
+            end = min(horizon, start + rng.choice([1, 15, rng.randint(1, 1800)]))
+            rests.append(Period(rng.choice(kinds), start * 60, end * 60))
+        mt = MinuteTrace(0, ((R, horizon),), TimeGrid())
+        assert check_article82(rests, mt, profile) == oracles.check_article82(
+            rests, mt, profile
+        )

@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import random
 import tracemalloc
 
 import pytest
 
-import oracles
-from conftest import D, O, R, labels, minutes_of, samples, trace_of
+from conftest import CODE, D, O, R, labels, minutes_of, samples, trace_of
+from tachocheck import timeline
 from tachocheck.timeline import (
     SECONDS_PER_WEEK,
     Activity,
@@ -29,7 +30,7 @@ def test_parse_single_record():
     trace = parse_trace("0,DRIVING,60")
     assert trace.start == 0
     assert trace.duration == 60
-    assert all(a is Activity.DRIVING for a in trace.activities())
+    assert samples(trace) == bytes([CODE[Activity.DRIVING]]) * 60
 
 
 def test_parse_two_records_contiguous():
@@ -112,6 +113,51 @@ def test_digesting_many_short_runs_keeps_memory_bounded():
         tracemalloc.stop()
     assert trace.duration == 3_000_000
     assert peak < 1_000_000
+
+
+def _sha256_of_records(trace: SecondTrace) -> str:
+    return hashlib.sha256(trace.to_records().encode()).hexdigest()
+
+
+def test_digest_is_the_sha256_of_the_record_text():
+    rng = random.Random(5)
+    for _ in range(200):
+        # uncoalesced run lists, starting on or off the minute grid
+        runs = [
+            (rng.choice([D, R, O]), rng.choice([1, 59, 60, 61, rng.randint(1, 10**6)]))
+            for _ in range(rng.randint(1, 40))
+        ]
+        trace = SecondTrace.from_runs(rng.choice([0, 30, rng.randint(0, 10**9)]), runs)
+        assert trace.digest() == _sha256_of_records(trace)
+
+
+@pytest.mark.parametrize("count", [4095, 4096, 4097, 2 * 4096 + 1])
+def test_digest_covers_every_batch_of_lines(count):
+    trace = trace_of(*[(D, 1), (R, 2), (O, 3)] * (count // 3), *[(D, 4), (R, 5)][: count % 3])
+    assert len(trace.segments) == count
+    assert trace.digest() == _sha256_of_records(trace)
+
+
+def test_digest_hashes_the_record_text_whatever_the_duration(monkeypatch):
+    hashed = []
+    sha256 = timeline.hashlib.sha256
+
+    class CountingSha256:
+        def __init__(self, *args):
+            self._h = sha256(*args)
+            hashed.extend(args)
+
+        def update(self, data):
+            hashed.append(data)
+            self._h.update(data)
+
+        def hexdigest(self):
+            return self._h.hexdigest()
+
+    monkeypatch.setattr(timeline.hashlib, "sha256", CountingSha256)
+    trace = parse_trace("0,REST,1000000000")
+    trace.digest()
+    assert sum(map(len, hashed)) == len(trace.to_records()) == len("0,REST,1000000000\n")
 
 def test_week_of_epoch_anchor():
     assert week_of(0) == 0
@@ -218,7 +264,7 @@ def test_grid_validation():
 def test_digest_is_stable():
     trace = minutes_of((D, 3), (R, 2))
     first = trace.digest()
-    assert first == oracles.digest(trace)
+    assert first == _sha256_of_records(trace)
     assert trace.digest() is first
     assert trace.digest() != shift_grid(trace, 1).digest()
 
@@ -233,7 +279,7 @@ def test_copies_of_a_digested_trace_get_their_own_digest():
         dataclasses.replace(trace, segments=((O, 300),)),
     )
     for copy in copies:
-        assert copy.digest() == oracles.digest(copy)
+        assert copy.digest() == _sha256_of_records(copy)
         assert copy.digest() != trace.digest()
 
 
