@@ -224,8 +224,6 @@ def diff_verdicts(
         report = check_all(trace, profile.grid(), profile, leap_table)
         keys = {(v.article, v.window_start, v.window_end) for v in report.violations}
         keys_by_profile[profile.id] = keys
-        for article, _, _ in keys:
-            counts.setdefault(article, {})
         for violation in report.violations:
             per_article = counts.setdefault(violation.article, {})
             per_article[violation.profile_id] = per_article.get(violation.profile_id, 0) + 1
@@ -235,7 +233,7 @@ def diff_verdicts(
         for article, per in sorted(counts.items())
     }
 
-    all_keys = sorted(set().union(*keys_by_profile.values()) if keys_by_profile else set())
+    all_keys = sorted(set().union(*keys_by_profile.values()))
     disagreements = []
     for key in all_keys:
         flagging = [pid for pid in ids if key in keys_by_profile[pid]]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 MAX_TAUTOLOGY_ATOMS = 20
 
@@ -75,8 +75,8 @@ def eval_formula(formula: Formula, valuation: Mapping[str, int]) -> int:
     return 1 if (not left or right) else 0
 
 
-def find_falsifying(formula: Formula) -> dict[str, int] | None:
-    """A valuation making the formula false, or None if it is a tautology."""
+def _rows(formula: Formula) -> Iterator[tuple[dict[str, int], int]]:
+    """(valuation, value) for every valuation of the formula's atoms, in order."""
     names = sorted(atoms(formula))
     if len(names) > MAX_TAUTOLOGY_ATOMS:
         raise ValueError(
@@ -85,9 +85,12 @@ def find_falsifying(formula: Formula) -> dict[str, int] | None:
         )
     for bits in itertools.product((0, 1), repeat=len(names)):
         valuation = dict(zip(names, bits))
-        if eval_formula(formula, valuation) == 0:
-            return valuation
-    return None
+        yield valuation, eval_formula(formula, valuation)
+
+
+def find_falsifying(formula: Formula) -> dict[str, int] | None:
+    """A valuation making the formula false, or None if it is a tautology."""
+    return next((valuation for valuation, value in _rows(formula) if value == 0), None)
 
 
 def is_tautology(formula: Formula) -> bool:
@@ -95,14 +98,7 @@ def is_tautology(formula: Formula) -> bool:
 
 
 def truth_table(formula: Formula) -> list[tuple[dict[str, int], int]]:
-    names = sorted(atoms(formula))
-    if len(names) > MAX_TAUTOLOGY_ATOMS:
-        raise ValueError(f"{len(names)} atoms exceed the truth-table bound")
-    rows = []
-    for bits in itertools.product((0, 1), repeat=len(names)):
-        valuation = dict(zip(names, bits))
-        rows.append((valuation, eval_formula(formula, valuation)))
-    return rows
+    return list(_rows(formula))
 
 
 # Grammar: implication is right-associative and binds loosest;

@@ -21,6 +21,7 @@ Implemented checks, each relative to an interpretation profile:
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -44,6 +45,7 @@ from .timeline import (
     LeapSecond,
     SecondTrace,
     TimeGrid,
+    WeekPolicy,
     week_of,
     week_start,
 )
@@ -315,13 +317,16 @@ def solve_weekly_rests(
     Returns a witness dict when an assignment satisfying every pair of
     consecutive non-waived weeks exists, else None.
     """
-    active = [w for w in scope_weeks if w not in waived]
+    active = {w for w in scope_weeks if w not in waived}
     pairs = {w for w in list(scope_weeks)[:-1] if w not in waived and w + 1 not in waived}
-    bounds = [(w, week_start(w, leap_table), week_start(w + 1, leap_table)) for w in active]
     deadlines = {w: week_start(w + COMPENSATION_WINDOW_WEEKS + 1, leap_table) for w in active}
     runs = sorted(rests, key=lambda p: p.start)
+
+    def week_at(t: int) -> int:
+        return week_of(t, WeekPolicy.SPIRIT, leap_table)
+
     candidates = [
-        [w for w, lo, hi in bounds if run.start < hi and run.end > lo]
+        [w for w in range(week_at(run.start), week_at(run.end - 1) + 1) if w in active]
         if run.minutes >= REDUCED_WEEKLY_MIN_MINUTES
         else []
         for run in runs
@@ -460,39 +465,34 @@ def check_article86(
     """Weekly-rest and compensation check over complete weeks.
 
     When no assignment at all satisfies the scope, the infeasibility is
-    pinned to specific weeks: weeks are waived one at a time, earliest first,
-    preferring weeks whose waiver restores feasibility, until the remainder
-    is satisfiable; each waived week is reported as a violation.
+    pinned to specific weeks: the first k weeks of the scope plus the
+    earliest later week whose waiver then restores feasibility, with k as
+    small as possible. Each waived week is reported as a violation.
     """
     scope = list(weeks)
     if len(scope) < 2:
         return []
 
-    waived: list[int] = []
+    def feasible(waived: Sequence[int]) -> bool:
+        return solve_weekly_rests(scope, rests, profile, leap_table, frozenset(waived)) is not None
 
-    def feasible(extra: Sequence[int]) -> bool:
-        return (
-            solve_weekly_rests(
-                scope, rests, profile, leap_table, frozenset(waived) | frozenset(extra)
+    @functools.cache
+    def blame(k: int) -> Optional[list[int]]:
+        return next((scope[:k] + [w] for w in scope[k:] if feasible(scope[:k] + [w])), None)
+
+    blamed: Sequence[int] = ()
+    if not feasible(()):
+        # Waiving a week drops its pairs and its candidacy and adds no
+        # constraint, so once blame(k) succeeds every larger k does too.
+        # blame(len(scope) - 2) leaves one week, which has no pair.
+        blamed = blame(0) or blame(
+            bisect.bisect_left(
+                range(len(scope) - 1), True, lo=1, key=lambda k: blame(k) is not None
             )
-            is not None
         )
 
-    while not feasible(()):
-        for week in scope:
-            if week in waived:
-                continue
-            if feasible((week,)):
-                waived.append(week)
-                break
-        else:
-            for week in scope:
-                if week not in waived:
-                    waived.append(week)
-                    break
-
     violations = []
-    for week in sorted(waived):
+    for week in sorted(blamed):
         violations.append(
             Violation(
                 "8.6",

@@ -3,9 +3,11 @@
 They merge runs with `itertools.groupby`, label one activity code per
 second, accumulate one sample per minute, look for the next daily rest of
 Article 8.2 among all rests, attribute Article 6.1 extensions by
-brute-force search and decide Article 8.6 by backtracking over every
-assignment of rests to weeks and every compensation cascade. They are slow
-and literal on purpose; the differential tests compare the engine with them.
+brute-force search, decide Article 8.6 by backtracking over every
+assignment of rests to weeks and every compensation cascade, and blame an
+infeasible Article 8.6 scope by waiving weeks one round at a time. They are
+slow and literal on purpose; the differential tests compare the engine with
+them.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from tachocheck.periods import (
     SPLIT_SECOND_MIN_MINUTES,
     Period,
 )
+from tachocheck import rules
 from tachocheck.profiles import InterpretationProfile
 from tachocheck.rules import (
     COMPENSATION_WINDOW_WEEKS,
@@ -423,3 +426,53 @@ def solve_weekly_rests(
         return None
 
     return choose(0)
+
+
+def check_article86(
+    weeks: Sequence[int],
+    rests: Sequence[Period],
+    profile: InterpretationProfile,
+    leap_table: Sequence[LeapSecond] = (),
+) -> list[Violation]:
+    """Blame by rounds: each round waives the earliest week whose waiver
+    restores feasibility, else the earliest week not yet waived, and reruns
+    the engine's solver for every candidate week, O(weeks^2) solves."""
+    scope = list(weeks)
+    if len(scope) < 2:
+        return []
+
+    waived: list[int] = []
+
+    def feasible(extra: Sequence[int]) -> bool:
+        return (
+            rules.solve_weekly_rests(
+                scope, rests, profile, leap_table, frozenset(waived) | frozenset(extra)
+            )
+            is not None
+        )
+
+    while not feasible(()):
+        for week in scope:
+            if week in waived:
+                continue
+            if feasible((week,)):
+                waived.append(week)
+                break
+        else:
+            for week in scope:
+                if week not in waived:
+                    waived.append(week)
+                    break
+
+    violations = []
+    for week in sorted(waived):
+        violations.append(
+            Violation(
+                "8.6",
+                week_start(week, leap_table),
+                week_start(week + 1, leap_table),
+                f"no weekly-rest assignment with compensation satisfies week {week}",
+                profile.id,
+            )
+        )
+    return violations

@@ -35,6 +35,7 @@ GOLDEN = Path(__file__).parent / "golden"
             "7dd959e0684e5c2811ce93992f22fe54c0b4ec23fb388fd17a8932385c10111b",
         ),
     ],
+    ids=["three-runs", "mid-minute-start", "two-weeks"],
 )
 def test_digest_is_pinned(trace, digest):
     assert trace().digest() == digest

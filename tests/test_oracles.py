@@ -19,6 +19,7 @@ from tachocheck.rules import (
     _minimize_extension_violations,
     check_article7,
     check_article82,
+    check_article86,
     solve_weekly_rests,
 )
 from tachocheck.timeline import LeapSecond, SecondTrace, TimeGrid, coalesce, week_start
@@ -110,11 +111,11 @@ def test_extension_attribution_matches_exhaustive_search():
         assert _minimize_extension_violations(fixed, crossing) == expected
 
 
-def _random_weekly_rest_instance(rng: random.Random):
-    """2-6 weeks of breaks, daily rests and 24-75 h rests, with random waived
-    weeks, leap seconds and compensation knobs."""
+def _random_weekly_rest_instance(rng: random.Random, max_weeks: int = 6):
+    """2 to `max_weeks` weeks of breaks, daily rests and 24-75 h rests, with
+    random waived weeks, leap seconds and compensation knobs."""
     first = rng.randint(0, 3)
-    scope = list(range(first, first + rng.randint(2, 6)))
+    scope = list(range(first, first + rng.randint(2, max_weeks)))
     leap_table = tuple(
         sorted(
             {
@@ -169,6 +170,17 @@ def test_weekly_rest_solver_matches_the_backtracking_search():
                 waived,
             )
     assert 60 <= feasible <= 240  # both verdicts are well represented
+
+
+def test_article86_blame_matches_the_waiver_rounds():
+    rng = random.Random(8609)
+    multi = 0
+    for _ in range(400):
+        scope, rests, profile, leap_table, _ = _random_weekly_rest_instance(rng, max_weeks=14)
+        violations = check_article86(scope, rests, profile, leap_table)
+        assert violations == oracles.check_article86(scope, rests, profile, leap_table)
+        multi += len(violations) >= 2
+    assert multi >= 50  # blames of several weeks are well represented
 
 
 def test_coalesce_matches_groupby_on_random_run_lists():

@@ -88,10 +88,11 @@ def test_truth_table_rows():
     assert sum(value for _, value in rows) == 1
 
 
-def test_atom_guard():
+@pytest.mark.parametrize("check", [find_falsifying, truth_table], ids=lambda f: f.__name__)
+def test_atom_guard(check):
     wide = parse_formula(" & ".join(f"a{i}" for i in range(21)))
     with pytest.raises(ValueError, match="atoms"):
-        is_tautology(wide)
+        check(wide)
 
 
 def _random_formula(rng: random.Random, depth: int):

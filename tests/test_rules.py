@@ -5,6 +5,7 @@ import time
 import pytest
 
 from conftest import D, HOUR, O, R, day_cycle, minutes_of, trace_of, week_runs
+from tachocheck import rules
 from tachocheck.minutes import label_minutes
 from tachocheck.patterns import gen_compensation_chain
 from tachocheck.periods import accumulate_driving, classify_rests, daily_driving_spans
@@ -27,6 +28,8 @@ from tachocheck.timeline import (
     SecondTrace,
     TimeGrid,
     WeekUndefinedError,
+    parse_trace,
+    week_of,
     week_start,
 )
 
@@ -552,9 +555,18 @@ def test_compensation_chain_has_no_depth_cliff():
     assert elapsed < 2.0
 
 
-def test_long_reduced_rest_rotation_checks_quickly():
+def test_long_reduced_rest_rotation_checks_quickly(monkeypatch):
     # 45/24/66 over 26 weeks ends on an unpaid reduction in week 25; the
-    # waiver loop blames week 24, as the backtracking solver did
+    # blame is week 24, as the backtracking solver found. One solve of the
+    # whole scope, then one per week waived alone until week 24 succeeds.
+    calls = []
+    solve = rules.solve_weekly_rests
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(rules, "solve_weekly_rests", counting_solve)
     trace = chain_weeks(*[(45, 24, 66)[w % 3] for w in range(26)])
     started = time.perf_counter()
     report = check_all(trace, GRID, SPIRIT)
@@ -562,7 +574,29 @@ def test_long_reduced_rest_rotation_checks_quickly():
     assert [(v.article, v.window_start // SECONDS_PER_WEEK) for v in report.violations] == [
         ("8.6", 24)
     ]
+    assert len(calls) == 26
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "trace, blamed",
+    [
+        # every week reduced and never compensated
+        (lambda: SecondTrace.from_runs(0, week_runs(24) * 104), [*range(101), 102]),
+        # one valid record: a single rest spanning 165 complete weeks
+        (lambda: parse_trace("0,REST,100000000\n"), [*range(162), 163]),
+    ],
+    ids=["week-runs-24-x104", "rest-1e8-seconds"],
+)
+def test_long_infeasible_traces_blame_the_same_weeks_quickly(trace, blamed):
+    trace = trace()
+    started = time.perf_counter()
+    report = check_all(trace, GRID, SPIRIT)
+    elapsed = time.perf_counter() - started
+    assert [(v.article, week_of(v.window_start)) for v in report.violations] == [
+        ("8.6", week) for week in blamed
+    ]
+    assert elapsed < 2.0
 
 
 def test_short_trace_skips_86_with_notice():
