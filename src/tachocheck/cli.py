@@ -8,6 +8,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from .profiles import (
     load_profile,
 )
 from .rules import check_all
-from .timeline import TimeGrid, TraceError, parse_leap_table, parse_trace
+from .timeline import parse_leap_table, parse_trace
 
 
 def _load_trace(path: str):
@@ -47,8 +48,9 @@ def _cmd_check(args) -> int:
     trace = _load_trace(args.trace)
     profile = _resolve_profile(args.profile)
     leap_table = _load_leap_table(args.leap_table)
-    offset = args.grid_offset if args.grid_offset is not None else profile.grid_offset
-    report = check_all(trace, TimeGrid(offset), profile, leap_table)
+    if args.grid_offset is not None:
+        profile = dataclasses.replace(profile, grid_offset=args.grid_offset)
+    report = check_all(trace, profile.grid(), profile, leap_table)
     print(report.to_json())
     if args.pretty:
         print(
@@ -69,47 +71,37 @@ def _cmd_diff(args) -> int:
     return 0 if report.is_empty else 1
 
 
-def _demo_trace(name: str, depth: int):
-    from . import patterns
-
-    if name == "pattern1":
-        return patterns.gen_pattern(1, 3600, 60)
-    if name == "pattern2":
-        return patterns.gen_pattern(1, 3600, 120)
-    if name == "pattern3":
-        return patterns.gen_pattern(1, 60, 120)
-    if name == "pattern4":
-        return patterns.gen_pattern(135, 60, 120)
-    if name == "weekly-sandwich":
-        return patterns.gen_weekly_sandwich()
-    if name == "shift-divergence":
-        return patterns.find_shift_divergent()
-    if name == "compensation-chain":
-        return patterns.gen_compensation_chain(depth)
-    raise ValueError(f"unknown demo {name!r}")
+# demo name -> (trace builder taking the patterns module `p` and --depth,
+# builtin profiles whose verdicts the summary shows)
+_DEMOS = {
+    "pattern1": (lambda p, depth: p.gen_pattern(1, 3600, 60), ("spirit",)),
+    "pattern2": (lambda p, depth: p.gen_pattern(1, 3600, 120), ("spirit",)),
+    "pattern3": (lambda p, depth: p.gen_pattern(1, 60, 120), ("spirit",)),
+    "pattern4": (lambda p, depth: p.gen_pattern(135, 60, 120), ("spirit",)),
+    "weekly-sandwich": (lambda p, depth: p.gen_weekly_sandwich(), ("letter", "spirit")),
+    "shift-divergence": (lambda p, depth: p.find_shift_divergent(), ("unix-grid", "utc-grid")),
+    "compensation-chain": (lambda p, depth: p.gen_compensation_chain(depth), ("spirit",)),
+}
 
 
 def _cmd_demo(args) -> int:
-    trace = _demo_trace(args.name, args.depth)
+    from . import patterns
+
+    build, compared = _DEMOS[args.name]
+    trace = build(patterns, args.depth)
     out = Path(args.out if args.out else f"{args.name}.trace")
     out.write_bytes(trace.to_records().encode("ascii"))
 
     builtins = builtin_profiles()
-    summary: dict = {"demo": args.name, "trace_file": str(out)}
-    if args.name == "weekly-sandwich":
-        compared = [builtins["letter"], builtins["spirit"]]
-    elif args.name == "shift-divergence":
-        compared = [builtins["unix-grid"], builtins["utc-grid"]]
-    else:
-        compared = [builtins["spirit"]]
     verdicts = {}
-    for profile in compared:
+    for profile_id in compared:
+        profile = builtins[profile_id]
         report = check_all(trace, profile.grid(), profile)
-        verdicts[profile.id] = {
+        verdicts[profile_id] = {
             "violations": len(report.violations),
             "total_driving_minutes": report.statistics["total_driving_minutes"],
         }
-    summary["verdicts"] = verdicts
+    summary = {"demo": args.name, "trace_file": str(out), "verdicts": verdicts}
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -200,18 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.set_defaults(func=_cmd_diff)
 
     p_demo = sub.add_parser("demo", help="emit a generated pattern and its verdicts")
-    p_demo.add_argument(
-        "name",
-        choices=[
-            "pattern1",
-            "pattern2",
-            "pattern3",
-            "pattern4",
-            "weekly-sandwich",
-            "shift-divergence",
-            "compensation-chain",
-        ],
-    )
+    p_demo.add_argument("name", choices=_DEMOS)
     p_demo.add_argument("--out", default=None)
     p_demo.add_argument("--depth", type=int, default=2, help="compensation-chain depth")
     p_demo.set_defaults(func=_cmd_demo)
@@ -243,7 +224,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (TraceError, ProfileError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # TraceError and ProfileError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

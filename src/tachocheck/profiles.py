@@ -4,6 +4,11 @@ Every place where the rule text under-determines behaviour is a named knob
 here. A profile assigns a value to every knob, so that a compliance verdict
 is always relative to an explicit, auditable set of legal readings. Profiles
 are data (JSON), not code.
+
+A knob is one field of `InterpretationProfile` and nothing else: `to_dict`
+and `parse_profile` walk the fields, and the type of a field's default fixes
+how its JSON value is read (an Enum by its value, a bool or an int only as
+exactly that JSON type).
 """
 
 from __future__ import annotations
@@ -64,51 +69,32 @@ class InterpretationProfile:
         return TimeGrid(self.grid_offset)
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "leap_week_policy": self.leap_week_policy.value,
-            "rule51": self.rule51.value,
-            "weekly_gap": self.weekly_gap.value,
-            "trace_edge_is_rest": self.trace_edge_is_rest,
-            "extended_attribution": self.extended_attribution.value,
-            "daily_rest_threshold": self.daily_rest_threshold,
-            "attached_compensation": self.attached_compensation,
-            "grid_offset": self.grid_offset,
-        }
+        values = ((f.name, getattr(self, f.name)) for f in dataclasses.fields(self))
+        return {name: v.value if isinstance(v, Enum) else v for name, v in values}
 
 
-_KNOB_PARSERS = {
-    "leap_week_policy": lambda v: _enum_value(WeekPolicy, v),
-    "rule51": lambda v: _enum_value(Rule51Semantics, v),
-    "weekly_gap": lambda v: _enum_value(WeeklyGapSemantics, v),
-    "trace_edge_is_rest": lambda v: _bool_value(v),
-    "extended_attribution": lambda v: _enum_value(ExtendedAttribution, v),
-    "daily_rest_threshold": lambda v: _int_value(v),
-    "attached_compensation": lambda v: _bool_value(v),
-    "grid_offset": lambda v: _int_value(v),
+# knob name -> type of its default; `id` has no default and is not a knob
+_KNOB_TYPES = {
+    f.name: type(f.default)
+    for f in dataclasses.fields(InterpretationProfile)
+    if f.default is not dataclasses.MISSING
 }
+_TYPE_NAMES = {bool: "a boolean", int: "an integer"}
 
 
-def _enum_value(enum_cls, value):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        choices = ", ".join(member.value for member in enum_cls)
-        raise ProfileError(
-            f"invalid value {value!r}; expected one of: {choices}"
-        ) from None
-
-
-def _bool_value(value):
-    if not isinstance(value, bool):
-        raise ProfileError(f"expected a boolean, got {value!r}")
-    return value
-
-
-def _int_value(value):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ProfileError(f"expected an integer, got {value!r}")
-    return value
+def _knob_value(name: str, value):
+    kind = _KNOB_TYPES[name]
+    if issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except ValueError:
+            choices = ", ".join(member.value for member in kind)
+            problem = f"invalid value {value!r}; expected one of: {choices}"
+    elif type(value) is kind:  # bool subclasses int, so no isinstance
+        return value
+    else:
+        problem = f"expected {_TYPE_NAMES[kind]}, got {value!r}"
+    raise ProfileError(f"knob {name!r}: {problem}")
 
 
 def parse_profile(text: str, default_id: str | None = None) -> InterpretationProfile:
@@ -124,21 +110,18 @@ def parse_profile(text: str, default_id: str | None = None) -> InterpretationPro
     if not isinstance(raw, dict):
         raise ProfileError("profile must be a JSON object")
 
-    unknown = set(raw) - set(_KNOB_PARSERS) - {"id"}
+    unknown = set(raw) - set(_KNOB_TYPES) - {"id"}
     if unknown:
         raise ProfileError(f"unknown profile keys: {sorted(unknown)}")
 
     kwargs = {}
     for key, value in raw.items():
-        if key == "id":
-            if not isinstance(value, str):
-                raise ProfileError("profile id must be a string")
+        if key != "id":
+            kwargs[key] = _knob_value(key, value)
+        elif isinstance(value, str):
             kwargs["id"] = value
-            continue
-        try:
-            kwargs[key] = _KNOB_PARSERS[key](value)
-        except ProfileError as exc:
-            raise ProfileError(f"knob {key!r}: {exc}") from None
+        else:
+            raise ProfileError("profile id must be a string")
 
     if "id" not in kwargs:
         if default_id is None:

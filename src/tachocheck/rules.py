@@ -505,19 +505,16 @@ def check_article86(
     return violations
 
 
-def complete_weeks(
-    trace: SecondTrace, leap_table: Sequence[LeapSecond] = ()
-) -> list[int]:
-    """Weeks whose full [Monday 00:00, Sunday 24:00) interval the trace covers."""
-    first = trace.start // (7 * SECONDS_PER_DAY) - 2
-    weeks = []
-    w = first
-    while week_start(w, leap_table) < trace.start:
-        w += 1
-    while week_start(w + 1, leap_table) <= trace.end:
-        weeks.append(w)
-        w += 1
-    return weeks
+def complete_weeks(trace: SecondTrace, leap_table: Sequence[LeapSecond] = ()) -> range:
+    """Weeks whose full [Monday 00:00, Sunday 24:00) interval the trace covers.
+
+    The first is the week after the one holding the instant before the
+    trace, the last the week before the one holding the trace end.
+    """
+    return range(
+        week_of(trace.start - 1, WeekPolicy.SPIRIT, leap_table) + 1,
+        week_of(trace.end, WeekPolicy.SPIRIT, leap_table),
+    )
 
 
 def check_all(

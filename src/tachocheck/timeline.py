@@ -156,16 +156,16 @@ class SecondTrace:
         activity, seconds = self.segments[i]
         return activity, self._ends[i] - seconds, seconds
 
-    def activity_at(self, t: int) -> Activity:
-        return self.run_at(t)[0]
-
     def runs(self) -> Iterator[tuple[Activity, int, int]]:
         """Yield maximal (activity, start instant, seconds) runs."""
         for (activity, seconds), end in zip(self.segments, self._ends):
             yield activity, end - seconds, seconds
 
     def truncated(self, end: int) -> "SecondTrace":
-        """The prefix of this trace strictly before instant `end`."""
+        """The prefix of this trace strictly before instant `end`.
+
+        Public on purpose: README states the compensation-chain property as a
+        verdict on an early week that changes when the trace is truncated."""
         if end <= self.start:
             raise TraceError("truncation would leave an empty trace")
         head = [(a, min(n, end - start)) for a, start, n in self.runs() if start < end]

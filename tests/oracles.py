@@ -5,8 +5,9 @@ second, accumulate one sample per minute, look for the next daily rest of
 Article 8.2 among all rests, attribute Article 6.1 extensions by
 brute-force search, decide Article 8.6 by backtracking over every
 assignment of rests to weeks and every compensation cascade, and blame an
-infeasible Article 8.6 scope by waiving weeks one round at a time. They are
-slow and literal on purpose; the differential tests compare the engine with
+infeasible Article 8.6 scope by waiving weeks one round at a time, and find
+the complete weeks of a trace by walking week starts. They are slow and
+literal on purpose; the differential tests compare the engine with
 them.
 """
 
@@ -37,9 +38,11 @@ from tachocheck.rules import (
     Violation,
 )
 from tachocheck.timeline import (
+    SECONDS_PER_DAY,
     SECONDS_PER_MINUTE,
     Activity,
     LeapSecond,
+    SecondTrace,
     TraceError,
     week_start,
 )
@@ -476,3 +479,19 @@ def check_article86(
             )
         )
     return violations
+
+
+def complete_weeks(
+    trace: SecondTrace, leap_table: Sequence[LeapSecond] = ()
+) -> list[int]:
+    """Weeks whose full [Monday 00:00, Sunday 24:00) interval the trace covers,
+    found by walking `week_start` from two weeks before the trace start."""
+    first = trace.start // (7 * SECONDS_PER_DAY) - 2
+    weeks = []
+    w = first
+    while week_start(w, leap_table) < trace.start:
+        w += 1
+    while week_start(w + 1, leap_table) <= trace.end:
+        weeks.append(w)
+        w += 1
+    return weeks

@@ -78,7 +78,9 @@ def test_check_grid_offset_flag_overrides_profile(tmp_path, capsys):
     assert main(["check", str(path), "--profile", "spirit"]) == 0
     capsys.readouterr()
     assert main(["check", str(path), "--profile", "spirit", "--grid-offset", "27"]) == 1
-    capsys.readouterr()
+    report = json.loads(capsys.readouterr().out)
+    assert report["grid_offset"] == 27
+    assert report["profile"]["grid_offset"] == 27
 
 
 def test_check_report_schema(tmp_path, sandwich_file, capsys):
@@ -169,6 +171,33 @@ def test_demo_writes_trace_and_summary(tmp_path, capsys, monkeypatch):
     assert summary["verdicts"]["spirit"]["total_driving_minutes"] == 121
     text = (tmp_path / "p1.trace").read_text()
     assert text.startswith("0,DRIVING,3600")
+
+
+DEMO_VERDICTS = {
+    "pattern1": {"spirit": (121, 0)},
+    "pattern2": {"spirit": (120, 0)},
+    "pattern3": {"spirit": (2, 0)},
+    "pattern4": {"spirit": (270, 0)},
+    "weekly-sandwich": {"letter": (810, 0), "spirit": (810, 1)},
+    "shift-divergence": {"unix-grid": (0, 0), "utc-grid": (279, 1)},
+    "compensation-chain": {"spirit": (12000, 0)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_VERDICTS))
+def test_every_demo_summary_is_pinned(name, tmp_path, capsys, monkeypatch):
+    # (driving minutes, violations) per compared profile, default --depth
+    monkeypatch.chdir(tmp_path)
+    assert main(["demo", name]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["demo"] == name
+    assert summary["trace_file"] == f"{name}.trace"
+    verdicts = {
+        pid: (v["total_driving_minutes"], v["violations"])
+        for pid, v in summary["verdicts"].items()
+    }
+    assert verdicts == DEMO_VERDICTS[name]
+    assert (tmp_path / f"{name}.trace").exists()
 
 
 def test_check_digest_is_the_sha256_of_the_demo_file(tmp_path, capsys):

@@ -20,9 +20,17 @@ from tachocheck.rules import (
     check_article7,
     check_article82,
     check_article86,
+    complete_weeks,
     solve_weekly_rests,
 )
-from tachocheck.timeline import LeapSecond, SecondTrace, TimeGrid, coalesce, week_start
+from tachocheck.timeline import (
+    SECONDS_PER_WEEK,
+    LeapSecond,
+    SecondTrace,
+    TimeGrid,
+    coalesce,
+    week_start,
+)
 from test_rules import verify_witness
 
 SPIRIT = builtin_profiles()["spirit"]
@@ -181,6 +189,28 @@ def test_article86_blame_matches_the_waiver_rounds():
         assert violations == oracles.check_article86(scope, rests, profile, leap_table)
         multi += len(violations) >= 2
     assert multi >= 50  # blames of several weeks are well represented
+
+
+def test_complete_weeks_match_the_week_walk():
+    rng = random.Random(1653)
+    durations = (1, SECONDS_PER_WEEK - 1, SECONDS_PER_WEEK, SECONDS_PER_WEEK + 1)
+    for _ in range(3000):
+        leap_table = tuple(
+            LeapSecond(i, rng.choice((-1, 1)))
+            for i in sorted(rng.sample(range(8), rng.randint(0, 3)))
+        )
+        boundary = week_start(rng.randint(1, 6), leap_table)
+        if rng.random() < 0.7:
+            start = boundary + rng.randint(-2, 2)
+        else:
+            start = rng.randint(0, 7 * SECONDS_PER_WEEK)
+        if rng.random() < 0.6:
+            duration = rng.choice(durations)
+        else:
+            duration = rng.randint(1, 5 * SECONDS_PER_WEEK)
+        trace = SecondTrace.from_runs(start, [(R, duration)])
+        expected = oracles.complete_weeks(trace, leap_table)
+        assert list(complete_weeks(trace, leap_table)) == expected
 
 
 def test_coalesce_matches_groupby_on_random_run_lists():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from enum import Enum
 
 import pytest
 
@@ -58,6 +59,40 @@ def test_bad_types_are_rejected():
         parse_profile('{"id": "x", "trace_edge_is_rest": "yes"}')
     with pytest.raises(ProfileError):
         parse_profile('{"id": "x", "daily_rest_threshold": "540"}')
+
+
+def _non_default(value):
+    if isinstance(value, Enum):
+        return next(m for m in type(value) if m is not value)
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "-other"
+    raise AssertionError(f"no non-default value for {value!r}")
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(InterpretationProfile)])
+def test_every_knob_round_trips_through_json(name):
+    changed = dataclasses.replace(SPIRIT, **{name: _non_default(getattr(SPIRIT, name))})
+    assert changed != SPIRIT
+    assert parse_profile(json.dumps(changed.to_dict())) == changed
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("trace_edge_is_rest", 1),
+        ("attached_compensation", 0),
+        ("daily_rest_threshold", True),
+        ("grid_offset", 27.0),
+        ("rule51", None),
+    ],
+)
+def test_knob_values_of_the_wrong_type_are_rejected(key, value):
+    with pytest.raises(ProfileError, match=f"knob '{key}'"):
+        parse_profile(json.dumps({"id": "x", key: value}))
 
 
 def test_threshold_and_offset_bounds():

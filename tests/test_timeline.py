@@ -36,10 +36,10 @@ def test_parse_single_record():
 def test_parse_two_records_contiguous():
     trace = parse_trace("0,REST,30\n30,DRIVING,30")
     assert trace.duration == 60
-    assert trace.activity_at(0) is Activity.REST
-    assert trace.activity_at(29) is Activity.REST
-    assert trace.activity_at(30) is Activity.DRIVING
-    assert trace.activity_at(59) is Activity.DRIVING
+    assert trace.run_at(0)[0] is Activity.REST
+    assert trace.run_at(29)[0] is Activity.REST
+    assert trace.run_at(30)[0] is Activity.DRIVING
+    assert trace.run_at(59)[0] is Activity.DRIVING
 
 
 def test_parse_gap_is_error():
@@ -240,7 +240,7 @@ def test_every_second_has_one_activity_and_week():
     seen = 0
     for activity, start, seconds in trace.runs():
         for t in range(start, start + seconds):
-            assert trace.activity_at(t) is activity
+            assert trace.run_at(t)[0] is activity
             week_of(t)
             seen += 1
     assert seen == trace.duration
