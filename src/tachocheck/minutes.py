@@ -110,11 +110,9 @@ class MinuteTrace:
 
     def to_records(self) -> str:
         """Serialize to the trace record format at 60-second granularity."""
-        lines = [
-            f"{self.minute_instant(index)},{activity.value},{count * SECONDS_PER_MINUTE}"
-            for activity, index, count in self.label_runs()
-        ]
-        return "\n".join(lines) + "\n"
+        return SecondTrace(
+            self.start_instant, tuple((a, n * SECONDS_PER_MINUTE) for a, n in self.segments)
+        ).to_records()
 
 
 def label_rule52(trace: SecondTrace, grid: TimeGrid) -> MinuteTrace:

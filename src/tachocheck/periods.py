@@ -47,9 +47,6 @@ class Period:
     def minutes(self) -> int:
         return (self.end - self.start) // SECONDS_PER_MINUTE
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind.value, "start": self.start, "end": self.end}
-
 
 @dataclass(frozen=True)
 class DailyDrivingSpan:

@@ -347,6 +347,7 @@ def solve_weekly_rests(
         if not candidates[i] and run.minutes - uncounted_reserve < smallest_debt:
             continue  # can neither be counted nor host a debt
         step: dict = {}
+        judged = judged_at.get(i, ())
         for state in states:
             debts, tallies = state
             if any(run.start + m * SECONDS_PER_MINUTE > deadlines[w] for w, m in debts):
@@ -366,8 +367,8 @@ def solve_weekly_rests(
                                 min(2, count + 1),
                                 regular or minutes == REGULAR_WEEKLY_MIN_MINUTES,
                             )
-                    judged = [pair_tallies.pop(pair, None) for pair in judged_at.get(i, ())]
-                    if all(tally == (2, True) for tally in judged):
+                    # stops at the first unmet pair: the option is dropped then
+                    if all(pair_tallies.pop(pair, None) == (2, True) for pair in judged):
                         state_after = (kept, tuple(sorted(pair_tallies.items())))
                         step.setdefault(state_after, (state, week, hosted))
         states = _undominated(step)
@@ -467,42 +468,45 @@ def check_article86(
     When no assignment at all satisfies the scope, the infeasibility is
     pinned to specific weeks: the first k weeks of the scope plus the
     earliest later week whose waiver then restores feasibility, with k as
-    small as possible. Each waived week is reported as a violation.
+    small as possible. Each waived week is reported as a violation. For n
+    weeks this costs about log2(n) solves plus log2(j) scans of the weeks
+    from scope[j - 1] on, where scope[:j] is the shortest waived prefix
+    that restores feasibility: O(log n) solves when j is near n.
     """
     scope = list(weeks)
-    if len(scope) < 2:
-        return []
 
     def feasible(waived: Sequence[int]) -> bool:
         return solve_weekly_rests(scope, rests, profile, leap_table, frozenset(waived)) is not None
 
+    if len(scope) < 2 or feasible(()):
+        return []
+
     @functools.cache
-    def blame(k: int) -> Optional[list[int]]:
-        return next((scope[:k] + [w] for w in scope[k:] if feasible(scope[:k] + [w])), None)
+    def rescues(k: int, w: int) -> bool:
+        return feasible(scope[:k] + [w])
 
-    blamed: Sequence[int] = ()
-    if not feasible(()):
-        # Waiving a week drops its pairs and its candidacy and adds no
-        # constraint, so once blame(k) succeeds every larger k does too.
-        # blame(len(scope) - 2) leaves one week, which has no pair.
-        blamed = blame(0) or blame(
-            bisect.bisect_left(
-                range(len(scope) - 1), True, lo=1, key=lambda k: blame(k) is not None
-            )
+    # Waiving a week drops its pairs and its candidacy and adds no
+    # constraint, so F(S), "waiving S leaves a feasible scope", is monotone.
+    # Let j be the least j with F(scope[:j]); one week has no pair, so
+    # 1 <= j <= n - 1. scope[:k] + [scope[i]] lies inside
+    # scope[:max(k, i + 1)], so for k < j only weeks from scope[j - 1] on
+    # can rescue, and k = j - 1 is rescued by scope[j - 1] itself. Rescue is
+    # monotone in k too, so j and k are both found by bisection.
+    j = bisect.bisect_left(
+        range(len(scope) - 1), True, lo=1, key=lambda j: rescues(j - 1, scope[j - 1])
+    )
+    tail = scope[j - 1 :]
+    k = bisect.bisect_left(range(j - 1), True, key=lambda k: any(rescues(k, w) for w in tail))
+    return [
+        Violation(
+            "8.6",
+            week_start(week, leap_table),
+            week_start(week + 1, leap_table),
+            f"no weekly-rest assignment with compensation satisfies week {week}",
+            profile.id,
         )
-
-    violations = []
-    for week in sorted(blamed):
-        violations.append(
-            Violation(
-                "8.6",
-                week_start(week, leap_table),
-                week_start(week + 1, leap_table),
-                f"no weekly-rest assignment with compensation satisfies week {week}",
-                profile.id,
-            )
-        )
-    return violations
+        for week in scope[:k] + [next(w for w in tail if rescues(k, w))]
+    ]
 
 
 def complete_weeks(trace: SecondTrace, leap_table: Sequence[LeapSecond] = ()) -> range:

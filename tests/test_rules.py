@@ -555,18 +555,26 @@ def test_compensation_chain_has_no_depth_cliff():
     assert elapsed < 2.0
 
 
-def test_long_reduced_rest_rotation_checks_quickly(monkeypatch):
-    # 45/24/66 over 26 weeks ends on an unpaid reduction in week 25; the
-    # blame is week 24, as the backtracking solver found. One solve of the
-    # whole scope, then one per week waived alone until week 24 succeeds.
+def count_solves(monkeypatch) -> list:
+    """Make the 8.6 solver append one entry per call to the returned list."""
     calls = []
     solve = rules.solve_weekly_rests
 
     def counting_solve(*args, **kwargs):
-        calls.append(args)
+        calls.append(None)
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(rules, "solve_weekly_rests", counting_solve)
+    return calls
+
+
+def test_long_reduced_rest_rotation_checks_quickly(monkeypatch):
+    # 45/24/66 over 26 weeks ends on an unpaid reduction in week 25; the
+    # blame is week 24, as the backtracking solver found. One solve of the
+    # whole scope, a bisection for the shortest waived prefix that restores
+    # feasibility (weeks 0-24), then a bisection for how many leading weeks
+    # to waive besides week 24 or 25: none.
+    calls = count_solves(monkeypatch)
     trace = chain_weeks(*[(45, 24, 66)[w % 3] for w in range(26)])
     started = time.perf_counter()
     report = check_all(trace, GRID, SPIRIT)
@@ -574,21 +582,28 @@ def test_long_reduced_rest_rotation_checks_quickly(monkeypatch):
     assert [(v.article, v.window_start // SECONDS_PER_WEEK) for v in report.violations] == [
         ("8.6", 24)
     ]
-    assert len(calls) == 26
+    assert len(calls) == 10
     assert elapsed < 1.0
 
 
 @pytest.mark.parametrize(
-    "trace, blamed",
+    "trace, blamed, solves",
     [
         # every week reduced and never compensated
-        (lambda: SecondTrace.from_runs(0, week_runs(24) * 104), [*range(101), 102]),
-        # one valid record: a single rest spanning 165 complete weeks
-        (lambda: parse_trace("0,REST,100000000\n"), [*range(162), 163]),
+        (lambda: SecondTrace.from_runs(0, week_runs(24) * 104), [*range(101), 102], 20),
+        # one valid record: a single rest spanning n complete weeks counts for
+        # at most one week, so no pair is met and the blame is weeks 0 to
+        # n - 4 and week n - 2
+        (lambda: parse_trace("0,REST,100000000\n"), [*range(162), 163], 21),
+        (lambda: parse_trace("0,REST,1000000000\n"), [*range(1650), 1651], 32),
+        (lambda: parse_trace("0,REST,10000000000\n"), [*range(16531), 16532], 42),
     ],
-    ids=["week-runs-24-x104", "rest-1e8-seconds"],
+    ids=["week-runs-24-x104", "rest-1e8-seconds", "rest-1e9-seconds", "rest-1e10-seconds"],
 )
-def test_long_infeasible_traces_blame_the_same_weeks_quickly(trace, blamed):
+def test_long_infeasible_traces_blame_the_same_weeks_quickly(
+    monkeypatch, trace, blamed, solves
+):
+    calls = count_solves(monkeypatch)
     trace = trace()
     started = time.perf_counter()
     report = check_all(trace, GRID, SPIRIT)
@@ -596,6 +611,7 @@ def test_long_infeasible_traces_blame_the_same_weeks_quickly(trace, blamed):
     assert [(v.article, week_of(v.window_start)) for v in report.violations] == [
         ("8.6", week) for week in blamed
     ]
+    assert len(calls) == solves
     assert elapsed < 2.0
 
 
