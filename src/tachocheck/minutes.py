@@ -26,10 +26,8 @@ scanned, and only a one-minute run between two driving runs can upgrade.
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
 
 from .timeline import (
     SECONDS_PER_MINUTE,
@@ -69,10 +67,17 @@ class MinuteTrace:
     def __post_init__(self) -> None:
         segments = coalesce(self.segments)
         object.__setattr__(self, "segments", segments)
-        counts = [n for _, n in segments]
-        driving = [n if a is Activity.DRIVING else 0 for a, n in segments]
-        object.__setattr__(self, "_bounds", tuple(itertools.accumulate(counts, initial=0)))
-        object.__setattr__(self, "_driving", tuple(itertools.accumulate(driving, initial=0)))
+        bounds, driving = [0], [0]
+        total = driven = 0
+        driving_activity = Activity.DRIVING  # a local: enum attribute lookups are slow
+        for activity, count in segments:
+            total += count
+            if activity is driving_activity:
+                driven += count
+            bounds.append(total)
+            driving.append(driven)
+        object.__setattr__(self, "_bounds", tuple(bounds))
+        object.__setattr__(self, "_driving", tuple(driving))
 
     def __len__(self) -> int:
         return self._bounds[-1]
@@ -92,11 +97,6 @@ class MinuteTrace:
     def driving_minutes(self) -> int:
         return self._driving[-1]
 
-    def label_runs(self) -> Iterator[tuple[Activity, int, int]]:
-        """Yield maximal (activity, first minute index, minute count) runs."""
-        for (activity, count), index in zip(self.segments, self._bounds):
-            yield activity, index, count
-
     def _driving_before(self, index: int) -> int:
         i = bisect.bisect_right(self._bounds, index, hi=len(self.segments)) - 1
         inside = index - self._bounds[i] if self.segments[i][0] is Activity.DRIVING else 0
@@ -115,42 +115,65 @@ class MinuteTrace:
         ).to_records()
 
 
+def _rule52_runs(trace: SecondTrace, grid: TimeGrid) -> tuple[int, list, list[int]]:
+    """First-layer label runs as (first minute, activities, minute counts).
+
+    One walk over the runs closes minutes as they fill: a run covering whole
+    minutes labels them in bulk; a minute straddling run boundaries takes
+    its longest piece, ">=" handing ties to the piece seen later. Runs are
+    merged as they are appended, so the lists hold maximal label runs.
+    """
+    first = grid.first_full_minute(trace.start)
+    boundary = grid.minute_start(first)  # where the minute being filled ends
+    if trace.end < boundary + SECONDS_PER_MINUTE:
+        raise TraceTooShortError(
+            "trace does not cover a complete minute on the given grid"
+        )
+    # Every run starts inside the minute being filled, so a run ending
+    # before `boundary` is one whole piece of it. The seconds before the
+    # first grid minute fill a minute of their own: none of its pieces is
+    # as long as the 60 s that `best_len` starts at, so it closes as label
+    # None, which a placeholder run absorbs and which is dropped at the end.
+    activities: list = [None]
+    counts = [0]
+    best_len, best = SECONDS_PER_MINUTE, None
+    end = trace.start
+    for activity, seconds in trace.segments:
+        end += seconds
+        if end < boundary:
+            if seconds >= best_len:
+                best_len, best = seconds, activity
+            continue
+        if boundary - end + seconds >= best_len:
+            best = activity
+        whole = (end - boundary) // SECONDS_PER_MINUTE
+        boundary += (whole + 1) * SECONDS_PER_MINUTE
+        if best is activity:
+            whole += 1
+        elif best is activities[-1]:
+            counts[-1] += 1
+        else:
+            activities.append(best)
+            counts.append(1)
+        if whole:
+            if activity is activities[-1]:
+                counts[-1] += whole
+            else:
+                activities.append(activity)
+                counts.append(whole)
+        best_len, best = end - boundary + SECONDS_PER_MINUTE, activity
+    del activities[0], counts[0]
+    return first, activities, counts
+
+
 def label_rule52(trace: SecondTrace, grid: TimeGrid) -> MinuteTrace:
     """First-layer labels: longest continuous activity, latest wins ties.
 
     Partial minutes at the trace edges are dropped; they would have to be
     padded with invented data to be labeled.
     """
-    first = grid.first_full_minute(trace.start)
-    count = (trace.end - grid.minute_offset_seconds) // SECONDS_PER_MINUTE - first
-    if count < 1:
-        raise TraceTooShortError(
-            "trace does not cover a complete minute on the given grid"
-        )
-    # Walk the runs, closing minutes as they fill: a run covering whole
-    # minutes labels them in bulk; a minute straddling run boundaries takes
-    # its longest piece, ">=" handing ties to the piece seen later.
-    labels: list[tuple[Activity, int]] = []
-    t = grid.minute_start(first)  # start of the minute being filled
-    stop = grid.minute_start(first + count)
-    best_len, best = 0, None
-    for activity, start, seconds in trace.runs():
-        end = min(start + seconds, stop)
-        if end <= t:
-            continue
-        piece = min(end, t + SECONDS_PER_MINUTE) - max(start, t)
-        if piece >= best_len:
-            best_len, best = piece, activity
-        if end < t + SECONDS_PER_MINUTE:
-            continue
-        labels.append((best, 1))
-        t += SECONDS_PER_MINUTE
-        whole = (end - t) // SECONDS_PER_MINUTE
-        if whole:
-            labels.append((activity, whole))
-            t += whole * SECONDS_PER_MINUTE
-        best_len, best = end - t, activity
-    return MinuteTrace(first, tuple(labels), grid)
+    first, activities, counts = _rule52_runs(trace, grid)
+    return MinuteTrace(first, tuple(zip(activities, counts)), grid)
 
 
 def _all_driving(trace: SecondTrace, grid: TimeGrid, minute: int) -> bool:
@@ -168,18 +191,19 @@ def label_minutes(
     The first and last minutes never have two neighbours, so they are never
     upgraded under any semantics.
     """
-    base = label_rule52(trace, grid)
-    runs = list(base.segments)
-    # Fixpoint takes the NeighborRule52 path: see the module docstring.
+    first, activities, counts = _rule52_runs(trace, grid)
+    # The upgrade judges first-layer labels and rewrites the list in place:
+    # a candidate's neighbours are driving, so no rewrite touches another
+    # candidate's neighbours. Fixpoint takes the NeighborRule52 path: see
+    # the module docstring.
     raw = semantics is Rule51Semantics.NEIGHBOR_RAW
-    minute = base.start_minute
-    for k in range(1, len(runs) - 1):
-        minute += runs[k - 1][1]
-        (left, _), (activity, count), (right, _) = base.segments[k - 1 : k + 2]
-        if count > 1 or activity is Activity.DRIVING or not (left is right is Activity.DRIVING):
-            continue
-        if not raw or (
-            _all_driving(trace, grid, minute - 1) and _all_driving(trace, grid, minute + 1)
-        ):
-            runs[k] = (Activity.DRIVING, 1)
-    return MinuteTrace(base.start_minute, tuple(runs), grid)
+    driving = Activity.DRIVING
+    minute = first
+    for k in range(1, len(counts) - 1):
+        minute += counts[k - 1]
+        if counts[k] == 1 and activities[k - 1] is driving and activities[k + 1] is driving:
+            if not raw or (
+                _all_driving(trace, grid, minute - 1) and _all_driving(trace, grid, minute + 1)
+            ):
+                activities[k] = driving
+    return MinuteTrace(first, tuple(zip(activities, counts)), grid)

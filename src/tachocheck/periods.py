@@ -66,8 +66,12 @@ def classify_rests(mt: MinuteTrace, profile: InterpretationProfile) -> list[Peri
     15 minutes are not even breaks and are not returned.
     """
     periods = []
-    for activity, index, count in mt.label_runs():
-        if activity is not Activity.REST:
+    rest = Activity.REST  # a local: enum attribute lookups are slow
+    end = mt.start_instant
+    for activity, count in mt.segments:
+        start = end
+        end += count * SECONDS_PER_MINUTE
+        if activity is not rest:
             continue
         if count >= REGULAR_WEEKLY_MIN_MINUTES:
             kind = PeriodKind.WEEKLY_REST_REGULAR
@@ -79,8 +83,7 @@ def classify_rests(mt: MinuteTrace, profile: InterpretationProfile) -> list[Peri
             kind = PeriodKind.BREAK
         else:
             continue
-        start = mt.minute_instant(index)
-        periods.append(Period(kind, start, start + count * SECONDS_PER_MINUTE))
+        periods.append(Period(kind, start, end))
     return periods
 
 
@@ -101,15 +104,18 @@ def accumulate_driving(
     acc = 0
     pending_first_part = False
 
-    for activity, index, count in mt.label_runs():
-        start = mt.minute_instant(index)
+    driving, rest = Activity.DRIVING, Activity.REST  # locals, as above
+    end = mt.start_instant
+    for activity, count in mt.segments:
+        start = end
+        end += count * SECONDS_PER_MINUTE
         before = acc
-        if activity is Activity.DRIVING:
+        if activity is driving:
             acc += count
-        elif activity is Activity.REST:
+        elif activity is rest:
             if (
                 count >= FULL_BREAK_MIN_MINUTES
-                or start + count * SECONDS_PER_MINUTE in rest_period_ends
+                or end in rest_period_ends
                 or (pending_first_part and count >= SPLIT_SECOND_MIN_MINUTES)
             ):
                 acc = 0

@@ -15,6 +15,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 SECONDS_PER_MINUTE = 60
@@ -44,20 +45,22 @@ _ACTIVITY_BY_NAME = {act.value: act for act in Activity}
 
 
 def coalesce(runs: Iterable[tuple[Activity, int]]) -> tuple[tuple[Activity, int], ...]:
-    """Merge adjacent runs of the same activity; every length must be positive."""
+    """Merge adjacent runs of the same activity; every length must be positive.
+
+    A run given as a tuple that merges with no neighbour is kept as it is, so
+    runs that are already maximal cost no new tuples.
+    """
     merged: list[tuple[Activity, int]] = []
-    current, total = None, 0
-    for activity, length in runs:
+    current = None
+    for run in runs:
+        activity, length = run
         if length <= 0:
             raise TraceError(f"run duration must be positive, got {length}")
         if activity is current:
-            total += length
+            merged[-1] = (activity, merged[-1][1] + length)
             continue
-        if total:
-            merged.append((current, total))
-        current, total = activity, length
-    if total:
-        merged.append((current, total))
+        merged.append(run if type(run) is tuple else (activity, length))
+        current = activity
     return tuple(merged)
 
 
@@ -79,7 +82,11 @@ class LeapSecond:
 
 
 def parse_leap_table(text: str) -> tuple[LeapSecond, ...]:
-    """Parse a JSON list of {"sunday_index": int, "delta": -1|+1} entries."""
+    """Parse a JSON list of {"sunday_index": int, "delta": -1|+1} entries.
+
+    Both fields must be JSON integers: a float, string, boolean or null is
+    refused rather than truncated or coerced.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -90,7 +97,12 @@ def parse_leap_table(text: str) -> tuple[LeapSecond, ...]:
     for item in raw:
         if not isinstance(item, dict) or set(item) != {"sunday_index", "delta"}:
             raise TraceError(f"bad leap table entry: {item!r}")
-        entries.append(LeapSecond(int(item["sunday_index"]), int(item["delta"])))
+        # bool is a subclass of int, so compare the exact type
+        if type(item["sunday_index"]) is not int or type(item["delta"]) is not int:
+            raise TraceError(
+                f"bad leap table entry: {item!r} (sunday_index and delta must be integers)"
+            )
+        entries.append(LeapSecond(item["sunday_index"], item["delta"]))
     return tuple(entries)
 
 
@@ -133,7 +145,7 @@ class SecondTrace:
         if not segments:
             raise TraceError("trace must cover at least one second")
         object.__setattr__(self, "segments", segments)
-        ends = itertools.accumulate((n for _, n in segments), initial=self.start)
+        ends = itertools.accumulate(map(itemgetter(1), segments), initial=self.start)
         object.__setattr__(self, "_ends", tuple(ends)[1:])
 
     @classmethod
@@ -212,10 +224,15 @@ def parse_trace(data: bytes | str) -> SecondTrace:
     else:
         text = data
 
-    records: list[tuple[int, Activity, int]] = []
+    # One pass builds the segments and checks contiguity. A format error on
+    # any line wins over a gap or overlap, so the first disorder is only
+    # remembered here and raised once every line has parsed.
+    segments: list[tuple[Activity, int]] = []
+    first = expected = None
+    disorder = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         parts = line.split(",")
         if len(parts) != 3:
@@ -228,27 +245,31 @@ def parse_trace(data: bytes | str) -> SecondTrace:
         except ValueError:
             raise TraceParseError(f"line {lineno}: non-integer field in {line!r}") from None
         name = parts[1].strip()
-        if name not in _ACTIVITY_BY_NAME:
+        activity = _ACTIVITY_BY_NAME.get(name)
+        if activity is None:
             raise TraceParseError(f"line {lineno}: unknown activity {name!r}")
         if duration <= 0:
             raise TraceParseError(f"line {lineno}: duration must be positive")
-        records.append((start, _ACTIVITY_BY_NAME[name], duration))
+        if start != expected:
+            if first is None:
+                first = start
+            elif disorder is None:
+                disorder = (start, expected)
+        expected = start + duration
+        segments.append((activity, duration))
 
-    if not records:
+    if first is None:
         raise TraceParseError("trace contains no records")
-
-    expected = records[0][0]
-    for start, _activity, duration in records:
+    if disorder is not None:
+        start, expected = disorder
         if start < expected:
             raise TraceParseError(
                 f"records overlap or are unsorted at second {start} (expected {expected})"
             )
-        if start > expected:
-            raise TraceParseError(
-                f"gap of {start - expected} s before record starting at second {start}"
-            )
-        expected = start + duration
-    return SecondTrace(records[0][0], tuple((a, n) for _, a, n in records))
+        raise TraceParseError(
+            f"gap of {start - expected} s before record starting at second {start}"
+        )
+    return SecondTrace(first, tuple(segments))
 
 
 def week_start(week: int, leap_table: Sequence[LeapSecond] = ()) -> int:

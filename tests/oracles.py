@@ -1,6 +1,7 @@
 """Reference implementations on expanded forms, kept as test oracles.
 
-They merge runs with `itertools.groupby`, label one activity code per
+They parse records in two loops (fields first, contiguity second), merge
+runs with `itertools.groupby`, label one activity code per
 second, accumulate one sample per minute, look for the next daily rest of
 Article 8.2 among all rests, attribute Article 6.1 extensions by
 brute-force search, decide Article 8.6 by backtracking over every
@@ -38,14 +39,69 @@ from tachocheck.rules import (
     Violation,
 )
 from tachocheck.timeline import (
+    _ACTIVITY_BY_NAME,
     SECONDS_PER_DAY,
     SECONDS_PER_MINUTE,
     Activity,
     LeapSecond,
     SecondTrace,
     TraceError,
+    TraceParseError,
     week_start,
 )
+
+
+def parse_trace(data: bytes | str) -> SecondTrace:
+    """Parse the record-per-line text format into a trace.
+
+    Each record is `start_second,ACTIVITY,duration_seconds`; records must be
+    sorted and contiguous. Blank lines and lines starting with '#' are skipped.
+    """
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise TraceParseError(f"trace is not ASCII text: {exc}") from exc
+    else:
+        text = data
+
+    records: list[tuple[int, Activity, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise TraceParseError(
+                f"line {lineno}: expected 'start,ACTIVITY,duration', got {line!r}"
+            )
+        try:
+            start = int(parts[0])
+            duration = int(parts[2])
+        except ValueError:
+            raise TraceParseError(f"line {lineno}: non-integer field in {line!r}") from None
+        name = parts[1].strip()
+        if name not in _ACTIVITY_BY_NAME:
+            raise TraceParseError(f"line {lineno}: unknown activity {name!r}")
+        if duration <= 0:
+            raise TraceParseError(f"line {lineno}: duration must be positive")
+        records.append((start, _ACTIVITY_BY_NAME[name], duration))
+
+    if not records:
+        raise TraceParseError("trace contains no records")
+
+    expected = records[0][0]
+    for start, _activity, duration in records:
+        if start < expected:
+            raise TraceParseError(
+                f"records overlap or are unsorted at second {start} (expected {expected})"
+            )
+        if start > expected:
+            raise TraceParseError(
+                f"gap of {start - expected} s before record starting at second {start}"
+            )
+        expected = start + duration
+    return SecondTrace(records[0][0], tuple((a, n) for _, a, n in records))
 
 
 def coalesce(runs):

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import D, O, R, from_samples, labels, minutes_of, samples, trace_of
 from tachocheck.minutes import (
+    MinuteTrace,
     Rule51Semantics,
     TraceTooShortError,
     label_minutes,
@@ -175,3 +176,23 @@ def test_minute_instants():
     assert mt.start_minute == 2
     assert mt.minute_instant(0) == 120
     assert mt.end_instant == 300
+
+
+def test_one_labeling_builds_one_minute_trace(monkeypatch):
+    # each build coalesces the label runs and sums their prefixes again
+    built = []
+    post_init = MinuteTrace.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(MinuteTrace, "__post_init__", counting)
+    trace = trace_of(*[(D, 70), (R, 50), (D, 40), (O, 20)] * 20)
+    for semantics in ALL_SEMANTICS:
+        built.clear()
+        mt = label_minutes(trace, GRID, semantics)
+        assert len(built) == 1 and built[0] is mt
+    built.clear()
+    mt = label_rule52(trace, GRID)
+    assert len(built) == 1 and built[0] is mt

@@ -1,12 +1,13 @@
 """Differential tests: the run-based engine against the expanded oracles."""
 
+import collections
 import dataclasses
 import itertools
 import random
 
 import oracles
 from conftest import D, O, R, labels, per_minute
-from tachocheck.minutes import MinuteTrace, Rule51Semantics, label_minutes
+from tachocheck.minutes import MinuteTrace, Rule51Semantics, label_minutes, label_rule52
 from tachocheck.periods import (
     DailyDrivingSpan,
     Period,
@@ -28,7 +29,9 @@ from tachocheck.timeline import (
     LeapSecond,
     SecondTrace,
     TimeGrid,
+    TraceError,
     coalesce,
+    parse_trace,
     week_start,
 )
 from test_rules import verify_witness
@@ -53,30 +56,68 @@ def _random_trace(rng: random.Random) -> SecondTrace:
     return SecondTrace.from_runs(rng.randint(0, 300), runs)
 
 
+def _stop_and_go_trace(rng: random.Random) -> SecondTrace:
+    """Hundreds of 3-90 s runs, like a day of urban deliveries, so that most
+    minutes straddle boundaries and many label runs merge as they are
+    appended; an occasional long stop or drive and a stretch of the 31 s
+    rest / 29 s driving alternation mix whole minutes and ties in."""
+    runs = []
+    for _ in range(rng.randint(200, 600)):
+        kind = rng.random()
+        if kind < 0.03:
+            runs.append((rng.choice([R, O]), rng.randint(15 * 60, 50 * 60)))
+        elif kind < 0.06:
+            runs.append((D, rng.randint(5 * 60, 30 * 60)))
+        elif kind < 0.08:
+            runs.extend([(R, 31), (D, 29)] * rng.randint(2, 20))
+        else:
+            runs.append((rng.choices([D, R, O], weights=[6, 5, 1])[0], rng.randint(3, 90)))
+    return SecondTrace.from_runs(rng.randint(0, 300), runs)
+
+
+def _assert_labels_and_article7_match(trace: SecondTrace, grid: TimeGrid, semantics) -> None:
+    mt = label_minutes(trace, grid, semantics)
+    first, expected = oracles.label_minutes(trace, grid, semantics)
+    assert mt.start_minute == first
+    assert len(mt) == len(expected)
+    assert labels(mt) == expected
+    runs = tuple((a, len(list(g))) for a, g in itertools.groupby(expected))
+    assert mt.segments == runs
+    assert mt.driving_minutes() == expected.count(D)
+
+    rests = classify_rests(mt, SPIRIT)
+    items = accumulate_driving(mt, rests)
+    stream = oracles.accumulate_driving(first, expected, grid, rests)
+    assert per_minute(items) == stream
+    assert check_article7(items, "p") == oracles.check_article7(stream, "p")
+
+
 def test_labels_and_article7_match_the_oracles_on_every_offset_and_reading():
     rng = random.Random(2016)
     compared = 0
     for _ in range(12):
         trace = _random_trace(rng)
         for offset in range(60):
-            grid = TimeGrid(offset)
             for semantics in Rule51Semantics:
-                mt = label_minutes(trace, grid, semantics)
-                first, expected = oracles.label_minutes(trace, grid, semantics)
-                assert mt.start_minute == first
-                assert len(mt) == len(expected)
-                assert labels(mt) == expected
-                runs = tuple((a, len(list(g))) for a, g in itertools.groupby(expected))
-                assert mt.segments == runs
-                assert mt.driving_minutes() == expected.count(D)
-
-                rests = classify_rests(mt, SPIRIT)
-                items = accumulate_driving(mt, rests)
-                stream = oracles.accumulate_driving(first, expected, grid, rests)
-                assert per_minute(items) == stream
-                assert check_article7(items, "p") == oracles.check_article7(stream, "p")
+                _assert_labels_and_article7_match(trace, TimeGrid(offset), semantics)
                 compared += 1
     assert compared == 12 * 60 * 3
+
+
+def test_labels_and_article7_match_the_oracles_on_stop_and_go_traces():
+    rng = random.Random(799)
+    upgraded = 0
+    for _ in range(10):
+        trace = _stop_and_go_trace(rng)
+        for offset in rng.sample(range(60), 6):
+            grid = TimeGrid(offset)
+            for semantics in Rule51Semantics:
+                _assert_labels_and_article7_match(trace, grid, semantics)
+            upgraded += label_minutes(trace, grid).driving_minutes() - sum(
+                n for a, n in label_rule52(trace, grid).segments if a is D
+            )
+    # the traces exercise the upgrade, not only the first layer
+    assert upgraded > 1000
 
 
 def test_driving_between_matches_a_count_over_labels():
@@ -213,12 +254,97 @@ def test_complete_weeks_match_the_week_walk():
         assert list(complete_weeks(trace, leap_table)) == expected
 
 
+# blank, whitespace-only and comment lines, one of them not ASCII
+SKIPPED_LINES = ["", "  ", "\t", "# note", "  #0,DRIVING,60", "#a,b,c", "# é"]
+
+
+def _random_record_text(rng: random.Random, fault_rate: float) -> str | bytes:
+    """Record text in every spelling the format allows, with faults of each
+    kind planted at `fault_rate` per record, so a text may hold several."""
+    lines = []
+    t = rng.randint(0, 10**6)
+    for _ in range(rng.randint(0, 30)):
+        if rng.random() < 0.1:
+            lines.append(rng.choice(SKIPPED_LINES))
+            continue
+        start, duration = t, rng.randint(1, 5000)
+        name = rng.choice(["DRIVING", "REST", "OTHER_WORK"])
+        fields = None
+        if rng.random() < fault_rate:
+            fault = rng.randrange(6)
+            if fault == 0:
+                start += rng.randint(1, 100)  # gap
+            elif fault == 1:
+                start -= rng.randint(1, 100)  # overlap
+            elif fault == 2:
+                name = rng.choice(["NAPPING", "driving", "", "DRIVING REST"])
+            elif fault == 3:
+                duration = rng.choice([0, -1, -60])
+            elif fault == 4:
+                fields = rng.choice([[str(start)], [str(start), name], [str(start), name, "", ""]])
+            else:
+                fields = [str(start), name, rng.choice(["1.5", "0x10", "", "ten", "1__0"])]
+        t = start + duration
+        if fields is None:
+            spell = rng.choice([str, "+{}".format, "{:_}".format, " {} ".format])
+            pad = rng.choice(["", " ", "\t"])
+            fields = [spell(start), pad + name + pad, spell(duration)]
+        lines.append(rng.choice(["", " ", "\t"]) + ",".join(fields) + rng.choice(["", " "]))
+    newline = rng.choice(["\n", "\r\n"])
+    text = newline.join(lines) + rng.choice(["", newline])
+    return text.encode("utf-8") if rng.random() < 0.5 else text
+
+
+def _parse_outcome(parse, data):
+    try:
+        return parse(data)
+    except TraceError as exc:
+        return type(exc), str(exc)
+
+
+PARSE_ERRORS = (
+    "not ASCII",
+    "no records",
+    "expected 'start,ACTIVITY,duration'",
+    "non-integer field",
+    "unknown activity",
+    "must be positive",
+    "gap of",
+    "overlap",
+)
+
+
+def test_parse_trace_matches_the_two_loop_parser_on_random_texts():
+    rng = random.Random(1_000)
+    kinds = collections.Counter()
+    for _ in range(3000):
+        data = _random_record_text(rng, rng.choice([0.0, 0.02, 0.1, 0.3]))
+        outcome = _parse_outcome(parse_trace, data)
+        assert outcome == _parse_outcome(oracles.parse_trace, data)
+        if isinstance(outcome, SecondTrace):
+            kinds["trace"] += 1
+            continue
+        message = outcome[1]
+        kinds[next(kind for kind in PARSE_ERRORS if kind in message)] += 1
+        if message.startswith("line "):
+            # is there a gap or overlap before the line in error?
+            lineno = int(message.split(":")[0].split()[1])
+            text = data.decode("ascii") if isinstance(data, bytes) else data
+            head = "\n".join(text.splitlines()[: lineno - 1])
+            earlier = _parse_outcome(parse_trace, head)
+            if isinstance(earlier, tuple) and ("gap" in earlier[1] or "overlap" in earlier[1]):
+                kinds["format error after a disorder"] += 1
+    assert len(kinds) == len(PARSE_ERRORS) + 2 and min(kinds.values()) >= 20, kinds
+
+
 def test_coalesce_matches_groupby_on_random_run_lists():
     rng = random.Random(5)
     for _ in range(500):
         kinds = rng.sample([D, R, O], rng.randint(1, 3))
         runs = [(rng.choice(kinds), rng.randint(1, 100)) for _ in range(rng.randint(0, 30))]
         assert coalesce(runs) == oracles.coalesce(runs)
+        # runs given as lists still come out as tuples
+        assert coalesce(list(run) for run in runs) == oracles.coalesce(runs)
 
 
 def test_article82_matches_the_all_rests_scan_on_random_layouts():

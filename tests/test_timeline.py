@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import random
 import tracemalloc
 
@@ -210,6 +211,22 @@ def test_parse_leap_table():
         parse_leap_table('[{"sunday_index": 3, "delta": 2}]')
     with pytest.raises(TraceError):
         parse_leap_table('[{"sunday": 3, "delta": 1}]')
+    # both fields are JSON integers: nothing is truncated or coerced
+    for index, delta in [
+        ("null", "1"),
+        ("2.7", "1"),
+        ('"3"', "1"),
+        ("true", "1"),
+        ("3", "null"),
+        ("3", "1.0"),
+        ("3", '"-1"'),
+        ("3", "true"),
+    ]:
+        bad = f'{{"sunday_index": {index}, "delta": {delta}}}'
+        text = f'[{{"sunday_index": 1, "delta": 1}}, {bad}]'
+        with pytest.raises(TraceError, match="bad leap table entry") as info:
+            parse_leap_table(text)
+        assert repr(json.loads(text)[1]) in str(info.value)
 
 
 def test_shift_grid_identity():
