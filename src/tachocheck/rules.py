@@ -23,6 +23,7 @@ from __future__ import annotations
 import bisect
 import functools
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -304,123 +305,193 @@ def solve_weekly_rests(
     week after the reduced week. A counted host keeps 1440 minutes; with
     `attached_compensation` an uncounted host keeps the daily-rest
     threshold. Every pair of consecutive non-waived weeks needs two counted
-    rests, one of them regular.
+    rests, one of them regular. The scope must be consecutive weeks in
+    ascending order; any other scope raises ValueError.
 
-    Hosting can reduce a counted run and so create a further debt. One pass
-    over the runs in start order keeps every reachable state: the open
-    debts as sorted (week, minutes), and for each pair not yet judged its
-    counted rests (capped at two) and whether one is regular. A pair is
-    judged at the last run that could count for either week. A state is
-    dropped when a debt no longer fits, when a judged pair is unmet, or
-    when another state has no lower tally and a sub-multiset of its debts.
+    Prepares a `WeeklyRestProblem` and solves it once; `check_article86`
+    prepares once per check and solves once per waiver it probes.
 
     Returns a witness dict when an assignment satisfying every pair of
     consecutive non-waived weeks exists, else None.
     """
-    active = {w for w in scope_weeks if w not in waived}
-    pairs = {w for w in list(scope_weeks)[:-1] if w not in waived and w + 1 not in waived}
-    deadlines = {w: week_start(w + COMPENSATION_WINDOW_WEEKS + 1, leap_table) for w in active}
-    runs = sorted(rests, key=lambda p: p.start)
+    problem = WeeklyRestProblem(scope_weeks, rests, profile, leap_table)
+    solution = problem.solve(waived)
+    return None if solution is None else problem.witness(solution)
 
-    def week_at(t: int) -> int:
-        return week_of(t, WeekPolicy.SPIRIT, leap_table)
 
-    candidates = [
-        [w for w in range(week_at(run.start), week_at(run.end - 1) + 1) if w in active]
-        if run.minutes >= REDUCED_WEEKLY_MIN_MINUTES
-        else []
-        for run in runs
-    ]
-    last_candidate = {w: i for i, weeks in enumerate(candidates) for w in weeks}
-    judged_at: dict[int, list[int]] = {}  # run index -> pairs, by first week
-    for pair in pairs:
-        last = max(last_candidate.get(pair, -1), last_candidate.get(pair + 1, -1))
-        if last == -1:
-            return None  # no rest can ever serve this pair
-        judged_at.setdefault(last, []).append(pair)
+class WeeklyRestProblem:
+    """The inputs of the Article 8.6 search, prepared once per check.
 
-    uncounted_reserve = profile.daily_rest_threshold if profile.attached_compensation else 0
-    states = [((), ())]  # (open debts, pair tallies)
-    smallest_debt = float("inf")
-    trail = []  # (run, {state: (previous state, counted week, hosted debts)})
-    for i, run in enumerate(runs):
-        if not candidates[i] and run.minutes - uncounted_reserve < smallest_debt:
-            continue  # can neither be counted nor host a debt
-        step: dict = {}
-        judged = judged_at.get(i, ())
-        for state in states:
-            debts, tallies = state
-            if any(run.start + m * SECONDS_PER_MINUTE > deadlines[w] for w, m in debts):
-                continue
-            for week in [None] + candidates[i]:
-                reserve = uncounted_reserve if week is None else REDUCED_WEEKLY_MIN_MINUTES
-                for hosted, kept, total in _hostings(run, reserve, debts, deadlines):
-                    pair_tallies = dict(tallies)
-                    if week is not None:
-                        minutes = min(REGULAR_WEEKLY_MIN_MINUTES, run.minutes - total)
-                        if minutes < REGULAR_WEEKLY_MIN_MINUTES:
-                            debt = (week, REGULAR_WEEKLY_MIN_MINUTES - minutes)
-                            kept = tuple(sorted(kept + (debt,)))
-                        for pair in {week - 1, week} & pairs:
-                            count, regular = pair_tallies.get(pair, (0, False))
-                            pair_tallies[pair] = (
-                                min(2, count + 1),
-                                regular or minutes == REGULAR_WEEKLY_MIN_MINUTES,
-                            )
-                    # stops at the first unmet pair: the option is dropped then
-                    if all(pair_tallies.pop(pair, None) == (2, True) for pair in judged):
-                        state_after = (kept, tuple(sorted(pair_tallies.items())))
-                        step.setdefault(state_after, (state, week, hosted))
-        states = _undominated(step)
-        if not states:
+    The preparation sorts the rest runs and reads each run's start, its
+    minutes and its candidate weeks: the scope weeks it overlaps, for runs
+    of at least 1440 minutes. It computes each scope week's compensation
+    deadline. A pair of consecutive weeks is judged at the last run that
+    could count for either week; pairs that no run can serve are kept
+    apart. For each index it also keeps the next candidate run. `solve`
+    filters all of this by `waived` alone.
+    """
+
+    def __init__(
+        self,
+        scope_weeks: Sequence[int],
+        rests: Sequence[Period],
+        profile: InterpretationProfile,
+        leap_table: Sequence[LeapSecond] = (),
+    ) -> None:
+        scope = list(scope_weeks)
+        if any(b != a + 1 for a, b in zip(scope, scope[1:])):
+            raise ValueError(f"Article 8.6 scope must be consecutive weeks, got {scope}")
+        self.runs = sorted(rests, key=lambda p: p.start)
+        self.starts = [run.start for run in self.runs]
+        self.minutes = [run.minutes for run in self.runs]
+        self.deadlines = {
+            w: week_start(w + COMPENSATION_WINDOW_WEEKS + 1, leap_table) for w in scope
+        }
+        self.uncounted_reserve = (
+            profile.daily_rest_threshold if profile.attached_compensation else 0
+        )
+
+        def week_at(t: int) -> int:
+            return week_of(t, WeekPolicy.SPIRIT, leap_table)
+
+        first, last = (scope[0], scope[-1]) if scope else (0, -1)
+        self.candidates = [
+            range(max(first, week_at(run.start)), min(last, week_at(run.end - 1)) + 1)
+            if minutes >= REDUCED_WEEKLY_MIN_MINUTES
+            else range(0)
+            for run, minutes in zip(self.runs, self.minutes)
+        ]
+        last_candidate = {w: i for i, weeks in enumerate(self.candidates) for w in weeks}
+        self.pairs = frozenset(range(first, last))  # by first week
+        self.unservable = []  # pairs no run can serve
+        self.judged_at: dict[int, list[int]] = {}  # run index -> pairs
+        for pair in range(first, last):
+            judge = max(last_candidate.get(pair, -1), last_candidate.get(pair + 1, -1))
+            if judge == -1:
+                self.unservable.append(pair)
+            else:
+                self.judged_at.setdefault(judge, []).append(pair)
+        n = len(self.runs)
+        self.next_candidate = [n] * (n + 1)  # the first candidate run from an index on
+        for i in range(n - 1, -1, -1):
+            self.next_candidate[i] = i if self.candidates[i] else self.next_candidate[i + 1]
+
+    def solve(self, waived: frozenset[int] = frozenset()) -> Optional[tuple]:
+        """One forward pass over the runs in start order with `waived` waived.
+
+        Hosting can reduce a counted run and so create a further debt. The
+        pass keeps every reachable state: the open debts as sorted (week,
+        minutes), and for each pair not yet judged its counted rests
+        (capped at two) and whether one is regular. A state is dropped when
+        a debt no longer fits, when a judged pair is unmet, or when another
+        state has no lower tally and a sub-multiset of its debts. While no
+        state holds an open debt, a run with no candidate week changes no
+        state, so the pass jumps to the next candidate run: a solve costs
+        the candidate runs plus the runs visited while a debt is open.
+
+        Returns the final debt-free state and the trail of steps that reach
+        it, or None when no assignment satisfies every pair of consecutive
+        non-waived weeks.
+        """
+        pairs = self.pairs.difference(waived, [w - 1 for w in waived])
+        if any(pair in pairs for pair in self.unservable):
             return None
-        trail.append((run, step))
-        smallest_debt = min((m for debts, _ in states for _, m in debts), default=float("inf"))
+        deadlines = self.deadlines
+        uncounted_reserve = self.uncounted_reserve
+        n = len(self.runs)
+        states = [((), ())]  # (open debts, pair tallies)
+        smallest_debt = math.inf
+        trail = []  # (run index, {state: (previous state, counted week, hosted debts)})
+        i = -1
+        while True:
+            i = i + 1 if smallest_debt < math.inf else self.next_candidate[i + 1]
+            if i == n:
+                break
+            start, minutes = self.starts[i], self.minutes[i]
+            weeks = [w for w in self.candidates[i] if w not in waived]
+            if not weeks and minutes - uncounted_reserve < smallest_debt:
+                continue  # can neither be counted nor host a debt
+            judged = [pair for pair in self.judged_at.get(i, ()) if pair in pairs]
+            step: dict = {}
+            for state in states:
+                debts, tallies = state
+                if any(start + m * SECONDS_PER_MINUTE > deadlines[w] for w, m in debts):
+                    continue
+                for week in [None, *weeks]:
+                    reserve = uncounted_reserve if week is None else REDUCED_WEEKLY_MIN_MINUTES
+                    for hosted, kept, total in _hostings(
+                        start, minutes - reserve, debts, deadlines
+                    ):
+                        pair_tallies = dict(tallies)
+                        if week is not None:
+                            counted = min(REGULAR_WEEKLY_MIN_MINUTES, minutes - total)
+                            if counted < REGULAR_WEEKLY_MIN_MINUTES:
+                                debt = (week, REGULAR_WEEKLY_MIN_MINUTES - counted)
+                                kept = tuple(sorted(kept + (debt,)))
+                            for pair in {week - 1, week} & pairs:
+                                count, regular = pair_tallies.get(pair, (0, False))
+                                pair_tallies[pair] = (
+                                    min(2, count + 1),
+                                    regular or counted == REGULAR_WEEKLY_MIN_MINUTES,
+                                )
+                        # stops at the first unmet pair: the option is dropped then
+                        if all(pair_tallies.pop(pair, None) == (2, True) for pair in judged):
+                            state_after = (kept, tuple(sorted(pair_tallies.items())))
+                            step.setdefault(state_after, (state, week, hosted))
+            states = _undominated(step)
+            if not states:
+                return None
+            trail.append((i, step))
+            smallest_debt = min((m for debts, _ in states for _, m in debts), default=math.inf)
 
-    state = next((s for s in states if not s[0]), None)
-    if state is None:
-        return None
-    choices = []
-    for run, step in reversed(trail):
-        state, week, hosted = step[state]
-        choices.append((run, week, hosted))
-    assignments, compensations, owed = [], [], []  # owed: (week, minutes, debtor start)
-    for run, week, hosted in reversed(choices):
-        for debt in hosted:
-            debtor = next(o for o in owed if o[:2] == debt)
-            owed.remove(debtor)
-            compensations.append(
-                {
-                    "week": debt[0],
-                    "minutes": debt[1],
-                    "debtor_start": debtor[2],
-                    "donor_start": run.start,
-                    "deadline": deadlines[debt[0]],
-                }
-            )
-        if week is not None:
-            counted = min(REGULAR_WEEKLY_MIN_MINUTES, run.minutes - sum(m for _, m in hosted))
-            if counted < REGULAR_WEEKLY_MIN_MINUTES:
-                owed.append((week, REGULAR_WEEKLY_MIN_MINUTES - counted, run.start))
-            assignments.append(
-                {
-                    "week": week,
-                    "run_start": run.start,
-                    "run_minutes": run.minutes,
-                    "counted_minutes": counted,
-                    "role": "regular" if counted >= REGULAR_WEEKLY_MIN_MINUTES else "reduced",
-                }
-            )
-    return {
-        "assignments": sorted(assignments, key=lambda a: (a["week"], a["run_start"])),
-        "compensations": sorted(compensations, key=lambda c: c["debtor_start"]),
-    }
+        state = next((s for s in states if not s[0]), None)
+        return None if state is None else (state, trail)
+
+    def witness(self, solution: tuple) -> dict:
+        """The assignments and compensation blocks of a solution of `solve`."""
+        state, trail = solution
+        choices = []
+        for i, step in reversed(trail):
+            state, week, hosted = step[state]
+            choices.append((self.runs[i], week, hosted))
+        assignments, compensations, owed = [], [], []  # owed: (week, minutes, debtor start)
+        for run, week, hosted in reversed(choices):
+            for debt in hosted:
+                debtor = next(o for o in owed if o[:2] == debt)
+                owed.remove(debtor)
+                compensations.append(
+                    {
+                        "week": debt[0],
+                        "minutes": debt[1],
+                        "debtor_start": debtor[2],
+                        "donor_start": run.start,
+                        "deadline": self.deadlines[debt[0]],
+                    }
+                )
+            if week is not None:
+                counted = min(REGULAR_WEEKLY_MIN_MINUTES, run.minutes - sum(m for _, m in hosted))
+                if counted < REGULAR_WEEKLY_MIN_MINUTES:
+                    owed.append((week, REGULAR_WEEKLY_MIN_MINUTES - counted, run.start))
+                assignments.append(
+                    {
+                        "week": week,
+                        "run_start": run.start,
+                        "run_minutes": run.minutes,
+                        "counted_minutes": counted,
+                        "role": "regular" if counted >= REGULAR_WEEKLY_MIN_MINUTES else "reduced",
+                    }
+                )
+        return {
+            "assignments": sorted(assignments, key=lambda a: (a["week"], a["run_start"])),
+            "compensations": sorted(compensations, key=lambda c: c["debtor_start"]),
+        }
 
 
-def _hostings(run: Period, reserve: int, debts: tuple, deadlines: dict) -> list:
-    """(hosted, kept, hosted minutes) for each subset of `debts` that `run`
-    can host and still keep `reserve` minutes. Debts come in deadline order,
-    so each block is checked where it lands when tiled from the run start."""
+def _hostings(start: int, capacity: int, debts: tuple, deadlines: dict) -> list:
+    """(hosted, kept, hosted minutes) for each subset of `debts` that fits
+    in `capacity` minutes of a run starting at `start`. Debts come in
+    deadline order, so each block is checked where it lands when tiled from
+    the run start."""
     options = [((), (), 0)]
     for debt in debts:
         week, minutes = debt
@@ -428,9 +499,7 @@ def _hostings(run: Period, reserve: int, debts: tuple, deadlines: dict) -> list:
         for hosted, kept, total in options:
             grown.append((hosted, kept + (debt,), total))
             end = total + minutes
-            if end <= run.minutes - reserve and (
-                run.start + end * SECONDS_PER_MINUTE <= deadlines[week]
-            ):
+            if end <= capacity and start + end * SECONDS_PER_MINUTE <= deadlines[week]:
                 grown.append((hosted + (debt,), kept, end))
         options = grown
     return options
@@ -463,7 +532,7 @@ def check_article86(
     profile: InterpretationProfile,
     leap_table: Sequence[LeapSecond] = (),
 ) -> list[Violation]:
-    """Weekly-rest and compensation check over complete weeks.
+    """Weekly-rest and compensation check over complete, consecutive weeks.
 
     When no assignment at all satisfies the scope, the infeasibility is
     pinned to specific weeks: the first k weeks of the scope plus the
@@ -471,14 +540,36 @@ def check_article86(
     small as possible. Each waived week is reported as a violation. For n
     weeks this costs about log2(n) solves plus log2(j) scans of the weeks
     from scope[j - 1] on, where scope[:j] is the shortest waived prefix
-    that restores feasibility: O(log n) solves when j is near n.
+    that restores feasibility: O(log n) solves when j is near n. The rests
+    are prepared once per check (sorted, measured, their candidate weeks,
+    deadlines and judged pairs found); each solve then costs the candidate
+    runs plus the runs it visits while a compensation debt is open. A scope
+    that is not consecutive weeks raises ValueError.
     """
     scope = list(weeks)
+    if len(scope) < 2:
+        return []
+    # the prepared rests are freed before the violations are built
+    blamed = _blamed_weeks(scope, WeeklyRestProblem(scope, rests, profile, leap_table))
+    return [
+        Violation(
+            "8.6",
+            week_start(week, leap_table),
+            week_start(week + 1, leap_table),
+            f"no weekly-rest assignment with compensation satisfies week {week}",
+            profile.id,
+        )
+        for week in blamed
+    ]
+
+
+def _blamed_weeks(scope: list[int], problem: WeeklyRestProblem) -> list[int]:
+    """The weeks `check_article86` blames; none when the scope is feasible."""
 
     def feasible(waived: Sequence[int]) -> bool:
-        return solve_weekly_rests(scope, rests, profile, leap_table, frozenset(waived)) is not None
+        return problem.solve(frozenset(waived)) is not None
 
-    if len(scope) < 2 or feasible(()):
+    if feasible(()):
         return []
 
     @functools.cache
@@ -497,16 +588,7 @@ def check_article86(
     )
     tail = scope[j - 1 :]
     k = bisect.bisect_left(range(j - 1), True, key=lambda k: any(rescues(k, w) for w in tail))
-    return [
-        Violation(
-            "8.6",
-            week_start(week, leap_table),
-            week_start(week + 1, leap_table),
-            f"no weekly-rest assignment with compensation satisfies week {week}",
-            profile.id,
-        )
-        for week in scope[:k] + [next(w for w in tail if rescues(k, w))]
-    ]
+    return scope[:k] + [next(w for w in tail if rescues(k, w))]
 
 
 def complete_weeks(trace: SecondTrace, leap_table: Sequence[LeapSecond] = ()) -> range:

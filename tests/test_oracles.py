@@ -17,6 +17,7 @@ from tachocheck.periods import (
 )
 from tachocheck.profiles import builtin_profiles
 from tachocheck.rules import (
+    WeeklyRestProblem,
     _minimize_extension_violations,
     check_article7,
     check_article82,
@@ -219,6 +220,39 @@ def test_weekly_rest_solver_matches_the_backtracking_search():
                 waived,
             )
     assert 60 <= feasible <= 240  # both verdicts are well represented
+
+
+def test_one_prepared_problem_answers_every_waiver_like_a_fresh_solve():
+    # probes share the prepared rests; a state leaking from one probe into
+    # the next would show as a verdict or witness that a fresh solve, or
+    # the backtracking search, does not give
+    rng = random.Random(8686)
+    feasible = infeasible = 0
+    for _ in range(30):
+        scope, rests, profile, leap_table, _ = _random_weekly_rest_instance(rng)
+        problem = WeeklyRestProblem(scope, rests, profile, leap_table)
+        for _ in range(24):
+            waived = frozenset(w for w in scope if rng.random() < rng.choice((0.1, 0.3, 0.6)))
+            solution = problem.solve(waived)
+            fresh = solve_weekly_rests(scope, rests, profile, leap_table, waived)
+            expected = oracles.solve_weekly_rests(scope, rests, profile, leap_table, waived)
+            assert (solution is None) == (fresh is None) == (expected is None)
+            if solution is None:
+                infeasible += 1
+                continue
+            feasible += 1
+            witness = problem.witness(solution)
+            assert witness == fresh
+            verify_witness(
+                witness,
+                scope,
+                rests,
+                profile.daily_rest_threshold,
+                profile.attached_compensation,
+                leap_table,
+                waived,
+            )
+    assert feasible >= 100 and infeasible >= 100  # both verdicts are well represented
 
 
 def test_article86_blame_matches_the_waiver_rounds():

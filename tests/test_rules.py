@@ -291,6 +291,19 @@ def test_full_weekly_rests_every_week_pass():
     assert check_article86(complete_weeks(trace), rests, SPIRIT) == []
 
 
+def test_scope_must_be_consecutive_weeks():
+    # judging the pair (0, 1) on the scope [0, 2] would blame week 0 of a
+    # compliant trace
+    trace = chain_weeks(45, 45, 45, 45)
+    mt, rests = pipeline(trace)
+    with pytest.raises(ValueError, match=r"consecutive weeks, got \[0, 2\]"):
+        check_article86([0, 2], rests, SPIRIT)
+    with pytest.raises(ValueError, match=r"consecutive weeks, got \[2, 1\]"):
+        solve_weekly_rests([2, 1], rests, SPIRIT)
+    assert check_article86([1, 2], rests, SPIRIT) == []
+    assert check_article86(range(4), rests, SPIRIT) == []
+
+
 def test_reduced_rest_needs_compensation():
     trace = chain_weeks(45, 24, 45, 45)
     mt, rests = pipeline(trace)
@@ -556,15 +569,16 @@ def test_compensation_chain_has_no_depth_cliff():
 
 
 def count_solves(monkeypatch) -> list:
-    """Make the 8.6 solver append one entry per call to the returned list."""
+    """Make the per-probe 8.6 solve append one entry per call to the
+    returned list; a check prepares once and solves once per probe."""
     calls = []
-    solve = rules.solve_weekly_rests
+    solve = rules.WeeklyRestProblem.solve
 
     def counting_solve(*args, **kwargs):
         calls.append(None)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(rules, "solve_weekly_rests", counting_solve)
+    monkeypatch.setattr(rules.WeeklyRestProblem, "solve", counting_solve)
     return calls
 
 
@@ -583,6 +597,45 @@ def test_long_reduced_rest_rotation_checks_quickly(monkeypatch):
         ("8.6", 24)
     ]
     assert len(calls) == 10
+    assert elapsed < 1.0
+
+
+def test_one_check_prepares_the_rests_once(monkeypatch):
+    # the rotation makes 10 solves, but week_of is called only while the
+    # rests are prepared, exactly as often as for a single solve
+    trace = chain_weeks(*[(45, 24, 66)[w % 3] for w in range(26)])
+    mt, rests = pipeline(trace)
+    scope = complete_weeks(trace)
+    lookups = []
+    lookup = rules.week_of
+
+    def counting_week_of(*args, **kwargs):
+        lookups.append(None)
+        return lookup(*args, **kwargs)
+
+    monkeypatch.setattr(rules, "week_of", counting_week_of)
+    assert solve_weekly_rests(scope, rests, SPIRIT) is None
+    single = len(lookups)
+    calls = count_solves(monkeypatch)
+    lookups.clear()
+    assert len(check_article86(scope, rests, SPIRIT)) == 1
+    assert len(calls) == 10
+    assert len(lookups) == single > 0
+
+
+def test_early_obstruction_with_a_long_tail_checks_quickly(monkeypatch):
+    # ten reduced weeks and a 66 h week, then 300 regular weeks: every probe
+    # for k scans the tail, one solve per week, but each solve jumps over
+    # the tail's runs that are too short to count as a weekly rest
+    calls = count_solves(monkeypatch)
+    trace = chain_weeks(*[24] * 10, 66, *[45] * 300)
+    started = time.perf_counter()
+    report = check_all(trace, GRID, SPIRIT)
+    elapsed = time.perf_counter() - started
+    assert [(v.article, week_of(v.window_start)) for v in report.violations] == [
+        ("8.6", week) for week in [*range(7), 8]
+    ]
+    assert len(calls) == 616
     assert elapsed < 1.0
 
 
