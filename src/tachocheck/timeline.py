@@ -13,9 +13,10 @@ import bisect
 import hashlib
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 SECONDS_PER_MINUTE = 60
@@ -210,11 +211,25 @@ class SecondTrace:
         return "".join(self._record_lines())
 
 
+# One canonical record line, as `to_records` writes it. The numbers take no
+# '+', '_', leading zero, '-0' or non-ASCII digit, all of which `int`
+# accepts, so each field is the text `to_records` writes for its value.
+_CANONICAL_LINE = re.compile(
+    r"^(?:0|-?[1-9][0-9]*),(?:DRIVING|REST|OTHER_WORK),[1-9][0-9]*(?:\n|\Z)", re.M
+)
+
+
 def parse_trace(data: bytes | str) -> SecondTrace:
     """Parse the record-per-line text format into a trace.
 
     Each record is `start_second,ACTIVITY,duration_seconds`; records must be
     sorted and contiguous. Blank lines and lines starting with '#' are skipped.
+
+    A text whose lines are all canonical records, as `to_records` writes
+    them (`\n` line ends; no spaces, '+', '_', leading zeros or '-0'), is
+    parsed in bulk, and when it is exactly `to_records()` of the trace, the
+    trace's digest is the SHA-256 of the input. Any other text is parsed
+    line by line, which also words every error.
     """
     if isinstance(data, bytes):
         try:
@@ -223,7 +238,44 @@ def parse_trace(data: bytes | str) -> SecondTrace:
             raise TraceParseError(f"trace is not ASCII text: {exc}") from exc
     else:
         text = data
+    trace = _parse_canonical(text)
+    if trace is None:
+        return _parse_lines(text)
+    if text[-1] == "\n" and len(trace.segments) == text.count("\n"):
+        # no two records merged, so the text is the canonical record text
+        raw = data if isinstance(data, bytes) else text.encode("ascii")
+        object.__setattr__(trace, "_digest", hashlib.sha256(raw).hexdigest())
+    return trace
 
+
+def _parse_canonical(text: str) -> SecondTrace | None:
+    """The trace of a text of contiguous canonical records, else None."""
+    # one-character `in` scans turn the usual non-canonical texts (CRLF line
+    # ends, comments, padded fields) away before the regex
+    if not text or "\r" in text or "#" in text or " " in text or "\t" in text:
+        return None
+    # line by line: one `fullmatch` of `(?:line)+` would keep backtracking
+    # state for every line, about twice the memory of the trace itself
+    if _CANONICAL_LINE.sub("", text):
+        return None
+    fields = text.replace("\n", ",").split(",")
+    if text[-1] == "\n":
+        fields.pop()
+    try:
+        start = int(fields[0])
+        durations = list(map(int, fields[2::3]))
+        expected = itertools.accumulate(durations, initial=start)
+        contiguous = all(map(eq, map(int, fields[0::3]), expected))
+    except ValueError:  # more digits than `int` converts
+        return None
+    if not contiguous:
+        return None  # a gap or an overlap: the line parser words it
+    activities = list(map(_ACTIVITY_BY_NAME.__getitem__, fields[1::3]))
+    del fields  # the field strings outweigh the trace; free them first
+    return SecondTrace(start, tuple(zip(activities, durations)))
+
+
+def _parse_lines(text: str) -> SecondTrace:
     # One pass builds the segments and checks contiguity. A format error on
     # any line wins over a gap or overlap, so the first disorder is only
     # remembered here and raised once every line has parsed.

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -25,6 +26,7 @@ from tachocheck.rules import (
     complete_weeks,
     solve_weekly_rests,
 )
+from tachocheck import timeline
 from tachocheck.timeline import (
     SECONDS_PER_WEEK,
     LeapSecond,
@@ -369,6 +371,116 @@ def test_parse_trace_matches_the_two_loop_parser_on_random_texts():
             if isinstance(earlier, tuple) and ("gap" in earlier[1] or "overlap" in earlier[1]):
                 kinds["format error after a disorder"] += 1
     assert len(kinds) == len(PARSE_ERRORS) + 2 and min(kinds.values()) >= 20, kinds
+
+
+def _canonical_record_text(rng: random.Random) -> str:
+    """`to_records` of a random trace of maximal runs, from a start that may
+    be zero or negative."""
+    start = rng.choice([0, rng.randint(-10**6, -1), rng.randint(1, 10**9)])
+    count = rng.choice([1, rng.randint(2, 40)])
+    runs = [
+        (rng.choice([D, R, O]), rng.choice([1, 60, rng.randint(2, 10**5)])) for _ in range(count)
+    ]
+    return SecondTrace.from_runs(start, runs).to_records()
+
+
+def _respell_duration(spell):
+    def edit(rng, lines, i):
+        start, name, duration = lines[i].split(",")
+        lines[i] = f"{start},{name},{spell(duration)}"
+    return edit
+
+
+def _split_record(rng, lines, i):
+    # the longest record, which has two seconds unless every record has one
+    i = max(range(len(lines)), key=lambda k: int(lines[k].split(",")[2]))
+    start, name, duration = lines[i].split(",")
+    head = rng.randint(1, int(duration) - 1) if int(duration) > 1 else 0
+    tail = f"{int(start) + head},{name},{int(duration) - head}"
+    lines[i : i + 1] = [f"{start},{name},{head}", tail]
+
+
+def _shift_start(sign):
+    def edit(rng, lines, i):
+        start, rest = lines[i].split(",", 1)
+        lines[i] = f"{int(start) + sign * rng.randint(1, 100)},{rest}"
+    return edit
+
+
+def _minus_zero(rng, lines, i):
+    # on the record that starts at 0 if there is one, else a disorder
+    starts = [line.split(",")[0] for line in lines]
+    i = starts.index("0") if "0" in starts else i
+    lines[i] = "-0" + lines[i][len(starts[i]) :]
+
+
+# one edit each; None keeps the text canonical
+RECORD_TEXT_EDITS = {
+    "canonical": None,
+    "-0": _minus_zero,
+    "+5": _respell_duration("+{}".format),
+    "1_000": _respell_duration(lambda d: f"{d[0]}_{d[1:]}" if len(d) > 1 else f"0_{d}"),
+    "05": _respell_duration("0{}".format),
+    "non-ASCII digit": _respell_duration(lambda d: d[:-1] + chr(0xFF10 + int(d[-1]))),
+    "trailing space": _respell_duration("{} ".format),
+    "comment": lambda rng, lines, i: lines.insert(i, "# note"),
+    "blank line": lambda rng, lines, i: lines.insert(i, ""),
+    "split record": _split_record,
+    "gap": _shift_start(+1),
+    "overlap": _shift_start(-1),
+    "zero duration": _respell_duration(lambda d: "0"),
+    "CRLF": None,
+    "no final newline": None,
+}
+
+
+def _edited_record_text(rng: random.Random, kind: str) -> str | bytes:
+    lines = _canonical_record_text(rng).splitlines()
+    if RECORD_TEXT_EDITS[kind] is not None:
+        RECORD_TEXT_EDITS[kind](rng, lines, rng.randrange(len(lines)))
+    newline = "\r\n" if kind == "CRLF" else "\n"
+    # one text in ten loses its final newline on top of its edit
+    final = "" if kind == "no final newline" or rng.random() < 0.1 else newline
+    text = newline.join(lines) + final
+    # a non-ASCII digit is only a question for `str` input
+    return text.encode("ascii") if kind != "non-ASCII digit" and rng.random() < 0.5 else text
+
+
+def test_parse_trace_matches_the_two_loop_parser_on_canonical_texts_and_one_edit_mutants(
+    monkeypatch,
+):
+    paths = collections.Counter()
+    parse_canonical = timeline._parse_canonical
+
+    def counting(text):
+        trace = parse_canonical(text)
+        paths["bulk" if trace is not None else "line by line"] += 1
+        return trace
+
+    monkeypatch.setattr(timeline, "_parse_canonical", counting)
+    rng = random.Random(11)
+    kinds = [*RECORD_TEXT_EDITS] * 3 + ["canonical"] * 10
+    outcomes = collections.Counter()
+    for _ in range(3000):
+        kind = rng.choice(kinds)
+        data = _edited_record_text(rng, kind)
+        outcome = _parse_outcome(parse_trace, data)
+        assert outcome == _parse_outcome(oracles.parse_trace, data), (kind, data)
+        if not isinstance(outcome, SecondTrace):
+            outcomes[kind, "error"] += 1
+            continue
+        outcomes[kind, "trace"] += 1
+        records = outcome.to_records()
+        text = data.decode("ascii") if isinstance(data, bytes) else data
+        # the digest is taken from the input exactly when it is the record text
+        assert (outcome._digest is not None) == (text == records), (kind, data)
+        assert outcome.digest() == hashlib.sha256(records.encode("ascii")).hexdigest()
+    assert paths["bulk"] >= 0.3 * 3000 and paths["line by line"] >= 0.3 * 3000, paths
+    for kind in RECORD_TEXT_EDITS:
+        if kind not in ("-0", "gap", "overlap", "zero duration"):
+            assert outcomes[kind, "trace"] >= 100, (kind, outcomes)
+    for kind in ("-0", "gap", "overlap", "zero duration"):
+        assert outcomes[kind, "error"] >= 20, (kind, outcomes)
 
 
 def test_coalesce_matches_groupby_on_random_run_lists():

@@ -103,6 +103,24 @@ def test_parsing_a_long_record_allocates_no_per_second_storage():
     assert peak < 1_000_000
 
 
+def test_bulk_parse_peaks_below_twice_the_line_parser():
+    rng = random.Random(6)
+    runs = [(activity, rng.randint(1, 20_000)) for activity in [D, R, O, R] * 1_600]
+    text = SecondTrace.from_runs(1_700_000_000, runs).to_records()
+    # a trailing comment sends the same records through the line parser
+    assert timeline._parse_canonical(text) is not None
+    assert timeline._parse_canonical(text + "# end\n") is None
+    peaks = []
+    for data in (text, text + "# end\n"):
+        tracemalloc.start()
+        try:
+            parse_trace(data)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    bulk, line_by_line = peaks
+    assert bulk < 2 * line_by_line, peaks
+
 
 def test_digesting_many_short_runs_keeps_memory_bounded():
     trace = trace_of(*[(D, 50), (R, 50)] * 30_000)
