@@ -13,7 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-from .machines import Halted, Program, run
 from .profiles import (
     InterpretationProfile,
     ProfileError,
@@ -137,9 +136,23 @@ def _cmd_partition(args) -> int:
     return 0
 
 
+def _program(name: str):
+    # an argparse type, so that building the parser imports no demo module
+    from .machines import Program
+
+    try:
+        return Program(name)
+    except ValueError:
+        names = ", ".join(program.value for program in Program)
+        raise argparse.ArgumentTypeError(
+            f"unknown program {name!r} (choose from {names})"
+        ) from None
+
+
 def _cmd_machine(args) -> int:
-    program = Program(args.program)
-    outcome = run(program, args.input, args.fuel)
+    from .machines import Halted, run
+
+    outcome = run(args.program, args.input, args.fuel)
     if isinstance(outcome, Halted):
         print(" ".join(str(v) for v in outcome.trajectory))
     else:
@@ -203,7 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.set_defaults(func=_cmd_partition)
 
     p_machine = sub.add_parser("machine", help="run a register program")
-    p_machine.add_argument("program", choices=[p.value for p in Program])
+    p_machine.add_argument(
+        "program", type=_program, help="register program; an unknown name lists them"
+    )
     p_machine.add_argument("input", type=int)
     p_machine.add_argument("--fuel", type=int, default=1_000_000)
     p_machine.set_defaults(func=_cmd_machine)

@@ -28,6 +28,9 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate, repeat
+from operator import is_, mul
+from typing import Iterable, Sequence
 
 from .timeline import (
     SECONDS_PER_MINUTE,
@@ -35,7 +38,8 @@ from .timeline import (
     SecondTrace,
     TimeGrid,
     TraceError,
-    coalesce,
+    columns_of,
+    maximal_columns,
 )
 
 
@@ -49,35 +53,58 @@ class Rule51Semantics(Enum):
     FIXPOINT = "Fixpoint"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MinuteTrace:
     """One activity label per complete calendar minute, held as label runs.
 
-    `segments` lists (activity, minutes) pairs in time order; construction
-    merges adjacent pairs of the same activity.
+    The runs are held as two parallel columns: `activities[i]` labels
+    `counts[i]` minutes. Construction merges adjacent runs of the same
+    activity. `segments`, the (activity, minutes) pairs, is derived on
+    demand and costs one tuple per run.
     """
 
     start_minute: int
-    segments: tuple[tuple[Activity, int], ...]
+    activities: tuple[Activity, ...]
+    counts: tuple[int, ...]
     grid: TimeGrid
     # first minute of each run (then the total) and driving minutes before it
-    _bounds: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _driving: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _bounds: tuple[int, ...] = field(repr=False, compare=False)
+    _driving: tuple[int, ...] = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        segments = coalesce(self.segments)
-        object.__setattr__(self, "segments", segments)
-        bounds, driving = [0], [0]
-        total = driven = 0
-        driving_activity = Activity.DRIVING  # a local: enum attribute lookups are slow
-        for activity, count in segments:
-            total += count
-            if activity is driving_activity:
-                driven += count
-            bounds.append(total)
-            driving.append(driven)
-        object.__setattr__(self, "_bounds", tuple(bounds))
-        object.__setattr__(self, "_driving", tuple(driving))
+    def __init__(
+        self, start_minute: int, segments: Iterable[tuple[Activity, int]], grid: TimeGrid
+    ) -> None:
+        self._set_columns(start_minute, *columns_of(segments), grid)
+
+    def _set_columns(
+        self, start_minute: int, activities: tuple, counts: tuple, grid: TimeGrid
+    ) -> None:
+        object.__setattr__(self, "start_minute", start_minute)
+        object.__setattr__(self, "activities", activities)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "_bounds", tuple(accumulate(counts, initial=0)))
+        # True * count is count: the driving runs' minutes, summed in C
+        driven = map(mul, map(is_, activities, repeat(Activity.DRIVING)), counts)
+        object.__setattr__(self, "_driving", tuple(accumulate(driven, initial=0)))
+
+    @classmethod
+    def from_columns(
+        cls,
+        start_minute: int,
+        activities: Sequence[Activity],
+        counts: Sequence[int],
+        grid: TimeGrid,
+    ) -> "MinuteTrace":
+        """The labels whose run `i` is `activities[i]` for `counts[i]` minutes."""
+        mt = cls.__new__(cls)
+        mt._set_columns(start_minute, *maximal_columns(activities, counts), grid)
+        return mt
+
+    @property
+    def segments(self) -> tuple[tuple[Activity, int], ...]:
+        """The (activity, minutes) pairs of the label runs, in time order."""
+        return tuple(zip(self.activities, self.counts))
 
     def __len__(self) -> int:
         return self._bounds[-1]
@@ -98,8 +125,8 @@ class MinuteTrace:
         return self._driving[-1]
 
     def _driving_before(self, index: int) -> int:
-        i = bisect.bisect_right(self._bounds, index, hi=len(self.segments)) - 1
-        inside = index - self._bounds[i] if self.segments[i][0] is Activity.DRIVING else 0
+        i = bisect.bisect_right(self._bounds, index, hi=len(self.counts)) - 1
+        inside = index - self._bounds[i] if self.activities[i] is Activity.DRIVING else 0
         return self._driving[i] + inside
 
     def driving_between(self, start: int, end: int) -> int:
@@ -110,9 +137,8 @@ class MinuteTrace:
 
     def to_records(self) -> str:
         """Serialize to the trace record format at 60-second granularity."""
-        return SecondTrace(
-            self.start_instant, tuple((a, n * SECONDS_PER_MINUTE) for a, n in self.segments)
-        ).to_records()
+        seconds = map(mul, self.counts, repeat(SECONDS_PER_MINUTE))
+        return SecondTrace.from_columns(self.start_instant, self.activities, seconds).to_records()
 
 
 def _rule52_runs(trace: SecondTrace, grid: TimeGrid) -> tuple[int, list, list[int]]:
@@ -138,7 +164,7 @@ def _rule52_runs(trace: SecondTrace, grid: TimeGrid) -> tuple[int, list, list[in
     counts = [0]
     best_len, best = SECONDS_PER_MINUTE, None
     end = trace.start
-    for activity, seconds in trace.segments:
+    for activity, seconds in zip(trace.activities, trace.seconds):
         end += seconds
         if end < boundary:
             if seconds >= best_len:
@@ -173,7 +199,7 @@ def label_rule52(trace: SecondTrace, grid: TimeGrid) -> MinuteTrace:
     padded with invented data to be labeled.
     """
     first, activities, counts = _rule52_runs(trace, grid)
-    return MinuteTrace(first, tuple(zip(activities, counts)), grid)
+    return MinuteTrace.from_columns(first, activities, counts, grid)
 
 
 def _all_driving(trace: SecondTrace, grid: TimeGrid, minute: int) -> bool:
@@ -206,4 +232,5 @@ def label_minutes(
                 _all_driving(trace, grid, minute - 1) and _all_driving(trace, grid, minute + 1)
             ):
                 activities[k] = driving
-    return MinuteTrace(first, tuple(zip(activities, counts)), grid)
+    # an upgraded run merges with its two driving neighbours
+    return MinuteTrace.from_columns(first, activities, counts, grid)

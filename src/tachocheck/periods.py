@@ -68,7 +68,7 @@ def classify_rests(mt: MinuteTrace, profile: InterpretationProfile) -> list[Peri
     periods = []
     rest = Activity.REST  # a local: enum attribute lookups are slow
     end = mt.start_instant
-    for activity, count in mt.segments:
+    for activity, count in zip(mt.activities, mt.counts):
         start = end
         end += count * SECONDS_PER_MINUTE
         if activity is not rest:
@@ -106,7 +106,7 @@ def accumulate_driving(
 
     driving, rest = Activity.DRIVING, Activity.REST  # locals, as above
     end = mt.start_instant
-    for activity, count in mt.segments:
+    for activity, count in zip(mt.activities, mt.counts):
         start = end
         end += count * SECONDS_PER_MINUTE
         before = acc

@@ -16,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import eq, itemgetter
+from operator import eq, is_, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 SECONDS_PER_MINUTE = 60
@@ -127,31 +127,76 @@ class TimeGrid:
         return -((self.minute_offset_seconds - t) // SECONDS_PER_MINUTE)
 
 
-@dataclass(frozen=True)
+def maximal_columns(
+    activities: Sequence[Activity], lengths: Sequence[int]
+) -> tuple[tuple[Activity, ...], tuple[int, ...]]:
+    """Parallel activity and length columns of maximal runs.
+
+    Every length must be positive. Columns in which no two neighbours
+    share an activity are returned as they are, found so by two C-level
+    scans; others are merged by `coalesce`.
+    """
+    activities, lengths = tuple(activities), tuple(lengths)
+    if min(lengths, default=1) > 0 and not any(map(is_, activities[1:], activities)):
+        return activities, lengths
+    merged = coalesce(zip(activities, lengths))
+    return tuple(map(itemgetter(0), merged)), tuple(map(itemgetter(1), merged))
+
+
+def columns_of(
+    runs: Iterable[tuple[Activity, int]]
+) -> tuple[tuple[Activity, ...], tuple[int, ...]]:
+    """`maximal_columns` of (activity, length) pairs."""
+    runs = tuple(runs)
+    return maximal_columns(map(itemgetter(0), runs), map(itemgetter(1), runs))
+
+
+@dataclass(frozen=True, init=False)
 class SecondTrace:
     """Per-second activity from a given instant on, held as maximal runs.
 
-    `segments` lists (activity, seconds) pairs in time order. Construction
-    merges adjacent pairs of the same activity, so two traces compare equal
-    exactly when they agree on every second.
+    The runs are held as two parallel columns: `activities[i]` lasts
+    `seconds[i]` seconds. Construction merges adjacent runs of the same
+    activity, so two traces compare equal exactly when they agree on every
+    second. `segments`, the (activity, seconds) pairs, is derived on
+    demand and costs one tuple per run.
     """
 
     start: int
-    segments: tuple[tuple[Activity, int], ...]
-    _ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
+    activities: tuple[Activity, ...]
+    seconds: tuple[int, ...]
+    _ends: tuple[int, ...] = field(repr=False, compare=False)
+    _digest: str | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        segments = coalesce(self.segments)
-        if not segments:
+    def __init__(self, start: int, segments: Iterable[tuple[Activity, int]]) -> None:
+        self._set_columns(start, *columns_of(segments))
+
+    def _set_columns(self, start: int, activities: tuple, seconds: tuple) -> None:
+        if not seconds:
             raise TraceError("trace must cover at least one second")
-        object.__setattr__(self, "segments", segments)
-        ends = itertools.accumulate(map(itemgetter(1), segments), initial=self.start)
-        object.__setattr__(self, "_ends", tuple(ends)[1:])
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "activities", activities)
+        object.__setattr__(self, "seconds", seconds)
+        ends = tuple(itertools.accumulate(seconds, initial=start))
+        object.__setattr__(self, "_ends", ends[1:])
 
     @classmethod
     def from_runs(cls, start: int, runs: Iterable[tuple[Activity, int]]) -> "SecondTrace":
-        return cls(start, tuple(runs))
+        return cls(start, runs)
+
+    @classmethod
+    def from_columns(
+        cls, start: int, activities: Sequence[Activity], seconds: Sequence[int]
+    ) -> "SecondTrace":
+        """The trace whose run `i` is `activities[i]` for `seconds[i]` seconds."""
+        trace = cls.__new__(cls)
+        trace._set_columns(start, *maximal_columns(activities, seconds))
+        return trace
+
+    @property
+    def segments(self) -> tuple[tuple[Activity, int], ...]:
+        """The (activity, seconds) pairs of the maximal runs, in time order."""
+        return tuple(zip(self.activities, self.seconds))
 
     @property
     def duration(self) -> int:
@@ -166,12 +211,12 @@ class SecondTrace:
         if not self.start <= t < self.end:
             raise TraceError(f"instant {t} outside trace [{self.start}, {self.end})")
         i = bisect.bisect_right(self._ends, t)
-        activity, seconds = self.segments[i]
-        return activity, self._ends[i] - seconds, seconds
+        seconds = self.seconds[i]
+        return self.activities[i], self._ends[i] - seconds, seconds
 
     def runs(self) -> Iterator[tuple[Activity, int, int]]:
         """Yield maximal (activity, start instant, seconds) runs."""
-        for (activity, seconds), end in zip(self.segments, self._ends):
+        for activity, seconds, end in zip(self.activities, self.seconds, self._ends):
             yield activity, end - seconds, seconds
 
     def truncated(self, end: int) -> "SecondTrace":
@@ -182,11 +227,11 @@ class SecondTrace:
         if end <= self.start:
             raise TraceError("truncation would leave an empty trace")
         head = [(a, min(n, end - start)) for a, start, n in self.runs() if start < end]
-        return SecondTrace(self.start, tuple(head))
+        return SecondTrace(self.start, head)
 
     def _record_lines(self) -> Iterator[str]:
         # `_value_` is the plain attribute behind the slower `value` property
-        for (activity, seconds), end in zip(self.segments, self._ends):
+        for activity, seconds, end in zip(self.activities, self.seconds, self._ends):
             yield f"{end - seconds},{activity._value_},{seconds}\n"
 
     def digest(self) -> str:
@@ -241,7 +286,7 @@ def parse_trace(data: bytes | str) -> SecondTrace:
     trace = _parse_canonical(text)
     if trace is None:
         return _parse_lines(text)
-    if text[-1] == "\n" and len(trace.segments) == text.count("\n"):
+    if text[-1] == "\n" and len(trace.seconds) == text.count("\n"):
         # no two records merged, so the text is the canonical record text
         raw = data if isinstance(data, bytes) else text.encode("ascii")
         object.__setattr__(trace, "_digest", hashlib.sha256(raw).hexdigest())
@@ -263,23 +308,24 @@ def _parse_canonical(text: str) -> SecondTrace | None:
         fields.pop()
     try:
         start = int(fields[0])
-        durations = list(map(int, fields[2::3]))
+        durations = tuple(map(int, fields[2::3]))
         expected = itertools.accumulate(durations, initial=start)
         contiguous = all(map(eq, map(int, fields[0::3]), expected))
     except ValueError:  # more digits than `int` converts
         return None
     if not contiguous:
         return None  # a gap or an overlap: the line parser words it
-    activities = list(map(_ACTIVITY_BY_NAME.__getitem__, fields[1::3]))
+    activities = tuple(map(_ACTIVITY_BY_NAME.__getitem__, fields[1::3]))
     del fields  # the field strings outweigh the trace; free them first
-    return SecondTrace(start, tuple(zip(activities, durations)))
+    return SecondTrace.from_columns(start, activities, durations)
 
 
 def _parse_lines(text: str) -> SecondTrace:
-    # One pass builds the segments and checks contiguity. A format error on
+    # One pass builds the columns and checks contiguity. A format error on
     # any line wins over a gap or overlap, so the first disorder is only
     # remembered here and raised once every line has parsed.
-    segments: list[tuple[Activity, int]] = []
+    activities: list[Activity] = []
+    durations: list[int] = []
     first = expected = None
     disorder = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -308,7 +354,8 @@ def _parse_lines(text: str) -> SecondTrace:
             elif disorder is None:
                 disorder = (start, expected)
         expected = start + duration
-        segments.append((activity, duration))
+        activities.append(activity)
+        durations.append(duration)
 
     if first is None:
         raise TraceParseError("trace contains no records")
@@ -321,7 +368,7 @@ def _parse_lines(text: str) -> SecondTrace:
         raise TraceParseError(
             f"gap of {start - expected} s before record starting at second {start}"
         )
-    return SecondTrace(first, tuple(segments))
+    return SecondTrace.from_columns(first, activities, durations)
 
 
 def week_start(week: int, leap_table: Sequence[LeapSecond] = ()) -> int:
@@ -364,4 +411,4 @@ def shift_grid(trace: SecondTrace, offset: int) -> SecondTrace:
     grids whose origins differ, e.g. timestamps with and without accumulated
     leap seconds.
     """
-    return SecondTrace(trace.start + offset, trace.segments)
+    return SecondTrace.from_columns(trace.start + offset, trace.activities, trace.seconds)

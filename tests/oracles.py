@@ -1,7 +1,8 @@
 """Reference implementations on expanded forms, kept as test oracles.
 
 They parse records in two loops (fields first, contiguity second), merge
-runs with `itertools.groupby`, label one activity code per
+runs with `itertools.groupby`, walk a trace's runs and write its records
+from (activity, seconds) pairs, label one activity code per
 second, accumulate one sample per minute, look for the next daily rest of
 Article 8.2 among all rests, attribute Article 6.1 extensions by
 brute-force search, decide Article 8.6 by backtracking over every
@@ -112,6 +113,20 @@ def coalesce(runs):
             raise TraceError(f"run duration must be positive, got {length}")
     groups = itertools.groupby(runs, key=lambda run: run[0])
     return tuple((activity, sum(n for _, n in group)) for activity, group in groups)
+
+
+def runs(start, segments):
+    """(activity, start instant, seconds) of each (activity, seconds) pair."""
+    out = []
+    for activity, seconds in segments:
+        out.append((activity, start, seconds))
+        start += seconds
+    return out
+
+
+def to_records(start, segments):
+    """One record line per (activity, seconds) pair, neighbours left unmerged."""
+    return "".join(f"{t},{a.value},{n}\n" for a, t, n in runs(start, segments))
 
 
 def _longest_latest(window: bytes) -> Activity:

@@ -342,3 +342,24 @@ def test_importing_the_cli_leaves_the_demo_modules_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_leaves_the_register_machines_unloaded():
+    src = Path(tachocheck.__file__).resolve().parents[1]
+    code = "import sys, tachocheck.cli\nprint('tachocheck.machines' in sys.modules)\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_machine_rejects_an_unknown_program_and_names_the_known_ones(capsys):
+    assert main(["machine", "ackermann", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown program 'ackermann'" in err
+    assert "decrement, increment-forever, collatz" in err

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import D, O, R, from_samples, labels, minutes_of, samples, trace_of
+from tachocheck import minutes
 from tachocheck.minutes import (
     MinuteTrace,
     Rule51Semantics,
@@ -179,15 +180,17 @@ def test_minute_instants():
 
 
 def test_one_labeling_builds_one_minute_trace(monkeypatch):
-    # each build coalesces the label runs and sums their prefixes again
+    # each build sums the label runs' prefixes again; count every instance
+    # made, by whichever constructor
     built = []
-    post_init = MinuteTrace.__post_init__
 
-    def counting(self):
-        built.append(self)
-        post_init(self)
+    class CountedMinuteTrace(MinuteTrace):
+        def __new__(cls, *args, **kwargs):
+            mt = super().__new__(cls)
+            built.append(mt)
+            return mt
 
-    monkeypatch.setattr(MinuteTrace, "__post_init__", counting)
+    monkeypatch.setattr(minutes, "MinuteTrace", CountedMinuteTrace)
     trace = trace_of(*[(D, 70), (R, 50), (D, 40), (O, 20)] * 20)
     for semantics in ALL_SEMANTICS:
         built.clear()

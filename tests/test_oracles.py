@@ -493,6 +493,95 @@ def test_coalesce_matches_groupby_on_random_run_lists():
         assert coalesce(list(run) for run in runs) == oracles.coalesce(runs)
 
 
+def _random_run_list(rng: random.Random) -> list:
+    """Runs from one second to a day whose neighbours often share an
+    activity, and in two lists of five already maximal."""
+    kinds = rng.sample([D, R, O], rng.randint(1, 3))
+    runs = [
+        (rng.choice(kinds), rng.choice([1, 59, 60, 61, rng.randint(1, 10**5)]))
+        for _ in range(rng.randint(1, 40))
+    ]
+    return list(oracles.coalesce(runs)) if rng.random() < 0.4 else runs
+
+
+def _traces_of_runs(start: int, runs: list) -> dict[str, SecondTrace]:
+    """The trace of `runs` by every constructor and both parsers."""
+    text = oracles.to_records(start, runs)  # a record per run, merged or not
+    return {
+        "bulk parse": parse_trace(text),
+        "line parse": parse_trace(text.replace("\n", "\r\n")),
+        "from_runs": SecondTrace.from_runs(start, runs),
+        "from_columns": SecondTrace.from_columns(start, *zip(*runs)),
+    }
+
+
+def test_column_traces_match_the_pair_construction_on_random_run_lists(monkeypatch):
+    paths = collections.Counter()
+    parse_canonical = timeline._parse_canonical
+
+    def counting(text):
+        trace = parse_canonical(text)
+        paths["bulk" if trace is not None else "line by line"] += 1
+        return trace
+
+    monkeypatch.setattr(timeline, "_parse_canonical", counting)
+    rng = random.Random(12)
+    merged = 0
+    for _ in range(400):
+        start = rng.choice([0, rng.randint(-10**6, -1), rng.randint(1, 10**9)])
+        runs = _random_run_list(rng)
+        segments = oracles.coalesce(runs)
+        merged += len(segments) < len(runs)
+        records = oracles.to_records(start, segments)
+        reference = SecondTrace(start, segments)
+        for path, trace in _traces_of_runs(start, runs).items():
+            assert trace.segments == segments, path
+            assert (trace.activities, trace.seconds) == tuple(zip(*segments)), path
+            assert trace == reference and hash(trace) == hash(reference), path
+            assert list(trace.runs()) == oracles.runs(start, segments), path
+            assert trace.to_records() == records, path
+            assert trace.digest() == hashlib.sha256(records.encode("ascii")).hexdigest(), path
+    assert paths["bulk"] == paths["line by line"] == 400, paths
+    assert 100 <= merged <= 300, merged
+
+
+def _split_runs(rng: random.Random, trace: SecondTrace) -> list:
+    """The runs of `trace`, some cut in two, so that neighbours share an activity."""
+    runs = []
+    for activity, seconds in trace.segments:
+        if seconds > 1 and rng.random() < 0.3:
+            head = rng.randint(1, seconds - 1)
+            runs += [(activity, head), (activity, seconds - head)]
+        else:
+            runs.append((activity, seconds))
+    return runs
+
+
+def test_labels_of_column_traces_match_the_oracles_where_upgrades_merge_runs():
+    rng = random.Random(51)
+    merges = 0
+    for _ in range(6):
+        trace = _stop_and_go_trace(rng)
+        runs = _split_runs(rng, trace)
+        assert len(runs) > len(trace.segments)
+        for built in _traces_of_runs(trace.start, runs).values():
+            assert built == trace
+        for offset in rng.sample(range(60), 3):
+            grid = TimeGrid(offset)
+            first_layer = label_rule52(trace, grid)
+            for semantics in Rule51Semantics:
+                mt = label_minutes(trace, grid, semantics)
+                first, expected = oracles.label_minutes(trace, grid, semantics)
+                # the pair construction: one (label, 1) pair per minute
+                reference = MinuteTrace(first, [(label, 1) for label in expected], grid)
+                assert mt == reference and hash(mt) == hash(reference)
+                assert labels(mt) == expected
+                assert mt.segments == oracles.coalesce((label, 1) for label in expected)
+                # an upgrade merges three runs into one
+                merges += (len(first_layer.counts) - len(mt.counts)) // 2
+    assert merges > 500, merges
+
+
 def test_article82_matches_the_all_rests_scan_on_random_layouts():
     rng = random.Random(82)
     kinds = list(PeriodKind)

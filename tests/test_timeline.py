@@ -1,4 +1,4 @@
-import dataclasses
+import gc
 import hashlib
 import json
 import random
@@ -8,6 +8,7 @@ import pytest
 
 from conftest import CODE, D, O, R, labels, minutes_of, samples, trace_of
 from tachocheck import timeline
+from tachocheck.minutes import MinuteTrace, label_minutes
 from tachocheck.timeline import (
     SECONDS_PER_WEEK,
     Activity,
@@ -120,6 +121,23 @@ def test_bulk_parse_peaks_below_twice_the_line_parser():
             tracemalloc.stop()
     bulk, line_by_line = peaks
     assert bulk < 2 * line_by_line, peaks
+
+
+def test_parsing_and_labeling_keep_no_per_run_object_alive():
+    # a tuple per run outlives the call and is promoted through the garbage
+    # collector's generations; columns keep a few objects whatever the runs
+    rng = random.Random(12)
+    runs = [(activity, rng.randint(1, 20_000)) for activity in [D, R, O, R] * 1_600]
+    text = SecondTrace.from_runs(1_700_000_000, runs).to_records()
+    label_minutes(parse_trace("0,REST,120\n"), TimeGrid())  # warm up
+    gc.collect()
+    before = len(gc.get_objects())
+    trace = parse_trace(text)
+    mt = label_minutes(trace, TimeGrid())
+    gc.collect()
+    kept = len(gc.get_objects()) - before
+    assert len(trace.segments) >= 6_000 and len(mt.segments) >= 6_000
+    assert kept <= 16, kept
 
 
 def test_digesting_many_short_runs_keeps_memory_bounded():
@@ -260,7 +278,7 @@ def test_shift_grid_displaces_only_start():
 
 
 def test_shift_by_full_minute_shifts_labels_by_index():
-    from tachocheck.minutes import label_minutes
+    from tachocheck.minutes import MinuteTrace, label_minutes
 
     trace = minutes_of((D, 3), (R, 2), (D, 1))
     grid = TimeGrid(0)
@@ -310,8 +328,8 @@ def test_copies_of_a_digested_trace_get_their_own_digest():
     copies = (
         shift_grid(trace, 7),
         trace.truncated(trace.start + 100),
-        dataclasses.replace(trace, start=5),
-        dataclasses.replace(trace, segments=((O, 300),)),
+        SecondTrace(5, trace.segments),
+        SecondTrace.from_columns(trace.start, (O,), (300,)),
     )
     for copy in copies:
         assert copy.digest() == _sha256_of_records(copy)
@@ -332,3 +350,13 @@ def test_coalesce_rejects_a_non_positive_length_on_every_run():
         coalesce([(D, 5), (D, 0)])
     with pytest.raises(TraceError):
         SecondTrace(0, ((D, 5), (D, -1)))
+
+
+def test_every_constructor_rejects_a_non_positive_length_between_other_activities():
+    for length in (0, -1):
+        with pytest.raises(TraceError, match="positive"):
+            SecondTrace(0, ((D, 5), (R, length), (D, 5)))
+        with pytest.raises(TraceError, match="positive"):
+            SecondTrace.from_columns(0, (D, R, D), (5, length, 5))
+        with pytest.raises(TraceError, match="positive"):
+            MinuteTrace(0, ((D, 5), (R, length)), TimeGrid())
