@@ -19,8 +19,14 @@ silent choice:
   minute to be driving already. So Fixpoint shares the NeighborRule52 code;
   the value exists so the reading can be selected and audited.
 
-Both layers work on runs: only minutes that straddle a run boundary are
-scanned, and only a one-minute run between two driving runs can upgrade.
+Both layers work on runs. When every run but the first and the last lasts
+at least 60 s, no minute holds two run boundaries: each boundary hands its
+minute to the run holding at least 31 of its seconds, the later run on a
+30/30 tie, so the first layer is computed in closed form from the run ends
+(see `_closed_form_runs`). Any other trace is walked run by run, with only
+the minutes that straddle a boundary scanned. In the second layer only a
+one-minute run between two driving runs can upgrade, so a labeling with no
+one-minute run skips it.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, repeat
-from operator import is_, mul
+from itertools import accumulate, islice, repeat
+from operator import floordiv, ge, is_, mul, sub
 from typing import Iterable, Sequence
 
 from .timeline import (
@@ -141,20 +147,64 @@ class MinuteTrace:
         return SecondTrace.from_columns(self.start_instant, self.activities, seconds).to_records()
 
 
-def _rule52_runs(trace: SecondTrace, grid: TimeGrid) -> tuple[int, list, list[int]]:
+def _rule52_runs(trace: SecondTrace, grid: TimeGrid) -> tuple[int, Sequence, list[int]]:
     """First-layer label runs as (first minute, activities, minute counts).
 
-    One walk over the runs closes minutes as they fill: a run covering whole
-    minutes labels them in bulk; a minute straddling run boundaries takes
-    its longest piece, ">=" handing ties to the piece seen later. Runs are
-    merged as they are appended, so the lists hold maximal label runs.
+    A trace whose runs, but for the first and the last, all last at least a
+    minute has no grid minute that holds two run boundaries, and its labels
+    have a closed form. Any other trace is walked run by run.
     """
     first = grid.first_full_minute(trace.start)
-    boundary = grid.minute_start(first)  # where the minute being filled ends
-    if trace.end < boundary + SECONDS_PER_MINUTE:
+    last = (trace.end - grid.minute_offset_seconds) // SECONDS_PER_MINUTE
+    if last <= first:
         raise TraceTooShortError(
             "trace does not cover a complete minute on the given grid"
         )
+    seconds = trace.seconds
+    # stops at the first short interior run
+    if all(map(ge, islice(seconds, 1, len(seconds) - 1), repeat(SECONDS_PER_MINUTE))):
+        return _closed_form_runs(trace, grid, first, last)
+    return _walk_runs(trace, grid, first)
+
+
+def _closed_form_runs(
+    trace: SecondTrace, grid: TimeGrid, first: int, last: int
+) -> tuple[int, tuple, list[int]]:
+    """`_rule52_runs` of a trace with no minute holding two run boundaries.
+
+    Labels are kept for minutes `first` to `last - 1`. A minute holding the
+    end of run `i`, `p` seconds after the minute starts, holds `p` seconds
+    of run `i` and `60 - p` of run `i + 1`. It goes to run `i` when
+    `p >= 31`; at `p = 30` the two pieces are equally long, and rule 52
+    gives a tie to the latest activity, run `i + 1`. So the labels of run
+    `i` end before minute `(end_i - offset + 29) // 60`. These cuts rise
+    with `i`, each interior run keeping at least one minute; clamped to
+    [first, last] by two bisections, they leave without a minute only runs
+    at the edges, which are dropped.
+    """
+    seconds = trace.seconds
+    # end_i - offset + 29 for every run but the last
+    ends = islice(
+        accumulate(seconds, initial=trace.start - grid.minute_offset_seconds + 29),
+        1,
+        len(seconds),
+    )
+    cuts = list(map(floordiv, ends, repeat(SECONDS_PER_MINUTE)))
+    lo = bisect.bisect_right(cuts, first)
+    hi = bisect.bisect_left(cuts, last, lo)
+    bounds = [first, *cuts[lo:hi], last]
+    return first, trace.activities[lo : hi + 1], list(map(sub, bounds[1:], bounds))
+
+
+def _walk_runs(trace: SecondTrace, grid: TimeGrid, first: int) -> tuple[int, list, list[int]]:
+    """`_rule52_runs` of any trace, by one walk over its runs.
+
+    The walk closes minutes as they fill: a run covering whole minutes
+    labels them in bulk; a minute straddling run boundaries takes its
+    longest piece, ">=" handing ties to the piece seen later. Runs are
+    merged as they are appended, so the lists hold maximal label runs.
+    """
+    boundary = grid.minute_start(first)  # where the minute being filled ends
     # Every run starts inside the minute being filled, so a run ending
     # before `boundary` is one whole piece of it. The seconds before the
     # first grid minute fill a minute of their own: none of its pieces is
@@ -218,10 +268,14 @@ def label_minutes(
     upgraded under any semantics.
     """
     first, activities, counts = _rule52_runs(trace, grid)
+    if 1 not in counts:
+        # only a one-minute run can be upgraded
+        return MinuteTrace.from_columns(first, activities, counts, grid)
     # The upgrade judges first-layer labels and rewrites the list in place:
     # a candidate's neighbours are driving, so no rewrite touches another
     # candidate's neighbours. Fixpoint takes the NeighborRule52 path: see
     # the module docstring.
+    activities = list(activities)
     raw = semantics is Rule51Semantics.NEIGHBOR_RAW
     driving = Activity.DRIVING
     minute = first

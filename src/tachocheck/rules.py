@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .minutes import MinuteTrace, label_minutes
+from .minutes import MinuteTrace, TraceTooShortError, label_minutes
 from .periods import (
     REDUCED_WEEKLY_MIN_MINUTES,
     REGULAR_WEEKLY_MIN_MINUTES,
@@ -609,8 +609,20 @@ def check_all(
     profile: InterpretationProfile,
     leap_table: Sequence[LeapSecond] = (),
 ) -> Report:
-    """Label, segment and run every check; deterministic for fixed inputs."""
-    mt = label_minutes(trace, grid, profile.rule51)
+    """Label, segment and run every check; deterministic for fixed inputs.
+
+    A trace that covers no complete minute on the grid is judged on no
+    minutes: the report has no violations and says so in a notice.
+    """
+    notices = []
+    try:
+        mt = label_minutes(trace, grid, profile.rule51)
+    except TraceTooShortError:
+        mt = MinuteTrace(grid.first_full_minute(trace.start), (), grid)
+        notices.append(
+            "no minute labeled: trace covers no complete minute on grid offset "
+            f"{grid.minute_offset_seconds}"
+        )
     rests = classify_rests(mt, profile)
     stream = accumulate_driving(mt, rests)
     spans = daily_driving_spans(mt, rests, profile)
@@ -620,7 +632,6 @@ def check_all(
     violations += check_article61(spans, profile, leap_table)
     violations += check_article82(rests, mt, profile)
 
-    notices = []
     scope = complete_weeks(trace, leap_table)
     if len(scope) < 2:
         notices.append(

@@ -163,6 +163,42 @@ def test_diff_agreement_exits_zero(tmp_path, all_rest_file, capsys):
     assert report["divergent"] is False
 
 
+def test_check_trace_covering_no_minute_reports_a_notice(tmp_path, capsys):
+    path = tmp_path / "short.trace"
+    path.write_text("0,DRIVING,59\n")
+    status = main(["check", str(path), "--profile", "spirit"])
+    report = json.loads(capsys.readouterr().out)
+    assert status == 0
+    assert report["violations"] == []
+    assert report["statistics"] == {
+        "daily_driving_spans": 0,
+        "rest_periods": 0,
+        "total_driving_minutes": 0,
+    }
+    assert report["notices"] == [
+        "no minute labeled: trace covers no complete minute on grid offset 0",
+        "article 8.6 skipped: trace covers fewer than two complete weeks",
+    ]
+
+
+def test_diff_reports_both_profiles_when_one_grid_covers_no_minute(tmp_path, capsys):
+    # 80 s cover minute 0 on the unix grid but no minute on the 27 s grid
+    path = tmp_path / "short.trace"
+    path.write_text("0,DRIVING,80\n")
+    status = main(["diff", str(path), "--profiles", "unix-grid", "utc-grid"])
+    report = json.loads(capsys.readouterr().out)
+    assert status == 0
+    assert report["profiles"] == ["unix-grid", "utc-grid"]
+    assert report["divergent"] is False
+    assert main(["check", str(path), "--profile", "utc-grid"]) == 0
+    notices = json.loads(capsys.readouterr().out)["notices"]
+    assert notices[0] == "no minute labeled: trace covers no complete minute on grid offset 27"
+    assert main(["check", str(path), "--profile", "unix-grid"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["statistics"]["total_driving_minutes"] == 1
+    assert not any(n.startswith("no minute labeled") for n in report["notices"])
+
+
 def test_demo_writes_trace_and_summary(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     status = main(["demo", "pattern1", "--out", "p1.trace"])

@@ -6,9 +6,18 @@ import hashlib
 import itertools
 import random
 
+import pytest
+
 import oracles
 from conftest import D, O, R, labels, per_minute
-from tachocheck.minutes import MinuteTrace, Rule51Semantics, label_minutes, label_rule52
+from tachocheck import minutes
+from tachocheck.minutes import (
+    MinuteTrace,
+    Rule51Semantics,
+    TraceTooShortError,
+    label_minutes,
+    label_rule52,
+)
 from tachocheck.periods import (
     DailyDrivingSpan,
     Period,
@@ -121,6 +130,80 @@ def test_labels_and_article7_match_the_oracles_on_stop_and_go_traces():
             )
     # the traces exercise the upgrade, not only the first layer
     assert upgraded > 1000
+
+
+def _long_run_trace(rng: random.Random) -> SecondTrace:
+    """Interior runs of at least a minute, so that no grid minute holds two
+    run boundaries: runs of exactly 60 s, 61-119 s runs that label one
+    minute at most offsets, and longer ones, driving-heavy so that rule 51
+    upgrades; often a first or last run shorter than a minute; starts on
+    both sides of 0. Every boundary lands 30 s into a minute at one offset,
+    so every trace ties; one in seven has no interior run and covers no
+    complete minute at many offsets."""
+    runs = []
+    if rng.random() < 0.7:
+        runs.append((rng.choice([D, R, O]), rng.randint(1, 59)))
+    for _ in range(0 if rng.random() < 0.15 else rng.randint(1, 14)):
+        kind = rng.random()
+        if kind < 0.2:
+            seconds = 60
+        elif kind < 0.7:
+            seconds = rng.randint(61, 119)
+        else:
+            seconds = rng.randint(120, 1800)
+        runs.append((rng.choices([D, R, O], weights=[6, 3, 1])[0], seconds))
+    if rng.random() < 0.7 or not runs:
+        runs.append((rng.choice([D, R, O]), rng.randint(1, 59)))
+    return SecondTrace.from_runs(rng.randint(-400, 400), runs)
+
+
+def test_closed_form_labels_match_the_oracles_and_the_walk(monkeypatch):
+    walk = minutes._walk_runs
+
+    def no_walk(*args):
+        raise AssertionError("a trace with no short interior run was walked")
+
+    monkeypatch.setattr(minutes, "_walk_runs", no_walk)
+    rng = random.Random(5260)
+    too_short = upgraded = 0
+    for _ in range(60):
+        trace = _long_run_trace(rng)
+        for offset in range(60):
+            grid = TimeGrid(offset)
+            try:
+                oracles.label_minutes(trace, grid)
+            except TraceTooShortError:
+                for semantics in Rule51Semantics:
+                    with pytest.raises(TraceTooShortError):
+                        label_minutes(trace, grid, semantics)
+                too_short += 1
+                continue
+            first = grid.first_full_minute(trace.start)
+            closed = minutes._rule52_runs(trace, grid)
+            assert closed[0] == first
+            walked = walk(trace, grid, first)
+            assert tuple(closed[1]) == tuple(walked[1]) and closed[2] == walked[2]
+            for semantics in Rule51Semantics:
+                _assert_labels_and_article7_match(trace, grid, semantics)
+            upgraded += (
+                label_minutes(trace, grid).driving_minutes()
+                - label_rule52(trace, grid).driving_minutes()
+            )
+    assert too_short > 100 and upgraded > 500, (too_short, upgraded)
+
+
+def test_only_a_short_interior_run_sends_labeling_to_the_walk(monkeypatch):
+    walked = []
+    walk = minutes._walk_runs
+    monkeypatch.setattr(
+        minutes, "_walk_runs", lambda *args: walked.append(args[0]) or walk(*args)
+    )
+    qualifying = SecondTrace.from_runs(-7, [(R, 5), (D, 60), (R, 61), (D, 3600), (O, 59)])
+    short = SecondTrace.from_runs(-7, [(R, 5), (D, 60), (R, 59), (D, 3600), (O, 59)])
+    for trace in (qualifying, short, qualifying):
+        for offset in (0, 31):
+            label_minutes(trace, TimeGrid(offset))
+    assert walked == [short, short]
 
 
 def test_driving_between_matches_a_count_over_labels():
