@@ -73,7 +73,8 @@ class MinuteTrace:
     activities: tuple[Activity, ...]
     counts: tuple[int, ...]
     grid: TimeGrid
-    # first minute of each run (then the total) and driving minutes before it
+    # first minute of each run (then the total) and driving minutes before it:
+    # prefix sums that the segmentation and Article 7 read instead of the runs
     _bounds: tuple[int, ...] = field(repr=False, compare=False)
     _driving: tuple[int, ...] = field(repr=False, compare=False)
 
@@ -129,17 +130,6 @@ class MinuteTrace:
 
     def driving_minutes(self) -> int:
         return self._driving[-1]
-
-    def _driving_before(self, index: int) -> int:
-        i = bisect.bisect_right(self._bounds, index, hi=len(self.counts)) - 1
-        inside = index - self._bounds[i] if self.activities[i] is Activity.DRIVING else 0
-        return self._driving[i] + inside
-
-    def driving_between(self, start: int, end: int) -> int:
-        """Count driving-labeled minutes in the instant range [start, end)."""
-        lo = min(len(self), max(0, (start - self.start_instant) // SECONDS_PER_MINUTE))
-        hi = min(len(self), max(0, (end - self.start_instant) // SECONDS_PER_MINUTE))
-        return max(0, self._driving_before(hi) - self._driving_before(lo))
 
     def to_records(self) -> str:
         """Serialize to the trace record format at 60-second granularity."""

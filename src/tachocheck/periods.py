@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -87,43 +88,48 @@ def classify_rests(mt: MinuteTrace, profile: InterpretationProfile) -> list[Peri
     return periods
 
 
-def accumulate_driving(
-    mt: MinuteTrace, rests: Sequence[Period]
-) -> list[tuple[int, int, int, int]]:
-    """Driving minutes since the last qualifying break, one item per label run.
+def accumulate_driving(mt: MinuteTrace, rests: Sequence[Period]) -> list[tuple[int, int]]:
+    """The stretches of label runs between resets of the break accumulator.
 
-    Items are (start instant, minutes, accumulated before, accumulated
-    after). The accumulator resets upon completion of a single break of at
-    least 45 minutes, of any daily or weekly rest period, or of the second
-    part (>= 30 min) of a split break whose first part (>= 15 min) is still
+    Each item `(first, end)` holds the runs `first` to `end - 1`, over
+    which the driving minutes since the last qualifying break count up from
+    zero. Every item but the last is followed by the rest run at index
+    `end`, whose completion resets the accumulator; the next item starts
+    after it. The last item ends with the trace. So there is one item more
+    than there are resets, and an item may hold no run.
+
+    The accumulator resets upon completion of a single break of at least 45
+    minutes, of any daily or weekly rest period, or of the second part
+    (>= 30 min) of a split break whose first part (>= 15 min) is still
     pending. The first split part alone never resets, and other work
-    neither accumulates driving nor counts toward any break.
+    neither accumulates driving nor counts toward any break. `rests` are
+    `classify_rests(mt, ...)`, in time order; only they are walked, never
+    the label runs.
     """
-    rest_period_ends = {p.end for p in rests if p.kind in REST_PERIOD_KINDS}
-    items: list[tuple[int, int, int, int]] = []
-    acc = 0
+    bounds = mt._bounds
+    origin = mt.start_instant
+    brk = PeriodKind.BREAK  # a local: enum attribute lookups are slow
+    full_break = FULL_BREAK_MIN_MINUTES * SECONDS_PER_MINUTE
+    second_part = SPLIT_SECOND_MIN_MINUTES * SECONDS_PER_MINUTE
+    stretches = []
+    first = 0
     pending_first_part = False
-
-    driving, rest = Activity.DRIVING, Activity.REST  # locals, as above
-    end = mt.start_instant
-    for activity, count in zip(mt.activities, mt.counts):
-        start = end
-        end += count * SECONDS_PER_MINUTE
-        before = acc
-        if activity is driving:
-            acc += count
-        elif activity is rest:
-            if (
-                count >= FULL_BREAK_MIN_MINUTES
-                or end in rest_period_ends
-                or (pending_first_part and count >= SPLIT_SECOND_MIN_MINUTES)
-            ):
-                acc = 0
-                pending_first_part = False
-            elif count >= SPLIT_FIRST_MIN_MINUTES:
-                pending_first_part = True
-        items.append((start, count, before, acc))
-    return items
+    for period in rests:
+        seconds = period.end - period.start
+        if (
+            period.kind is not brk
+            or seconds >= full_break
+            or (pending_first_part and seconds >= second_part)
+        ):
+            minute = (period.start - origin) // SECONDS_PER_MINUTE
+            end = bisect.bisect_left(bounds, minute, first)
+            stretches.append((first, end))
+            first = end + 1
+            pending_first_part = False
+        else:  # any break lasts the first split part's 15 minutes
+            pending_first_part = True
+    stretches.append((first, len(mt.counts)))
+    return stretches
 
 
 def daily_driving_spans(
@@ -138,35 +144,41 @@ def daily_driving_spans(
     edge counts as a rest boundary, driving before the first rest and after
     the last one is covered too; the edge behaves like a daily (not weekly)
     rest for the Strict rule. Stretches without any driving yield no span.
+    `rests` are `classify_rests(mt, ...)`, in time order. A span's driving
+    minutes are the difference of the driving prefix sums at the runs
+    bounding it, so a span costs one bisection whatever runs it holds.
     """
-    rest_periods = sorted(
-        (p for p in rests if p.kind in REST_PERIOD_KINDS), key=lambda p: p.start
-    )
-
-    stretches: list[tuple[Optional[Period], int, Optional[Period], int]] = []
-    left: Optional[tuple[Optional[Period], int]]
-    left = (None, mt.start_instant) if profile.trace_edge_is_rest else None
-    for period in rest_periods:
-        if left is not None:
-            stretches.append((left[0], left[1], period, period.start))
-        left = (period, period.end)
-    if profile.trace_edge_is_rest and left is not None:
-        stretches.append((left[0], left[1], None, mt.end_instant))
-
+    bounds, driving = mt._bounds, mt._driving
+    origin = mt.start_instant
+    brk = PeriodKind.BREAK
+    strict = profile.weekly_gap is WeeklyGapSemantics.STRICT
+    edge = profile.trace_edge_is_rest
     spans = []
-    for left_period, start, right_period, end in stretches:
-        if end <= start:
+    # The left bound: its period (None for the trace edge), its end and the
+    # run after it. Before the first rest there is one only at a rest edge.
+    left: Optional[Period] = None
+    start, after = origin, 0
+    have_left = edge
+    for period in rests:
+        if period.kind is brk:
             continue
+        minute = (period.start - origin) // SECONDS_PER_MINUTE
+        run = bisect.bisect_left(bounds, minute, after)
+        minutes = driving[run] - driving[after]
         if (
-            profile.weekly_gap is WeeklyGapSemantics.STRICT
-            and left_period is not None
-            and right_period is not None
-            and left_period.kind in WEEKLY_REST_KINDS
-            and right_period.kind in WEEKLY_REST_KINDS
+            have_left
+            and minutes
+            and not (
+                strict
+                and left is not None
+                and left.kind in WEEKLY_REST_KINDS
+                and period.kind in WEEKLY_REST_KINDS
+            )
         ):
-            continue
-        driving = mt.driving_between(start, end)
-        if driving == 0:
-            continue
-        spans.append(DailyDrivingSpan(start, end, driving, (left_period, right_period)))
+            spans.append(DailyDrivingSpan(start, period.start, minutes, (left, period)))
+        left, start, after, have_left = period, period.end, run + 1, True
+    if edge:
+        minutes = driving[-1] - driving[after]
+        if minutes:
+            spans.append(DailyDrivingSpan(start, mt.end_instant, minutes, (left, None)))
     return spans

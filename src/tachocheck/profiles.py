@@ -165,18 +165,22 @@ class DivergenceReport:
     profile_ids: tuple[str, ...]
     verdicts: dict  # article -> {profile id -> violation count}
     disagreements: tuple[dict, ...]  # windows flagged by some profiles only
+    notices: dict  # profile id -> notices; empty when every profile has the same
 
     @property
     def is_empty(self) -> bool:
         return not self.disagreements
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "profiles": list(self.profile_ids),
             "verdicts": self.verdicts,
             "disagreements": [dict(d) for d in self.disagreements],
             "divergent": not self.is_empty,
         }
+        if self.notices:
+            out["notices"] = {pid: list(n) for pid, n in self.notices.items()}
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -190,7 +194,9 @@ def diff_verdicts(
     """Run the full check under each profile and report disagreements.
 
     Profiles are evaluated independently and merged in id order, so the
-    report does not depend on the order they were supplied in.
+    report does not depend on the order they were supplied in. When the
+    profiles' reports carry different notices, such as one grid covering no
+    minute of the trace, each profile's notices are reported too.
     """
     from .rules import check_all
 
@@ -203,8 +209,10 @@ def diff_verdicts(
 
     keys_by_profile: dict[str, set] = {}
     counts: dict[str, dict[str, int]] = {}
+    notices: dict[str, tuple[str, ...]] = {}
     for profile in ordered:
         report = check_all(trace, profile.grid(), profile, leap_table)
+        notices[profile.id] = report.notices
         keys = {(v.article, v.window_start, v.window_end) for v in report.violations}
         keys_by_profile[profile.id] = keys
         for violation in report.violations:
@@ -229,4 +237,6 @@ def diff_verdicts(
                     "profiles": flagging,
                 }
             )
-    return DivergenceReport(ids, verdicts, tuple(disagreements))
+    if len(set(notices.values())) == 1:
+        notices = {}
+    return DivergenceReport(ids, verdicts, tuple(disagreements), notices)

@@ -109,30 +109,38 @@ class Report:
 
 
 def check_article7(
-    stream: Sequence[tuple[int, int, int, int]], profile_id: str = ""
+    stretches: Sequence[tuple[int, int]], mt: MinuteTrace, profile_id: str = ""
 ) -> list[Violation]:
     """One violation per maximal interval of accumulation beyond 270 minutes.
 
-    Takes the per-run items of `accumulate_driving`. The reported window
-    runs from the minute the accumulator first exceeded the limit to the
-    end of the last minute that still added driving before the next reset.
+    Takes the stretches of `accumulate_driving` over the label runs of
+    `mt`. The reported window runs from the minute the accumulator first
+    exceeded the limit to the end of the last minute that still added
+    driving before the next reset. A stretch's driving is a difference of
+    the driving prefix sums; only a stretch over the limit is searched, by
+    two bisections on those sums.
     """
+    bounds, driving = mt._bounds, mt._driving
+    origin = mt.start_instant
+    limit = DRIVE_BEFORE_BREAK_LIMIT_MINUTES
     violations = []
-    over_start: Optional[int] = None
-    last_drive_end = 0
-    peak = 0
-    for start, minutes, before, after in stream:
-        if after > before:
-            last_drive_end = start + minutes * SECONDS_PER_MINUTE
-            peak = after
-            if after > DRIVE_BEFORE_BREAK_LIMIT_MINUTES and over_start is None:
-                first_over = max(0, DRIVE_BEFORE_BREAK_LIMIT_MINUTES - before)
-                over_start = start + first_over * SECONDS_PER_MINUTE
-        elif after < before and over_start is not None:
-            violations.append(_article7_violation(over_start, last_drive_end, peak, profile_id))
-            over_start = None
-    if over_start is not None:
-        violations.append(_article7_violation(over_start, last_drive_end, peak, profile_id))
+    for first, end in stretches:
+        base, total = driving[first], driving[end]
+        if total - base <= limit:
+            continue
+        # the driving run during which the accumulator passes the limit
+        over = bisect.bisect_right(driving, base + limit, first, end) - 1
+        over_minute = bounds[over] + base + limit - driving[over]
+        # one past the stretch's last driving run
+        last = bisect.bisect_left(driving, total, first, end)
+        violations.append(
+            _article7_violation(
+                origin + over_minute * SECONDS_PER_MINUTE,
+                origin + bounds[last] * SECONDS_PER_MINUTE,
+                total - base,
+                profile_id,
+            )
+        )
     return violations
 
 
@@ -624,11 +632,11 @@ def check_all(
             f"{grid.minute_offset_seconds}"
         )
     rests = classify_rests(mt, profile)
-    stream = accumulate_driving(mt, rests)
+    stretches = accumulate_driving(mt, rests)
     spans = daily_driving_spans(mt, rests, profile)
 
     violations = []
-    violations += check_article7(stream, profile.id)
+    violations += check_article7(stretches, mt, profile.id)
     violations += check_article61(spans, profile, leap_table)
     violations += check_article82(rests, mt, profile)
 

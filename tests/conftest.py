@@ -41,14 +41,38 @@ def labels(mt) -> tuple[Activity, ...]:
     return tuple(a for a, n in mt.segments for _ in range(n))
 
 
-def per_minute(items) -> list[tuple[int, int]]:
-    """Expand accumulate_driving items to one (minute start, count) per minute.
+def per_run(mt, stretches) -> list[tuple[int, int, int, int]]:
+    """Expand accumulate_driving stretches to one item per label run.
+
+    Items are (start instant, minutes, accumulated before, accumulated
+    after). The stretches must tile the runs, each but the last followed by
+    the rest run that resets the accumulator.
+    """
+    starts = [mt.start_instant + 60 * b for b in mt._bounds]
+    items = []
+    for n, (first, end) in enumerate(stretches):
+        assert first == (stretches[n - 1][1] + 1 if n else 0) and first <= end
+        acc = 0
+        for i in range(first, end):
+            before = acc
+            if mt.activities[i] is D:
+                acc += mt.counts[i]
+            items.append((starts[i], mt.counts[i], before, acc))
+        if n + 1 < len(stretches):
+            assert mt.activities[end] is R
+            items.append((starts[end], mt.counts[end], acc, 0))
+    assert len(items) == len(mt.counts)
+    return items
+
+
+def per_minute(mt, stretches) -> list[tuple[int, int]]:
+    """Expand accumulate_driving stretches to one (minute start, count) per minute.
 
     Driving minutes count up; other minutes hold the count, except the last
     minute of a run, which shows the count after any reset.
     """
     stream = []
-    for start, minutes, before, after in items:
+    for start, minutes, before, after in per_run(mt, stretches):
         for k in range(minutes):
             if after > before:
                 acc = before + k + 1

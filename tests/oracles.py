@@ -3,8 +3,9 @@
 They parse records in two loops (fields first, contiguity second), merge
 runs with `itertools.groupby`, walk a trace's runs and write its records
 from (activity, seconds) pairs, label one activity code per
-second, accumulate one sample per minute, look for the next daily rest of
-Article 8.2 among all rests, attribute Article 6.1 extensions by
+second, accumulate one sample per minute or one item per label run, count
+the driving of each daily span between its instants, look for the next
+daily rest of Article 8.2 among all rests, attribute Article 6.1 extensions by
 brute-force search, decide Article 8.6 by backtracking over every
 assignment of rests to weeks and every compensation cascade, and blame an
 infeasible Article 8.6 scope by waiving weeks one round at a time, and find
@@ -15,6 +16,7 @@ them.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -28,10 +30,12 @@ from tachocheck.periods import (
     REST_PERIOD_KINDS,
     SPLIT_FIRST_MIN_MINUTES,
     SPLIT_SECOND_MIN_MINUTES,
+    WEEKLY_REST_KINDS,
+    DailyDrivingSpan,
     Period,
 )
 from tachocheck import rules
-from tachocheck.profiles import InterpretationProfile
+from tachocheck.profiles import InterpretationProfile, WeeklyGapSemantics
 from tachocheck.rules import (
     COMPENSATION_WINDOW_WEEKS,
     DRIVE_BEFORE_BREAK_LIMIT_MINUTES,
@@ -253,6 +257,107 @@ def check_article7(stream, profile_id=""):
     if over_start is not None:
         violations.append(violation(over_start, last_drive_end, peak))
     return violations
+
+
+def accumulate_driving_per_run(mt, rests):
+    """Driving minutes since the last qualifying break, one item per label run.
+
+    Items are (start instant, minutes, accumulated before, accumulated
+    after), the resets those of `periods.accumulate_driving`, found by
+    walking every label run.
+    """
+    rest_period_ends = {p.end for p in rests if p.kind in REST_PERIOD_KINDS}
+    items = []
+    acc = 0
+    pending_first_part = False
+    end = mt.start_instant
+    for activity, count in zip(mt.activities, mt.counts):
+        start = end
+        end += count * SECONDS_PER_MINUTE
+        before = acc
+        if activity is Activity.DRIVING:
+            acc += count
+        elif activity is Activity.REST:
+            if (
+                count >= FULL_BREAK_MIN_MINUTES
+                or end in rest_period_ends
+                or (pending_first_part and count >= SPLIT_SECOND_MIN_MINUTES)
+            ):
+                acc = 0
+                pending_first_part = False
+            elif count >= SPLIT_FIRST_MIN_MINUTES:
+                pending_first_part = True
+        items.append((start, count, before, acc))
+    return items
+
+
+def check_article7_per_run(items, profile_id=""):
+    """Article 7 over the items of `accumulate_driving_per_run`."""
+    violation = rules._article7_violation
+    violations = []
+    over_start = None
+    last_drive_end = 0
+    peak = 0
+    for start, minutes, before, after in items:
+        if after > before:
+            last_drive_end = start + minutes * SECONDS_PER_MINUTE
+            peak = after
+            if after > DRIVE_BEFORE_BREAK_LIMIT_MINUTES and over_start is None:
+                first_over = max(0, DRIVE_BEFORE_BREAK_LIMIT_MINUTES - before)
+                over_start = start + first_over * SECONDS_PER_MINUTE
+        elif after < before and over_start is not None:
+            violations.append(violation(over_start, last_drive_end, peak, profile_id))
+            over_start = None
+    if over_start is not None:
+        violations.append(violation(over_start, last_drive_end, peak, profile_id))
+    return violations
+
+
+def driving_between(mt, start, end):
+    """Driving-labeled minutes of `mt` in the instant range [start, end)."""
+
+    def driving_before(index):
+        i = bisect.bisect_right(mt._bounds, index, hi=len(mt.counts)) - 1
+        inside = index - mt._bounds[i] if mt.activities[i] is Activity.DRIVING else 0
+        return mt._driving[i] + inside
+
+    lo = min(len(mt), max(0, (start - mt.start_instant) // SECONDS_PER_MINUTE))
+    hi = min(len(mt), max(0, (end - mt.start_instant) // SECONDS_PER_MINUTE))
+    return max(0, driving_before(hi) - driving_before(lo))
+
+
+def daily_driving_spans(mt, rests, profile):
+    """Daily driving spans, each counted by `driving_between` its instants."""
+    rest_periods = sorted(
+        (p for p in rests if p.kind in REST_PERIOD_KINDS), key=lambda p: p.start
+    )
+
+    stretches = []
+    left = (None, mt.start_instant) if profile.trace_edge_is_rest else None
+    for period in rest_periods:
+        if left is not None:
+            stretches.append((left[0], left[1], period, period.start))
+        left = (period, period.end)
+    if profile.trace_edge_is_rest and left is not None:
+        stretches.append((left[0], left[1], None, mt.end_instant))
+
+    spans = []
+    for left_period, start, right_period, end in stretches:
+        if end <= start:
+            continue
+        if (
+            profile.weekly_gap is WeeklyGapSemantics.STRICT
+            and left_period is not None
+            and right_period is not None
+            and left_period.kind in WEEKLY_REST_KINDS
+            and right_period.kind in WEEKLY_REST_KINDS
+        ):
+            continue
+        driving = driving_between(mt, start, end)
+        if driving == 0:
+            continue
+        spans.append(DailyDrivingSpan(start, end, driving, (left_period, right_period)))
+    return spans
 
 
 def check_article82(rests, mt, profile):

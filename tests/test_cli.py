@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tachocheck
-from conftest import week_runs
+from conftest import D, HOUR, week_runs
 from tachocheck.cli import main
 from tachocheck.patterns import gen_weekly_sandwich
 from tachocheck.profiles import builtin_profiles
@@ -190,6 +190,15 @@ def test_diff_reports_both_profiles_when_one_grid_covers_no_minute(tmp_path, cap
     assert status == 0
     assert report["profiles"] == ["unix-grid", "utc-grid"]
     assert report["divergent"] is False
+    assert report["disagreements"] == []
+    skipped = "article 8.6 skipped: trace covers fewer than two complete weeks"
+    assert report["notices"] == {
+        "unix-grid": [skipped],
+        "utc-grid": [
+            "no minute labeled: trace covers no complete minute on grid offset 27",
+            skipped,
+        ],
+    }
     assert main(["check", str(path), "--profile", "utc-grid"]) == 0
     notices = json.loads(capsys.readouterr().out)["notices"]
     assert notices[0] == "no minute labeled: trace covers no complete minute on grid offset 27"
@@ -197,6 +206,19 @@ def test_diff_reports_both_profiles_when_one_grid_covers_no_minute(tmp_path, cap
     report = json.loads(capsys.readouterr().out)
     assert report["statistics"]["total_driving_minutes"] == 1
     assert not any(n.startswith("no minute labeled") for n in report["notices"])
+
+
+def test_diff_leaves_out_notices_every_profile_shares(tmp_path, capsys):
+    # one week ending in a 30 h drive: every profile skips Article 8.6 alike
+    path = tmp_path / "week.trace"
+    path.write_text(SecondTrace.from_runs(0, week_runs(45) + [(D, 30 * HOUR)]).to_records())
+    status = main(["diff", str(path), "--profiles", "letter", "spirit", "unix-grid", "utc-grid"])
+    out = capsys.readouterr().out
+    assert status == 1
+    assert "notices" not in json.loads(out)
+    # the bytes of the report from before diff reported notices
+    digest = "bef83d1bf31295639b5ac379e46e9f3b23f08f96a84875bbcb166901ad41f58c"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_demo_writes_trace_and_summary(tmp_path, capsys, monkeypatch):

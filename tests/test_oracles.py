@@ -9,7 +9,7 @@ import random
 import pytest
 
 import oracles
-from conftest import D, O, R, labels, per_minute
+from conftest import D, O, R, labels, per_minute, per_run
 from tachocheck import minutes
 from tachocheck.minutes import (
     MinuteTrace,
@@ -18,17 +18,21 @@ from tachocheck.minutes import (
     label_minutes,
     label_rule52,
 )
+from tachocheck import rules
 from tachocheck.periods import (
+    FULL_BREAK_MIN_MINUTES,
     DailyDrivingSpan,
     Period,
     PeriodKind,
     accumulate_driving,
     classify_rests,
+    daily_driving_spans,
 )
-from tachocheck.profiles import builtin_profiles
+from tachocheck.profiles import WeeklyGapSemantics, builtin_profiles
 from tachocheck.rules import (
     WeeklyRestProblem,
     _minimize_extension_violations,
+    check_all,
     check_article7,
     check_article82,
     check_article86,
@@ -98,10 +102,10 @@ def _assert_labels_and_article7_match(trace: SecondTrace, grid: TimeGrid, semant
     assert mt.driving_minutes() == expected.count(D)
 
     rests = classify_rests(mt, SPIRIT)
-    items = accumulate_driving(mt, rests)
+    stretches = accumulate_driving(mt, rests)
     stream = oracles.accumulate_driving(first, expected, grid, rests)
-    assert per_minute(items) == stream
-    assert check_article7(items, "p") == oracles.check_article7(stream, "p")
+    assert per_minute(mt, stretches) == stream
+    assert check_article7(stretches, mt, "p") == oracles.check_article7(stream, "p")
 
 
 def test_labels_and_article7_match_the_oracles_on_every_offset_and_reading():
@@ -217,7 +221,83 @@ def test_driving_between_matches_a_count_over_labels():
             end = rng.randint(start, mt.end_instant + 240)
             lo = min(len(per), max(0, (start - mt.start_instant) // 60))
             hi = min(len(per), max(0, (end - mt.start_instant) // 60))
-            assert mt.driving_between(start, end) == per[lo:hi].count(D)
+            assert oracles.driving_between(mt, start, end) == per[lo:hi].count(D)
+
+
+def _random_minute_trace(rng: random.Random) -> MinuteTrace:
+    """Label runs on either side of every length that decides a rest's kind
+    or an accumulator reset: rests of 1-14, 15-29, 30-44 and 45-539
+    minutes, daily, reduced and regular weekly rests, and driving runs that
+    pass the Article 7 limit alone or together. A trace spans minutes to a
+    few weeks, on any grid, from minutes before and after 0."""
+    short = [(1, 14)] * 3 + [(15, 15), (15, 29), (15, 29), (30, 30), (30, 44), (30, 44)]
+    rests = short + [(45, 45), (45, 539), (540, 1439), (540, 1439), (1440, 2699), (2700, 3600)]
+    # one trace in twenty spans weeks, so that Article 8.6 is judged too
+    weeks = rng.random() < 0.05
+    runs = []
+    for _ in range(rng.randint(100, 160) if weeks else rng.randint(1, 40)):
+        roll = rng.random()
+        if roll < 0.4:
+            lo, hi = rng.choice(((1, 5), (1, 120), (100, 300)))
+            runs.append((D, rng.randint(lo, hi)))
+        elif roll < 0.85:
+            lo, hi = rng.choice(rests[len(short) :] if weeks and roll < 0.5 else rests)
+            runs.append((R, rng.randint(lo, hi)))
+        else:
+            runs.append((O, rng.randint(1, 180)))
+    return MinuteTrace(rng.randint(-3000, 3000), runs, TimeGrid(rng.randrange(60)))
+
+
+def test_stretches_spans_and_reports_match_the_per_run_code(monkeypatch):
+    profiles = [
+        dataclasses.replace(
+            base, daily_rest_threshold=threshold, trace_edge_is_rest=edge, weekly_gap=gap
+        )
+        for base in builtin_profiles().values()
+        for threshold in (15, 30, 45, 540, 1440)
+        for edge in (False, True)
+        for gap in WeeklyGapSemantics
+    ]
+    rng = random.Random(7)
+    seen = collections.Counter()
+    for n in range(10_000):
+        mt = _random_minute_trace(rng)
+        profile = profiles[n % len(profiles)]
+        rests = classify_rests(mt, profile)
+
+        stretches = accumulate_driving(mt, rests)
+        items = oracles.accumulate_driving_per_run(mt, rests)
+        assert per_run(mt, stretches) == items
+        violations = check_article7(stretches, mt, profile.id)
+        assert violations == oracles.check_article7_per_run(items, profile.id)
+        spans = daily_driving_spans(mt, rests, profile)
+        assert spans == oracles.daily_driving_spans(mt, rests, profile)
+
+        trace = SecondTrace.from_runs(mt.start_instant, [(a, m * 60) for a, m in mt.segments])
+        report = check_all(trace, profile.grid(), profile)
+        with monkeypatch.context() as patch:
+            patch.setattr(rules, "accumulate_driving", oracles.accumulate_driving_per_run)
+            patch.setattr(rules, "daily_driving_spans", oracles.daily_driving_spans)
+            patch.setattr(
+                rules,
+                "check_article7",
+                lambda items, mt, profile_id: oracles.check_article7_per_run(items, profile_id),
+            )
+            assert check_all(trace, profile.grid(), profile) == report
+
+        seen["resets"] += len(stretches) - 1
+        seen["split resets"] += sum(
+            1
+            for _, end in stretches[:-1]
+            if mt.counts[end] < min(FULL_BREAK_MIN_MINUTES, profile.daily_rest_threshold)
+        )
+        seen["article 7"] += len(violations)
+        seen["spans"] += len(spans)
+        if profile.weekly_gap is WeeklyGapSemantics.STRICT:
+            spirit = dataclasses.replace(profile, weekly_gap=WeeklyGapSemantics.SPIRIT)
+            seen["strict skips"] += len(daily_driving_spans(mt, rests, spirit)) - len(spans)
+        seen["8.6 judged"] += not any(x.startswith("article 8.6") for x in report.notices)
+    assert all(count > 200 for count in seen.values()), seen
 
 
 def _random_attribution_instance(rng: random.Random):

@@ -63,7 +63,7 @@ def test_period_instants():
 
 
 def _stream(mt, profile=SPIRIT):
-    return per_minute(accumulate_driving(mt, classify_rests(mt, profile)))
+    return per_minute(mt, accumulate_driving(mt, classify_rests(mt, profile)))
 
 
 def test_accumulator_simple_peak():

@@ -50,13 +50,13 @@ def pipeline(trace, profile=SPIRIT):
 def test_article7_interleaved_rests_stay_legal():
     trace = minutes_of(*([(D, 1), (R, 2), (D, 1)] * 135))
     mt, rests = pipeline(trace)
-    assert check_article7(accumulate_driving(mt, rests)) == []
+    assert check_article7(accumulate_driving(mt, rests), mt) == []
 
 
 def test_article7_one_minute_over():
     trace = minutes_of((D, 271))
     mt, rests = pipeline(trace)
-    violations = check_article7(accumulate_driving(mt, rests))
+    violations = check_article7(accumulate_driving(mt, rests), mt)
     assert len(violations) == 1
     assert violations[0].window_start == 270 * 60
     assert violations[0].window_end == 271 * 60
@@ -65,7 +65,7 @@ def test_article7_one_minute_over():
 def test_article7_split_break_window():
     trace = minutes_of((D, 260), (R, 15), (D, 20), (R, 30), (D, 200))
     mt, rests = pipeline(trace)
-    violations = check_article7(accumulate_driving(mt, rests))
+    violations = check_article7(accumulate_driving(mt, rests), mt)
     assert len(violations) == 1
     # accumulated driving minutes 271..280 fall in trace minutes 285..294
     assert violations[0].window_start == 285 * 60
@@ -75,8 +75,47 @@ def test_article7_split_break_window():
 def test_article7_two_separate_overruns():
     trace = minutes_of((D, 300), (R, 45), (D, 300))
     mt, rests = pipeline(trace)
-    violations = check_article7(accumulate_driving(mt, rests))
+    violations = check_article7(accumulate_driving(mt, rests), mt)
     assert len(violations) == 2
+
+
+def article7_windows(trace, profile=SPIRIT):
+    """(start minute, end minute, peak) of each Article 7 violation."""
+    mt, rests = pipeline(trace, profile)
+    return [
+        (v.window_start // 60, v.window_end // 60, int(v.detail.split()[3]))
+        for v in check_article7(accumulate_driving(mt, rests), mt)
+    ]
+
+
+def test_article7_limit_reached_at_a_run_boundary_opens_at_the_next_drive():
+    trace = minutes_of((D, 200), (R, 10), (D, 70), (O, 5), (R, 3), (D, 4))
+    assert article7_windows(trace) == [(288, 292, 274)]
+
+
+def test_article7_window_ends_with_the_last_drive_not_the_reset():
+    trace = minutes_of((D, 280), (O, 30), (R, 45), (D, 10))
+    assert article7_windows(trace) == [(270, 280, 280)]
+
+
+def test_article7_split_break_resets_across_other_work():
+    split = minutes_of((D, 200), (R, 15), (O, 20), (R, 30), (D, 200))
+    assert article7_windows(split) == []
+    second_part_too_short = minutes_of((D, 200), (R, 15), (O, 20), (R, 29), (D, 200))
+    assert article7_windows(second_part_too_short) == [(334, 464, 400)]
+
+
+def test_article7_thirty_minute_daily_rest_resets():
+    trace = minutes_of((D, 200), (R, 30), (D, 100))
+    # under the default threshold the 30 min rest is only a first split part
+    assert article7_windows(trace) == [(300, 330, 300)]
+    daily = dataclasses.replace(SPIRIT, id="short-daily", daily_rest_threshold=30)
+    assert article7_windows(trace, daily) == []
+
+
+def test_article7_trace_ending_over_the_limit():
+    trace = minutes_of((D, 100), (R, 10), (D, 200))
+    assert article7_windows(trace) == [(280, 310, 300)]
 
 
 def test_article7_monotone_under_added_rest():
@@ -88,13 +127,13 @@ def test_article7_monotone_under_added_rest():
         ]
         trace = minutes_of(*runs)
         mt, rests = pipeline(trace)
-        before = len(check_article7(accumulate_driving(mt, rests)))
+        before = len(check_article7(accumulate_driving(mt, rests), mt))
 
         position = rng.randint(0, len(runs))
         longer = runs[:position] + [(R, rng.randint(1, 60))] + runs[position:]
         trace2 = minutes_of(*longer)
         mt2, rests2 = pipeline(trace2)
-        after = len(check_article7(accumulate_driving(mt2, rests2)))
+        after = len(check_article7(accumulate_driving(mt2, rests2), mt2))
         assert after <= before
 
 
