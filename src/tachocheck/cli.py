@@ -35,7 +35,7 @@ def _load_leap_table(path: str | None):
 
 
 def _resolve_profile(spec: str) -> InterpretationProfile:
-    if Path(spec).exists():
+    if Path(spec).is_file():
         return load_profile(spec)
     builtins = builtin_profiles()
     if spec in builtins:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, islice, repeat
 from operator import floordiv, ge, is_, mul, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .timeline import (
     SECONDS_PER_MINUTE,
@@ -44,7 +44,6 @@ from .timeline import (
     SecondTrace,
     TimeGrid,
     TraceError,
-    columns_of,
     maximal_columns,
 )
 
@@ -59,7 +58,7 @@ class Rule51Semantics(Enum):
     FIXPOINT = "Fixpoint"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class MinuteTrace:
     """One activity label per complete calendar minute, held as label runs.
 
@@ -75,38 +74,17 @@ class MinuteTrace:
     grid: TimeGrid
     # first minute of each run (then the total) and driving minutes before it:
     # prefix sums that the segmentation and Article 7 read instead of the runs
-    _bounds: tuple[int, ...] = field(repr=False, compare=False)
-    _driving: tuple[int, ...] = field(repr=False, compare=False)
+    _bounds: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _driving: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __init__(
-        self, start_minute: int, segments: Iterable[tuple[Activity, int]], grid: TimeGrid
-    ) -> None:
-        self._set_columns(start_minute, *columns_of(segments), grid)
-
-    def _set_columns(
-        self, start_minute: int, activities: tuple, counts: tuple, grid: TimeGrid
-    ) -> None:
-        object.__setattr__(self, "start_minute", start_minute)
+    def __post_init__(self) -> None:
+        activities, counts = maximal_columns(self.activities, self.counts)
         object.__setattr__(self, "activities", activities)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "_bounds", tuple(accumulate(counts, initial=0)))
         # True * count is count: the driving runs' minutes, summed in C
         driven = map(mul, map(is_, activities, repeat(Activity.DRIVING)), counts)
         object.__setattr__(self, "_driving", tuple(accumulate(driven, initial=0)))
-
-    @classmethod
-    def from_columns(
-        cls,
-        start_minute: int,
-        activities: Sequence[Activity],
-        counts: Sequence[int],
-        grid: TimeGrid,
-    ) -> "MinuteTrace":
-        """The labels whose run `i` is `activities[i]` for `counts[i]` minutes."""
-        mt = cls.__new__(cls)
-        mt._set_columns(start_minute, *maximal_columns(activities, counts), grid)
-        return mt
 
     @property
     def segments(self) -> tuple[tuple[Activity, int], ...]:
@@ -134,7 +112,7 @@ class MinuteTrace:
     def to_records(self) -> str:
         """Serialize to the trace record format at 60-second granularity."""
         seconds = map(mul, self.counts, repeat(SECONDS_PER_MINUTE))
-        return SecondTrace.from_columns(self.start_instant, self.activities, seconds).to_records()
+        return SecondTrace(self.start_instant, self.activities, seconds).to_records()
 
 
 def _rule52_runs(trace: SecondTrace, grid: TimeGrid) -> tuple[int, Sequence, list[int]]:
@@ -239,7 +217,7 @@ def label_rule52(trace: SecondTrace, grid: TimeGrid) -> MinuteTrace:
     padded with invented data to be labeled.
     """
     first, activities, counts = _rule52_runs(trace, grid)
-    return MinuteTrace.from_columns(first, activities, counts, grid)
+    return MinuteTrace(first, activities, counts, grid)
 
 
 def _all_driving(trace: SecondTrace, grid: TimeGrid, minute: int) -> bool:
@@ -260,7 +238,7 @@ def label_minutes(
     first, activities, counts = _rule52_runs(trace, grid)
     if 1 not in counts:
         # only a one-minute run can be upgraded
-        return MinuteTrace.from_columns(first, activities, counts, grid)
+        return MinuteTrace(first, activities, counts, grid)
     # The upgrade judges first-layer labels and rewrites the list in place:
     # a candidate's neighbours are driving, so no rewrite touches another
     # candidate's neighbours. Fixpoint takes the NeighborRule52 path: see
@@ -277,4 +255,4 @@ def label_minutes(
             ):
                 activities[k] = driving
     # an upgraded run merges with its two driving neighbours
-    return MinuteTrace.from_columns(first, activities, counts, grid)
+    return MinuteTrace(first, activities, counts, grid)

@@ -626,7 +626,7 @@ def check_all(
     try:
         mt = label_minutes(trace, grid, profile.rule51)
     except TraceTooShortError:
-        mt = MinuteTrace(grid.first_full_minute(trace.start), (), grid)
+        mt = MinuteTrace(grid.first_full_minute(trace.start), (), (), grid)
         notices.append(
             "no minute labeled: trace covers no complete minute on grid offset "
             f"{grid.minute_offset_seconds}"

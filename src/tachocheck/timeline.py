@@ -45,26 +45,6 @@ class Activity(Enum):
 _ACTIVITY_BY_NAME = {act.value: act for act in Activity}
 
 
-def coalesce(runs: Iterable[tuple[Activity, int]]) -> tuple[tuple[Activity, int], ...]:
-    """Merge adjacent runs of the same activity; every length must be positive.
-
-    A run given as a tuple that merges with no neighbour is kept as it is, so
-    runs that are already maximal cost no new tuples.
-    """
-    merged: list[tuple[Activity, int]] = []
-    current = None
-    for run in runs:
-        activity, length = run
-        if length <= 0:
-            raise TraceError(f"run duration must be positive, got {length}")
-        if activity is current:
-            merged[-1] = (activity, merged[-1][1] + length)
-            continue
-        merged.append(run if type(run) is tuple else (activity, length))
-        current = activity
-    return tuple(merged)
-
-
 class WeekPolicy(Enum):
     LETTER = "Letter"
     SPIRIT = "Spirit"
@@ -132,26 +112,31 @@ def maximal_columns(
 ) -> tuple[tuple[Activity, ...], tuple[int, ...]]:
     """Parallel activity and length columns of maximal runs.
 
-    Every length must be positive. Columns in which no two neighbours
-    share an activity are returned as they are, found so by two C-level
-    scans; others are merged by `coalesce`.
+    Every length must be positive and the columns equally long. Columns in
+    which no two neighbours share an activity are returned as they are,
+    found so by two C-level scans; others are merged run by run.
     """
     activities, lengths = tuple(activities), tuple(lengths)
+    if len(activities) != len(lengths):
+        raise TraceError(f"{len(activities)} activities but {len(lengths)} lengths")
     if min(lengths, default=1) > 0 and not any(map(is_, activities[1:], activities)):
         return activities, lengths
-    merged = coalesce(zip(activities, lengths))
-    return tuple(map(itemgetter(0), merged)), tuple(map(itemgetter(1), merged))
+    merged_activities: list[Activity] = []
+    merged_lengths: list[int] = []
+    current = None
+    for activity, length in zip(activities, lengths):
+        if length <= 0:
+            raise TraceError(f"run duration must be positive, got {length}")
+        if activity is current:
+            merged_lengths[-1] += length
+        else:
+            merged_activities.append(activity)
+            merged_lengths.append(length)
+            current = activity
+    return tuple(merged_activities), tuple(merged_lengths)
 
 
-def columns_of(
-    runs: Iterable[tuple[Activity, int]]
-) -> tuple[tuple[Activity, ...], tuple[int, ...]]:
-    """`maximal_columns` of (activity, length) pairs."""
-    runs = tuple(runs)
-    return maximal_columns(map(itemgetter(0), runs), map(itemgetter(1), runs))
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SecondTrace:
     """Per-second activity from a given instant on, held as maximal runs.
 
@@ -165,33 +150,23 @@ class SecondTrace:
     start: int
     activities: tuple[Activity, ...]
     seconds: tuple[int, ...]
-    _ends: tuple[int, ...] = field(repr=False, compare=False)
-    _digest: str | None = field(default=None, repr=False, compare=False)
+    _ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __init__(self, start: int, segments: Iterable[tuple[Activity, int]]) -> None:
-        self._set_columns(start, *columns_of(segments))
-
-    def _set_columns(self, start: int, activities: tuple, seconds: tuple) -> None:
+    def __post_init__(self) -> None:
+        activities, seconds = maximal_columns(self.activities, self.seconds)
         if not seconds:
             raise TraceError("trace must cover at least one second")
-        object.__setattr__(self, "start", start)
         object.__setattr__(self, "activities", activities)
         object.__setattr__(self, "seconds", seconds)
-        ends = tuple(itertools.accumulate(seconds, initial=start))
+        ends = tuple(itertools.accumulate(seconds, initial=self.start))
         object.__setattr__(self, "_ends", ends[1:])
 
     @classmethod
     def from_runs(cls, start: int, runs: Iterable[tuple[Activity, int]]) -> "SecondTrace":
-        return cls(start, runs)
-
-    @classmethod
-    def from_columns(
-        cls, start: int, activities: Sequence[Activity], seconds: Sequence[int]
-    ) -> "SecondTrace":
-        """The trace whose run `i` is `activities[i]` for `seconds[i]` seconds."""
-        trace = cls.__new__(cls)
-        trace._set_columns(start, *maximal_columns(activities, seconds))
-        return trace
+        """The trace of (activity, seconds) pairs, in time order."""
+        runs = tuple(runs)
+        return cls(start, tuple(map(itemgetter(0), runs)), tuple(map(itemgetter(1), runs)))
 
     @property
     def segments(self) -> tuple[tuple[Activity, int], ...]:
@@ -226,8 +201,10 @@ class SecondTrace:
         verdict on an early week that changes when the trace is truncated."""
         if end <= self.start:
             raise TraceError("truncation would leave an empty trace")
-        head = [(a, min(n, end - start)) for a, start, n in self.runs() if start < end]
-        return SecondTrace(self.start, head)
+        end = min(end, self.end)
+        i = bisect.bisect_left(self._ends, end)  # the run holding second end - 1
+        kept = end - self._ends[i] + self.seconds[i]
+        return SecondTrace(self.start, self.activities[: i + 1], (*self.seconds[:i], kept))
 
     def _record_lines(self) -> Iterator[str]:
         # `_value_` is the plain attribute behind the slower `value` property
@@ -238,7 +215,7 @@ class SecondTrace:
         """SHA-256 of the canonical record text that `to_records` returns.
 
         It equals `sha256sum` of a trace file in that form, such as one
-        written by `demo --out`. Runs are coalesced, so equal traces get
+        written by `demo --out`. Runs are merged, so equal traces get
         equal digests, and the start is in the first line, so a shifted
         trace gets another. Computed on the first call and kept; the lines
         are hashed in batches, so the cost grows with the runs, not the
@@ -317,7 +294,7 @@ def _parse_canonical(text: str) -> SecondTrace | None:
         return None  # a gap or an overlap: the line parser words it
     activities = tuple(map(_ACTIVITY_BY_NAME.__getitem__, fields[1::3]))
     del fields  # the field strings outweigh the trace; free them first
-    return SecondTrace.from_columns(start, activities, durations)
+    return SecondTrace(start, activities, durations)
 
 
 def _parse_lines(text: str) -> SecondTrace:
@@ -368,7 +345,7 @@ def _parse_lines(text: str) -> SecondTrace:
         raise TraceParseError(
             f"gap of {start - expected} s before record starting at second {start}"
         )
-    return SecondTrace.from_columns(first, activities, durations)
+    return SecondTrace(first, activities, durations)
 
 
 def week_start(week: int, leap_table: Sequence[LeapSecond] = ()) -> int:
@@ -411,4 +388,4 @@ def shift_grid(trace: SecondTrace, offset: int) -> SecondTrace:
     grids whose origins differ, e.g. timestamps with and without accumulated
     leap seconds.
     """
-    return SecondTrace.from_columns(trace.start + offset, trace.activities, trace.seconds)
+    return SecondTrace(trace.start + offset, trace.activities, trace.seconds)

@@ -106,7 +106,7 @@ def parse_trace(data: bytes | str) -> SecondTrace:
                 f"gap of {start - expected} s before record starting at second {start}"
             )
         expected = start + duration
-    return SecondTrace(records[0][0], tuple((a, n) for _, a, n in records))
+    return SecondTrace.from_runs(records[0][0], tuple((a, n) for _, a, n in records))
 
 
 def coalesce(runs):

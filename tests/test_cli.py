@@ -70,6 +70,19 @@ def test_check_accepts_builtin_profile_names(all_rest_file, capsys):
     assert status == 0
 
 
+def test_a_directory_named_like_a_builtin_profile_does_not_shadow_it(
+    tmp_path, sandwich_file, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spirit").mkdir()
+    status = main(["check", str(sandwich_file), "--profile", "spirit"])
+    report = json.loads(capsys.readouterr().out)
+    assert status == 1 and report["profile"]["id"] == "spirit"
+    status = main(["diff", str(sandwich_file), "--profiles", "spirit", "letter"])
+    report = json.loads(capsys.readouterr().out)
+    assert status == 1 and report["divergent"] is True
+
+
 def test_check_grid_offset_flag_overrides_profile(tmp_path, capsys):
     from tachocheck.patterns import find_shift_divergent
 

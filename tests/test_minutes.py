@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -179,9 +180,17 @@ def test_minute_instants():
     assert mt.end_instant == 300
 
 
+def test_replacing_the_columns_of_a_minute_trace_recomputes_its_prefix_sums():
+    mt = label_minutes(minutes_of((D, 2), (R, 3), (D, 1)), GRID)
+    assert mt._bounds == (0, 2, 5, 6) and mt._driving == (0, 2, 2, 3)
+    swapped = dataclasses.replace(mt, activities=(R, D, D), counts=(4, 1, 2))
+    assert swapped == MinuteTrace(0, (R, D), (4, 3), GRID)
+    assert swapped._bounds == (0, 4, 7) and swapped._driving == (0, 0, 3)
+    assert len(swapped) == 7 and swapped.driving_minutes() == 3
+
+
 def test_one_labeling_builds_one_minute_trace(monkeypatch):
-    # each build sums the label runs' prefixes again; count every instance
-    # made, by whichever constructor
+    # each build sums the label runs' prefixes again; count every instance made
     built = []
 
     class CountedMinuteTrace(MinuteTrace):

@@ -46,7 +46,7 @@ from tachocheck.timeline import (
     SecondTrace,
     TimeGrid,
     TraceError,
-    coalesce,
+    maximal_columns,
     parse_trace,
     week_start,
 )
@@ -245,7 +245,7 @@ def _random_minute_trace(rng: random.Random) -> MinuteTrace:
             runs.append((R, rng.randint(lo, hi)))
         else:
             runs.append((O, rng.randint(1, 180)))
-    return MinuteTrace(rng.randint(-3000, 3000), runs, TimeGrid(rng.randrange(60)))
+    return MinuteTrace(rng.randint(-3000, 3000), *zip(*runs), TimeGrid(rng.randrange(60)))
 
 
 def test_stretches_spans_and_reports_match_the_per_run_code(monkeypatch):
@@ -651,9 +651,19 @@ def test_coalesce_matches_groupby_on_random_run_lists():
     for _ in range(500):
         kinds = rng.sample([D, R, O], rng.randint(1, 3))
         runs = [(rng.choice(kinds), rng.randint(1, 100)) for _ in range(rng.randint(0, 30))]
-        assert coalesce(runs) == oracles.coalesce(runs)
+        expected = oracles.coalesce(runs)
+        columns = (tuple(a for a, _ in runs), tuple(n for _, n in runs))
+        assert maximal_columns(*columns) == (
+            tuple(a for a, _ in expected),
+            tuple(n for _, n in expected),
+        )
+        if not runs:
+            with pytest.raises(TraceError, match="at least one second"):
+                SecondTrace.from_runs(0, runs)
+            continue
+        assert SecondTrace.from_runs(0, runs).segments == expected
         # runs given as lists still come out as tuples
-        assert coalesce(list(run) for run in runs) == oracles.coalesce(runs)
+        assert SecondTrace.from_runs(0, [list(run) for run in runs]).segments == expected
 
 
 def _random_run_list(rng: random.Random) -> list:
@@ -668,13 +678,13 @@ def _random_run_list(rng: random.Random) -> list:
 
 
 def _traces_of_runs(start: int, runs: list) -> dict[str, SecondTrace]:
-    """The trace of `runs` by every constructor and both parsers."""
+    """The trace of `runs` by the constructor, `from_runs` and both parsers."""
     text = oracles.to_records(start, runs)  # a record per run, merged or not
     return {
         "bulk parse": parse_trace(text),
         "line parse": parse_trace(text.replace("\n", "\r\n")),
         "from_runs": SecondTrace.from_runs(start, runs),
-        "from_columns": SecondTrace.from_columns(start, *zip(*runs)),
+        "columns": SecondTrace(start, *zip(*runs)),
     }
 
 
@@ -696,7 +706,7 @@ def test_column_traces_match_the_pair_construction_on_random_run_lists(monkeypat
         segments = oracles.coalesce(runs)
         merged += len(segments) < len(runs)
         records = oracles.to_records(start, segments)
-        reference = SecondTrace(start, segments)
+        reference = SecondTrace(start, *zip(*segments))
         for path, trace in _traces_of_runs(start, runs).items():
             assert trace.segments == segments, path
             assert (trace.activities, trace.seconds) == tuple(zip(*segments)), path
@@ -735,8 +745,8 @@ def test_labels_of_column_traces_match_the_oracles_where_upgrades_merge_runs():
             for semantics in Rule51Semantics:
                 mt = label_minutes(trace, grid, semantics)
                 first, expected = oracles.label_minutes(trace, grid, semantics)
-                # the pair construction: one (label, 1) pair per minute
-                reference = MinuteTrace(first, [(label, 1) for label in expected], grid)
+                # one run per minute, merged by the constructor
+                reference = MinuteTrace(first, expected, [1] * len(expected), grid)
                 assert mt == reference and hash(mt) == hash(reference)
                 assert labels(mt) == expected
                 assert mt.segments == oracles.coalesce((label, 1) for label in expected)
@@ -757,7 +767,7 @@ def test_article82_matches_the_all_rests_scan_on_random_layouts():
             start = rng.randrange(horizon)
             end = min(horizon, start + rng.choice([1, 15, rng.randint(1, 1800)]))
             rests.append(Period(rng.choice(kinds), start * 60, end * 60))
-        mt = MinuteTrace(0, ((R, horizon),), TimeGrid())
+        mt = MinuteTrace(0, (R,), (horizon,), TimeGrid())
         assert check_article82(rests, mt, profile) == oracles.check_article82(
             rests, mt, profile
         )

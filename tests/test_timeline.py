@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -19,7 +20,7 @@ from tachocheck.timeline import (
     TraceParseError,
     WeekPolicy,
     WeekUndefinedError,
-    coalesce,
+    maximal_columns,
     parse_leap_table,
     parse_trace,
     shift_grid,
@@ -303,8 +304,22 @@ def test_truncated():
     trace = minutes_of((D, 3), (R, 2))
     cut = trace.truncated(60)
     assert cut.duration == 60
+    # a cut at a run boundary keeps the whole run before it
+    assert trace.truncated(180) == minutes_of((D, 3))
     with pytest.raises(TraceError):
         trace.truncated(0)
+
+
+def test_truncated_keeps_the_seconds_before_the_cut():
+    rng = random.Random(7)
+    for _ in range(300):
+        runs = [(rng.choice([D, R, O]), rng.randint(1, 90)) for _ in range(rng.randint(1, 12))]
+        trace = trace_of(*runs, start=rng.randint(-100, 100))
+        # cuts inside, at the edges of and beyond the runs
+        end = trace.start + rng.randint(1, trace.duration + 10)
+        cut = trace.truncated(end)
+        assert samples(cut) == samples(trace)[: end - trace.start]
+        assert cut.start == trace.start and cut.digest() == _sha256_of_records(cut)
 
 
 def test_grid_validation():
@@ -328,8 +343,9 @@ def test_copies_of_a_digested_trace_get_their_own_digest():
     copies = (
         shift_grid(trace, 7),
         trace.truncated(trace.start + 100),
-        SecondTrace(5, trace.segments),
-        SecondTrace.from_columns(trace.start, (O,), (300,)),
+        SecondTrace.from_runs(5, trace.segments),
+        SecondTrace(trace.start, (O,), (300,)),
+        dataclasses.replace(trace, start=5),
     )
     for copy in copies:
         assert copy.digest() == _sha256_of_records(copy)
@@ -347,16 +363,23 @@ def test_digesting_one_of_two_equal_traces_keeps_them_equal():
 
 def test_coalesce_rejects_a_non_positive_length_on_every_run():
     with pytest.raises(TraceError):
-        coalesce([(D, 5), (D, 0)])
+        maximal_columns((D, D), (5, 0))
     with pytest.raises(TraceError):
-        SecondTrace(0, ((D, 5), (D, -1)))
+        SecondTrace.from_runs(0, ((D, 5), (D, -1)))
 
 
 def test_every_constructor_rejects_a_non_positive_length_between_other_activities():
     for length in (0, -1):
         with pytest.raises(TraceError, match="positive"):
-            SecondTrace(0, ((D, 5), (R, length), (D, 5)))
+            SecondTrace(0, (D, R, D), (5, length, 5))
         with pytest.raises(TraceError, match="positive"):
-            SecondTrace.from_columns(0, (D, R, D), (5, length, 5))
+            SecondTrace.from_runs(0, ((D, 5), (R, length), (D, 5)))
         with pytest.raises(TraceError, match="positive"):
-            MinuteTrace(0, ((D, 5), (R, length)), TimeGrid())
+            MinuteTrace(0, (D, R), (5, length), TimeGrid())
+
+
+def test_every_constructor_rejects_columns_of_unequal_length():
+    with pytest.raises(TraceError, match="2 activities but 1 lengths"):
+        SecondTrace(0, (D, R), (5,))
+    with pytest.raises(TraceError, match="1 activities but 2 lengths"):
+        MinuteTrace(0, (D,), (5, 5), TimeGrid())
