@@ -18,8 +18,6 @@ from .timeline import (
 from .minutes import MinuteTrace, Rule51Semantics, label_minutes, label_rule52
 from .periods import (
     DailyDrivingSpan,
-    Period,
-    PeriodKind,
     accumulate_driving,
     classify_rests,
     daily_driving_spans,

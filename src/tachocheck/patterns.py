@@ -127,10 +127,10 @@ def find_shift_divergent(
     illegal_mt = label_minutes(trace, TimeGrid(drive_offset % SECONDS_PER_MINUTE))
     profile = builtin_profiles()["spirit"]
     legal = check_article7(
-        accumulate_driving(legal_mt, classify_rests(legal_mt, profile)), legal_mt
+        accumulate_driving(legal_mt, classify_rests(legal_mt), profile), legal_mt
     )
     illegal = check_article7(
-        accumulate_driving(illegal_mt, classify_rests(illegal_mt, profile)), illegal_mt
+        accumulate_driving(illegal_mt, classify_rests(illegal_mt), profile), illegal_mt
     )
     if legal or not illegal or not is_shift_divergent(trace, offsets):
         raise PatternNotFoundError(

@@ -1,11 +1,21 @@
-"""Segmentation of a minute trace into breaks, rests and driving periods."""
+"""Segmentation of a minute trace into breaks, rests and driving periods.
+
+A rest is the index of its label run in the `MinuteTrace`. Its kind is a
+comparison of the run's minutes, `mt.counts[i]`: a break from 15 minutes
+on, a rest period (daily or weekly) from the profile's
+`daily_rest_threshold` on, a weekly rest from 1440 minutes on, and a
+regular weekly rest from 2700 minutes on. The threshold lies in [15, 1440],
+so every rest period is a break and every weekly rest a rest period. A span
+of rest has exactly one kind: a rest long enough to be a weekly rest is a
+weekly rest, not simultaneously a daily rest.
+"""
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from enum import Enum
-from typing import Optional, Sequence
+from itertools import compress, repeat
+from operator import is_
+from typing import Sequence
 
 from .minutes import MinuteTrace
 from .profiles import InterpretationProfile, WeeklyGapSemantics
@@ -19,36 +29,6 @@ REDUCED_WEEKLY_MIN_MINUTES = 24 * 60
 REGULAR_WEEKLY_MIN_MINUTES = 45 * 60
 
 
-class PeriodKind(Enum):
-    BREAK = "Break"
-    DAILY_REST = "DailyRest"
-    WEEKLY_REST_REDUCED = "WeeklyRestReduced"
-    WEEKLY_REST_REGULAR = "WeeklyRestRegular"
-
-
-REST_PERIOD_KINDS = frozenset(
-    {PeriodKind.DAILY_REST, PeriodKind.WEEKLY_REST_REDUCED, PeriodKind.WEEKLY_REST_REGULAR}
-)
-WEEKLY_REST_KINDS = frozenset(
-    {PeriodKind.WEEKLY_REST_REDUCED, PeriodKind.WEEKLY_REST_REGULAR}
-)
-
-
-@dataclass(frozen=True)
-class Period:
-    kind: PeriodKind
-    start: int
-    end: int
-
-    def __post_init__(self) -> None:
-        if self.start >= self.end:
-            raise ValueError(f"period must have positive duration: {self}")
-
-    @property
-    def minutes(self) -> int:
-        return (self.end - self.start) // SECONDS_PER_MINUTE
-
-
 @dataclass(frozen=True)
 class DailyDrivingSpan:
     """A driving accumulation between two bounding rests (or trace edges)."""
@@ -56,39 +36,22 @@ class DailyDrivingSpan:
     start: int
     end: int
     driving_minutes: int
-    bounding_rests: tuple[Optional[Period], Optional[Period]]  # None = trace edge
 
 
-def classify_rests(mt: MinuteTrace, profile: InterpretationProfile) -> list[Period]:
-    """Classify every maximal rest run by duration.
+def classify_rests(mt: MinuteTrace) -> list[int]:
+    """The indices of the rest runs of at least 15 minutes, in time order.
 
-    A span of rest has exactly one kind: a rest long enough to be a weekly
-    rest is a weekly rest, not simultaneously a daily rest. Runs under
-    15 minutes are not even breaks and are not returned.
+    Shorter rest runs are not even breaks. The later stages read each
+    rest's kind from its minutes; see the module docstring.
     """
-    periods = []
-    rest = Activity.REST  # a local: enum attribute lookups are slow
-    end = mt.start_instant
-    for activity, count in zip(mt.activities, mt.counts):
-        start = end
-        end += count * SECONDS_PER_MINUTE
-        if activity is not rest:
-            continue
-        if count >= REGULAR_WEEKLY_MIN_MINUTES:
-            kind = PeriodKind.WEEKLY_REST_REGULAR
-        elif count >= REDUCED_WEEKLY_MIN_MINUTES:
-            kind = PeriodKind.WEEKLY_REST_REDUCED
-        elif count >= profile.daily_rest_threshold:
-            kind = PeriodKind.DAILY_REST
-        elif count >= BREAK_MIN_MINUTES:
-            kind = PeriodKind.BREAK
-        else:
-            continue
-        periods.append(Period(kind, start, end))
-    return periods
+    counts = mt.counts
+    rest = map(is_, mt.activities, repeat(Activity.REST))
+    return [i for i in compress(range(len(counts)), rest) if counts[i] >= BREAK_MIN_MINUTES]
 
 
-def accumulate_driving(mt: MinuteTrace, rests: Sequence[Period]) -> list[tuple[int, int]]:
+def accumulate_driving(
+    mt: MinuteTrace, rests: Sequence[int], profile: InterpretationProfile
+) -> list[tuple[int, int]]:
     """The stretches of label runs between resets of the break accumulator.
 
     Each item `(first, end)` holds the runs `first` to `end - 1`, over
@@ -103,38 +66,29 @@ def accumulate_driving(mt: MinuteTrace, rests: Sequence[Period]) -> list[tuple[i
     (>= 30 min) of a split break whose first part (>= 15 min) is still
     pending. The first split part alone never resets, and other work
     neither accumulates driving nor counts toward any break. `rests` are
-    `classify_rests(mt, ...)`, in time order; only they are walked, never
-    the label runs.
+    `classify_rests(mt)`; only they are walked, never the label runs.
     """
-    bounds = mt._bounds
-    origin = mt.start_instant
-    brk = PeriodKind.BREAK  # a local: enum attribute lookups are slow
-    full_break = FULL_BREAK_MIN_MINUTES * SECONDS_PER_MINUTE
-    second_part = SPLIT_SECOND_MIN_MINUTES * SECONDS_PER_MINUTE
+    counts = mt.counts
+    # a rest period, or a break long enough to stand alone
+    reset = min(FULL_BREAK_MIN_MINUTES, profile.daily_rest_threshold)
     stretches = []
     first = 0
     pending_first_part = False
-    for period in rests:
-        seconds = period.end - period.start
-        if (
-            period.kind is not brk
-            or seconds >= full_break
-            or (pending_first_part and seconds >= second_part)
-        ):
-            minute = (period.start - origin) // SECONDS_PER_MINUTE
-            end = bisect.bisect_left(bounds, minute, first)
-            stretches.append((first, end))
-            first = end + 1
+    for i in rests:
+        minutes = counts[i]
+        if minutes >= reset or (pending_first_part and minutes >= SPLIT_SECOND_MIN_MINUTES):
+            stretches.append((first, i))
+            first = i + 1
             pending_first_part = False
         else:  # any break lasts the first split part's 15 minutes
             pending_first_part = True
-    stretches.append((first, len(mt.counts)))
+    stretches.append((first, len(counts)))
     return stretches
 
 
 def daily_driving_spans(
     mt: MinuteTrace,
-    rests: Sequence[Period],
+    rests: Sequence[int],
     profile: InterpretationProfile,
 ) -> list[DailyDrivingSpan]:
     """Driving accumulations delimited by daily/weekly rests.
@@ -144,41 +98,38 @@ def daily_driving_spans(
     edge counts as a rest boundary, driving before the first rest and after
     the last one is covered too; the edge behaves like a daily (not weekly)
     rest for the Strict rule. Stretches without any driving yield no span.
-    `rests` are `classify_rests(mt, ...)`, in time order. A span's driving
-    minutes are the difference of the driving prefix sums at the runs
-    bounding it, so a span costs one bisection whatever runs it holds.
+    `rests` are `classify_rests(mt)`. A span's driving minutes are the
+    difference of the driving prefix sums at the runs bounding it, so a span
+    costs the same whatever runs it holds.
     """
-    bounds, driving = mt._bounds, mt._driving
+    counts, bounds, driving = mt.counts, mt._bounds, mt._driving
     origin = mt.start_instant
-    brk = PeriodKind.BREAK
+    threshold = profile.daily_rest_threshold
     strict = profile.weekly_gap is WeeklyGapSemantics.STRICT
     edge = profile.trace_edge_is_rest
     spans = []
-    # The left bound: its period (None for the trace edge), its end and the
-    # run after it. Before the first rest there is one only at a rest edge.
-    left: Optional[Period] = None
-    start, after = origin, 0
+    # The left bound: the run after it and whether it is a weekly rest (the
+    # trace edge is not). Before the first rest there is one only at an edge.
+    after, left_weekly = 0, False
     have_left = edge
-    for period in rests:
-        if period.kind is brk:
+    for i in rests:
+        minutes = counts[i]
+        if minutes < threshold:
             continue
-        minute = (period.start - origin) // SECONDS_PER_MINUTE
-        run = bisect.bisect_left(bounds, minute, after)
-        minutes = driving[run] - driving[after]
-        if (
-            have_left
-            and minutes
-            and not (
-                strict
-                and left is not None
-                and left.kind in WEEKLY_REST_KINDS
-                and period.kind in WEEKLY_REST_KINDS
+        weekly = minutes >= REDUCED_WEEKLY_MIN_MINUTES
+        driven = driving[i] - driving[after]
+        if have_left and driven and not (strict and left_weekly and weekly):
+            spans.append(
+                DailyDrivingSpan(
+                    origin + bounds[after] * SECONDS_PER_MINUTE,
+                    origin + bounds[i] * SECONDS_PER_MINUTE,
+                    driven,
+                )
             )
-        ):
-            spans.append(DailyDrivingSpan(start, period.start, minutes, (left, period)))
-        left, start, after, have_left = period, period.end, run + 1, True
+        after, left_weekly, have_left = i + 1, weekly, True
     if edge:
-        minutes = driving[-1] - driving[after]
-        if minutes:
-            spans.append(DailyDrivingSpan(start, mt.end_instant, minutes, (left, None)))
+        driven = driving[-1] - driving[after]
+        if driven:
+            start = origin + bounds[after] * SECONDS_PER_MINUTE
+            spans.append(DailyDrivingSpan(start, mt.end_instant, driven))
     return spans

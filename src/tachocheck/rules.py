@@ -32,9 +32,7 @@ from .minutes import MinuteTrace, TraceTooShortError, label_minutes
 from .periods import (
     REDUCED_WEEKLY_MIN_MINUTES,
     REGULAR_WEEKLY_MIN_MINUTES,
-    REST_PERIOD_KINDS,
     DailyDrivingSpan,
-    Period,
     accumulate_driving,
     classify_rests,
     daily_driving_spans,
@@ -257,7 +255,7 @@ def _minimize_extension_violations(fixed, crossing):
 
 
 def check_article82(
-    rests: Sequence[Period],
+    rests: Sequence[int],
     mt: MinuteTrace,
     profile: InterpretationProfile,
 ) -> list[Violation]:
@@ -266,29 +264,34 @@ def check_article82(
     A rest of at least the daily threshold completes when its first
     threshold-many minutes have elapsed, so a long rest starting late in the
     window still counts as long as enough of it fits. Windows running past
-    the end of the trace are not judged.
+    the end of the trace are not judged. `rests` are `classify_rests(mt)`.
+
+    Rest runs are disjoint and in time order, so the rest period that
+    completes first after rest period k ends is rest period k + 1: every
+    later one starts after it, and all complete the same threshold-many
+    minutes after they start. So each rest period is judged against the
+    next one alone.
     """
-    rest_periods = sorted(
-        (p for p in rests if p.kind in REST_PERIOD_KINDS), key=lambda p: p.start
-    )
-    starts = [p.start for p in rest_periods]
-    threshold_seconds = profile.daily_rest_threshold * SECONDS_PER_MINUTE
+    counts, bounds = mt.counts, mt._bounds
+    origin, horizon = mt.start_instant, mt.end_instant
+    threshold = profile.daily_rest_threshold
+    periods = [i for i in rests if counts[i] >= threshold]
     violations = []
-    for period in rest_periods:
-        deadline = period.end + NEW_REST_WINDOW_SECONDS
-        if deadline > mt.end_instant:
+    for i, following in zip(periods, [*periods[1:], None]):
+        end = origin + bounds[i + 1] * SECONDS_PER_MINUTE
+        deadline = end + NEW_REST_WINDOW_SECONDS
+        if deadline > horizon:
             continue
-        # the earliest rest starting after this one ends completes first
-        i = bisect.bisect_left(starts, period.end)
-        satisfied = i < len(starts) and starts[i] + threshold_seconds <= deadline
-        if not satisfied:
+        if following is None or (
+            origin + (bounds[following] + threshold) * SECONDS_PER_MINUTE > deadline
+        ):
             violations.append(
                 Violation(
                     "8.2",
-                    period.end,
+                    end,
                     deadline,
                     "no new daily rest completed within 24 hours of the end of "
-                    f"the rest finishing at second {period.end}",
+                    f"the rest finishing at second {end}",
                     profile.id,
                 )
             )
@@ -297,24 +300,25 @@ def check_article82(
 
 def solve_weekly_rests(
     scope_weeks: Sequence[int],
-    rests: Sequence[Period],
+    mt: MinuteTrace,
+    rests: Sequence[int],
     profile: InterpretationProfile,
     leap_table: Sequence[LeapSecond] = (),
     waived: frozenset[int] = frozenset(),
 ) -> Optional[dict]:
     """Exact feasibility check for Articles 8.6/8.9 over the given weeks.
 
-    Model: a rest run of at least 1440 minutes may be counted as the weekly
-    rest of at most one non-waived week it overlaps. It keeps at most 2700
-    of its minutes, less the compensation it hosts: regular at 2700,
-    reduced below. Each reduction (2700 minus the minutes kept) is paid by
-    one contiguous block in a later run. A run's blocks tile it from its
-    start in deadline order, each completing before the end of the third
-    week after the reduced week. A counted host keeps 1440 minutes; with
-    `attached_compensation` an uncounted host keeps the daily-rest
-    threshold. Every pair of consecutive non-waived weeks needs two counted
-    rests, one of them regular. The scope must be consecutive weeks in
-    ascending order; any other scope raises ValueError.
+    `rests` are `classify_rests(mt)`. Model: a rest run of at least 1440
+    minutes may be counted as the weekly rest of at most one non-waived week
+    it overlaps. It keeps at most 2700 of its minutes, less the compensation
+    it hosts: regular at 2700, reduced below. Each reduction (2700 minus the
+    minutes kept) is paid by one contiguous block in a later run. A run's
+    blocks tile it from its start in deadline order, each completing before
+    the end of the third week after the reduced week. A counted host keeps
+    1440 minutes; with `attached_compensation` an uncounted host keeps the
+    daily-rest threshold. Every pair of consecutive non-waived weeks needs
+    two counted rests, one of them regular. The scope must be consecutive
+    weeks in ascending order; any other scope raises ValueError.
 
     Prepares a `WeeklyRestProblem` and solves it once; `check_article86`
     prepares once per check and solves once per waiver it probes.
@@ -322,7 +326,7 @@ def solve_weekly_rests(
     Returns a witness dict when an assignment satisfying every pair of
     consecutive non-waived weeks exists, else None.
     """
-    problem = WeeklyRestProblem(scope_weeks, rests, profile, leap_table)
+    problem = WeeklyRestProblem(scope_weeks, mt, rests, profile, leap_table)
     solution = problem.solve(waived)
     return None if solution is None else problem.witness(solution)
 
@@ -330,9 +334,9 @@ def solve_weekly_rests(
 class WeeklyRestProblem:
     """The inputs of the Article 8.6 search, prepared once per check.
 
-    The preparation sorts the rest runs and reads each run's start, its
-    minutes and its candidate weeks: the scope weeks it overlaps, for runs
-    of at least 1440 minutes. It computes each scope week's compensation
+    The preparation reads each rest run's start, its minutes and its
+    candidate weeks: the scope weeks it overlaps, for runs of at least 1440
+    minutes. It computes each scope week's compensation
     deadline. A pair of consecutive weeks is judged at the last run that
     could count for either week; pairs that no run can serve are kept
     apart. For each index it also keeps the next candidate run. `solve`
@@ -342,16 +346,17 @@ class WeeklyRestProblem:
     def __init__(
         self,
         scope_weeks: Sequence[int],
-        rests: Sequence[Period],
+        mt: MinuteTrace,
+        rests: Sequence[int],
         profile: InterpretationProfile,
         leap_table: Sequence[LeapSecond] = (),
     ) -> None:
         scope = list(scope_weeks)
         if any(b != a + 1 for a, b in zip(scope, scope[1:])):
             raise ValueError(f"Article 8.6 scope must be consecutive weeks, got {scope}")
-        self.runs = sorted(rests, key=lambda p: p.start)
-        self.starts = [run.start for run in self.runs]
-        self.minutes = [run.minutes for run in self.runs]
+        origin, bounds = mt.start_instant, mt._bounds
+        self.starts = [origin + bounds[i] * SECONDS_PER_MINUTE for i in rests]
+        self.minutes = [mt.counts[i] for i in rests]
         self.deadlines = {
             w: week_start(w + COMPENSATION_WINDOW_WEEKS + 1, leap_table) for w in scope
         }
@@ -364,10 +369,13 @@ class WeeklyRestProblem:
 
         first, last = (scope[0], scope[-1]) if scope else (0, -1)
         self.candidates = [
-            range(max(first, week_at(run.start)), min(last, week_at(run.end - 1)) + 1)
+            range(
+                max(first, week_at(start)),
+                min(last, week_at(start + minutes * SECONDS_PER_MINUTE - 1)) + 1,
+            )
             if minutes >= REDUCED_WEEKLY_MIN_MINUTES
             else range(0)
-            for run, minutes in zip(self.runs, self.minutes)
+            for start, minutes in zip(self.starts, self.minutes)
         ]
         last_candidate = {w: i for i, weeks in enumerate(self.candidates) for w in weeks}
         self.pairs = frozenset(range(first, last))  # by first week
@@ -379,7 +387,7 @@ class WeeklyRestProblem:
                 self.unservable.append(pair)
             else:
                 self.judged_at.setdefault(judge, []).append(pair)
-        n = len(self.runs)
+        n = len(self.starts)
         self.next_candidate = [n] * (n + 1)  # the first candidate run from an index on
         for i in range(n - 1, -1, -1):
             self.next_candidate[i] = i if self.candidates[i] else self.next_candidate[i + 1]
@@ -406,7 +414,7 @@ class WeeklyRestProblem:
             return None
         deadlines = self.deadlines
         uncounted_reserve = self.uncounted_reserve
-        n = len(self.runs)
+        n = len(self.starts)
         states = [((), ())]  # (open debts, pair tallies)
         smallest_debt = math.inf
         trail = []  # (run index, {state: (previous state, counted week, hosted debts)})
@@ -461,9 +469,10 @@ class WeeklyRestProblem:
         choices = []
         for i, step in reversed(trail):
             state, week, hosted = step[state]
-            choices.append((self.runs[i], week, hosted))
+            choices.append((i, week, hosted))
         assignments, compensations, owed = [], [], []  # owed: (week, minutes, debtor start)
-        for run, week, hosted in reversed(choices):
+        for i, week, hosted in reversed(choices):
+            start, minutes = self.starts[i], self.minutes[i]
             for debt in hosted:
                 debtor = next(o for o in owed if o[:2] == debt)
                 owed.remove(debtor)
@@ -472,19 +481,19 @@ class WeeklyRestProblem:
                         "week": debt[0],
                         "minutes": debt[1],
                         "debtor_start": debtor[2],
-                        "donor_start": run.start,
+                        "donor_start": start,
                         "deadline": self.deadlines[debt[0]],
                     }
                 )
             if week is not None:
-                counted = min(REGULAR_WEEKLY_MIN_MINUTES, run.minutes - sum(m for _, m in hosted))
+                counted = min(REGULAR_WEEKLY_MIN_MINUTES, minutes - sum(m for _, m in hosted))
                 if counted < REGULAR_WEEKLY_MIN_MINUTES:
-                    owed.append((week, REGULAR_WEEKLY_MIN_MINUTES - counted, run.start))
+                    owed.append((week, REGULAR_WEEKLY_MIN_MINUTES - counted, start))
                 assignments.append(
                     {
                         "week": week,
-                        "run_start": run.start,
-                        "run_minutes": run.minutes,
+                        "run_start": start,
+                        "run_minutes": minutes,
                         "counted_minutes": counted,
                         "role": "regular" if counted >= REGULAR_WEEKLY_MIN_MINUTES else "reduced",
                     }
@@ -536,7 +545,8 @@ def _dominates(a: tuple, b: tuple) -> bool:
 
 def check_article86(
     weeks: Sequence[int],
-    rests: Sequence[Period],
+    mt: MinuteTrace,
+    rests: Sequence[int],
     profile: InterpretationProfile,
     leap_table: Sequence[LeapSecond] = (),
 ) -> list[Violation]:
@@ -549,7 +559,7 @@ def check_article86(
     weeks this costs about log2(n) solves plus log2(j) scans of the weeks
     from scope[j - 1] on, where scope[:j] is the shortest waived prefix
     that restores feasibility: O(log n) solves when j is near n. The rests
-    are prepared once per check (sorted, measured, their candidate weeks,
+    are prepared once per check (their starts, minutes and candidate weeks,
     deadlines and judged pairs found); each solve then costs the candidate
     runs plus the runs it visits while a compensation debt is open. A scope
     that is not consecutive weeks raises ValueError.
@@ -558,7 +568,7 @@ def check_article86(
     if len(scope) < 2:
         return []
     # the prepared rests are freed before the violations are built
-    blamed = _blamed_weeks(scope, WeeklyRestProblem(scope, rests, profile, leap_table))
+    blamed = _blamed_weeks(scope, WeeklyRestProblem(scope, mt, rests, profile, leap_table))
     return [
         Violation(
             "8.6",
@@ -631,8 +641,8 @@ def check_all(
             "no minute labeled: trace covers no complete minute on grid offset "
             f"{grid.minute_offset_seconds}"
         )
-    rests = classify_rests(mt, profile)
-    stretches = accumulate_driving(mt, rests)
+    rests = classify_rests(mt)
+    stretches = accumulate_driving(mt, rests, profile)
     spans = daily_driving_spans(mt, rests, profile)
 
     violations = []
@@ -646,13 +656,13 @@ def check_all(
             "article 8.6 skipped: trace covers fewer than two complete weeks"
         )
     else:
-        violations += check_article86(scope, rests, profile, leap_table)
+        violations += check_article86(scope, mt, rests, profile, leap_table)
 
     violations.sort(key=Violation.sort_key)
     statistics = {
         "total_driving_minutes": mt.driving_minutes(),
         "daily_driving_spans": len(spans),
-        "rest_periods": sum(1 for p in rests if p.kind in REST_PERIOD_KINDS),
+        "rest_periods": sum(mt.counts[i] >= profile.daily_rest_threshold for i in rests),
     }
     return Report(
         trace_digest=trace.digest(),

@@ -3,7 +3,8 @@
 They parse records in two loops (fields first, contiguity second), merge
 runs with `itertools.groupby`, walk a trace's runs and write its records
 from (activity, seconds) pairs, label one activity code per
-second, accumulate one sample per minute or one item per label run, count
+second, classify each rest run as a `Period` of one kind, accumulate one
+sample per minute or one item per label run, count
 the driving of each daily span between its instants, look for the next
 daily rest of Article 8.2 among all rests, attribute Article 6.1 extensions by
 brute-force search, decide Article 8.6 by backtracking over every
@@ -19,20 +20,19 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
+from enum import Enum
 from typing import Optional, Sequence
 
 from conftest import ACTIVITY_BY_CODE, CODE, samples
-from tachocheck.minutes import Rule51Semantics, TraceTooShortError
+from tachocheck.minutes import MinuteTrace, Rule51Semantics, TraceTooShortError
 from tachocheck.periods import (
+    BREAK_MIN_MINUTES,
     FULL_BREAK_MIN_MINUTES,
     REDUCED_WEEKLY_MIN_MINUTES,
     REGULAR_WEEKLY_MIN_MINUTES,
-    REST_PERIOD_KINDS,
     SPLIT_FIRST_MIN_MINUTES,
     SPLIT_SECOND_MIN_MINUTES,
-    WEEKLY_REST_KINDS,
     DailyDrivingSpan,
-    Period,
 )
 from tachocheck import rules
 from tachocheck.profiles import InterpretationProfile, WeeklyGapSemantics
@@ -54,6 +54,65 @@ from tachocheck.timeline import (
     TraceParseError,
     week_start,
 )
+
+
+class PeriodKind(Enum):
+    BREAK = "Break"
+    DAILY_REST = "DailyRest"
+    WEEKLY_REST_REDUCED = "WeeklyRestReduced"
+    WEEKLY_REST_REGULAR = "WeeklyRestRegular"
+
+
+REST_PERIOD_KINDS = frozenset(
+    {PeriodKind.DAILY_REST, PeriodKind.WEEKLY_REST_REDUCED, PeriodKind.WEEKLY_REST_REGULAR}
+)
+WEEKLY_REST_KINDS = frozenset(
+    {PeriodKind.WEEKLY_REST_REDUCED, PeriodKind.WEEKLY_REST_REGULAR}
+)
+
+
+@dataclass(frozen=True)
+class Period:
+    kind: PeriodKind
+    start: int
+    end: int
+
+    def __post_init__(self) -> None:
+        if self.start >= self.end:
+            raise ValueError(f"period must have positive duration: {self}")
+
+    @property
+    def minutes(self) -> int:
+        return (self.end - self.start) // SECONDS_PER_MINUTE
+
+
+def classify_rests(mt: MinuteTrace, profile: InterpretationProfile) -> list[Period]:
+    """Classify every maximal rest run by duration.
+
+    A span of rest has exactly one kind: a rest long enough to be a weekly
+    rest is a weekly rest, not simultaneously a daily rest. Runs under
+    15 minutes are not even breaks and are not returned.
+    """
+    periods = []
+    rest = Activity.REST  # a local: enum attribute lookups are slow
+    end = mt.start_instant
+    for activity, count in zip(mt.activities, mt.counts):
+        start = end
+        end += count * SECONDS_PER_MINUTE
+        if activity is not rest:
+            continue
+        if count >= REGULAR_WEEKLY_MIN_MINUTES:
+            kind = PeriodKind.WEEKLY_REST_REGULAR
+        elif count >= REDUCED_WEEKLY_MIN_MINUTES:
+            kind = PeriodKind.WEEKLY_REST_REDUCED
+        elif count >= profile.daily_rest_threshold:
+            kind = PeriodKind.DAILY_REST
+        elif count >= BREAK_MIN_MINUTES:
+            kind = PeriodKind.BREAK
+        else:
+            continue
+        periods.append(Period(kind, start, end))
+    return periods
 
 
 def parse_trace(data: bytes | str) -> SecondTrace:
@@ -264,7 +323,7 @@ def accumulate_driving_per_run(mt, rests):
 
     Items are (start instant, minutes, accumulated before, accumulated
     after), the resets those of `periods.accumulate_driving`, found by
-    walking every label run.
+    walking every label run. `rests` are `classify_rests(mt, profile)`.
     """
     rest_period_ends = {p.end for p in rests if p.kind in REST_PERIOD_KINDS}
     items = []
@@ -356,7 +415,7 @@ def daily_driving_spans(mt, rests, profile):
         driving = driving_between(mt, start, end)
         if driving == 0:
             continue
-        spans.append(DailyDrivingSpan(start, end, driving, (left_period, right_period)))
+        spans.append(DailyDrivingSpan(start, end, driving))
     return spans
 
 
@@ -609,13 +668,15 @@ def solve_weekly_rests(
 
 def check_article86(
     weeks: Sequence[int],
-    rests: Sequence[Period],
+    mt: MinuteTrace,
+    rests: Sequence[int],
     profile: InterpretationProfile,
     leap_table: Sequence[LeapSecond] = (),
 ) -> list[Violation]:
     """Blame by rounds: each round waives the earliest week whose waiver
     restores feasibility, else the earliest week not yet waived, and reruns
-    the engine's solver for every candidate week, O(weeks^2) solves."""
+    the engine's solver for every candidate week, O(weeks^2) solves.
+    `rests` are the engine's `classify_rests(mt)`."""
     scope = list(weeks)
     if len(scope) < 2:
         return []
@@ -625,7 +686,7 @@ def check_article86(
     def feasible(extra: Sequence[int]) -> bool:
         return (
             rules.solve_weekly_rests(
-                scope, rests, profile, leap_table, frozenset(waived) | frozenset(extra)
+                scope, mt, rests, profile, leap_table, frozenset(waived) | frozenset(extra)
             )
             is not None
         )

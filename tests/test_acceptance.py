@@ -58,8 +58,7 @@ def test_criterion_02_interleaved_micro_rests_stay_exactly_legal():
     start = time.perf_counter()
     trace = gen_pattern(135, 60, 120)
     mt = label_minutes(trace, GRID)
-    rests = classify_rests(mt, PROFILES["spirit"])
-    stream = per_minute(mt, accumulate_driving(mt, rests))
+    stream = per_minute(mt, accumulate_driving(mt, classify_rests(mt), PROFILES["spirit"]))
     peak = max(acc for _, acc in stream)
     report = check_all(trace, GRID, PROFILES["spirit"])
     article7 = [v for v in report.violations if v.article == "7"]

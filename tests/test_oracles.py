@@ -21,9 +21,9 @@ from tachocheck.minutes import (
 from tachocheck import rules
 from tachocheck.periods import (
     FULL_BREAK_MIN_MINUTES,
+    REDUCED_WEEKLY_MIN_MINUTES,
+    REGULAR_WEEKLY_MIN_MINUTES,
     DailyDrivingSpan,
-    Period,
-    PeriodKind,
     accumulate_driving,
     classify_rests,
     daily_driving_spans,
@@ -101,9 +101,9 @@ def _assert_labels_and_article7_match(trace: SecondTrace, grid: TimeGrid, semant
     assert mt.segments == runs
     assert mt.driving_minutes() == expected.count(D)
 
-    rests = classify_rests(mt, SPIRIT)
-    stretches = accumulate_driving(mt, rests)
-    stream = oracles.accumulate_driving(first, expected, grid, rests)
+    stretches = accumulate_driving(mt, classify_rests(mt), SPIRIT)
+    periods = oracles.classify_rests(mt, SPIRIT)
+    stream = oracles.accumulate_driving(first, expected, grid, periods)
     assert per_minute(mt, stretches) == stream
     assert check_article7(stretches, mt, "p") == oracles.check_article7(stream, "p")
 
@@ -263,25 +263,46 @@ def test_stretches_spans_and_reports_match_the_per_run_code(monkeypatch):
     for n in range(10_000):
         mt = _random_minute_trace(rng)
         profile = profiles[n % len(profiles)]
-        rests = classify_rests(mt, profile)
+        rests = classify_rests(mt)
+        periods = oracles.classify_rests(mt, profile)
 
-        stretches = accumulate_driving(mt, rests)
-        items = oracles.accumulate_driving_per_run(mt, rests)
+        stretches = accumulate_driving(mt, rests, profile)
+        items = oracles.accumulate_driving_per_run(mt, periods)
         assert per_run(mt, stretches) == items
         violations = check_article7(stretches, mt, profile.id)
         assert violations == oracles.check_article7_per_run(items, profile.id)
         spans = daily_driving_spans(mt, rests, profile)
-        assert spans == oracles.daily_driving_spans(mt, rests, profile)
+        assert spans == oracles.daily_driving_spans(mt, periods, profile)
 
         trace = SecondTrace.from_runs(mt.start_instant, [(a, m * 60) for a, m in mt.segments])
         report = check_all(trace, profile.grid(), profile)
         with monkeypatch.context() as patch:
-            patch.setattr(rules, "accumulate_driving", oracles.accumulate_driving_per_run)
-            patch.setattr(rules, "daily_driving_spans", oracles.daily_driving_spans)
+            # the oracles classify the rests themselves, from the same trace
+            patch.setattr(
+                rules,
+                "accumulate_driving",
+                lambda mt, rests, profile: oracles.accumulate_driving_per_run(
+                    mt, oracles.classify_rests(mt, profile)
+                ),
+            )
+            patch.setattr(
+                rules,
+                "daily_driving_spans",
+                lambda mt, rests, profile: oracles.daily_driving_spans(
+                    mt, oracles.classify_rests(mt, profile), profile
+                ),
+            )
             patch.setattr(
                 rules,
                 "check_article7",
                 lambda items, mt, profile_id: oracles.check_article7_per_run(items, profile_id),
+            )
+            patch.setattr(
+                rules,
+                "check_article82",
+                lambda rests, mt, profile: oracles.check_article82(
+                    oracles.classify_rests(mt, profile), mt, profile
+                ),
             )
             assert check_all(trace, profile.grid(), profile) == report
 
@@ -307,12 +328,12 @@ def _random_attribution_instance(rng: random.Random):
     for i in range(rng.randint(1, 10)):
         week += rng.choice([0, 0, 1, 2])
         end_week = week + rng.choice([1, 1, 1, 2])
-        span = DailyDrivingSpan(i * 1000, i * 1000 + 500, 600, (None, None))
+        span = DailyDrivingSpan(i * 1000, i * 1000 + 500, 600)
         crossing.append((span, week, end_week))
         week = end_week
     fixed = {}
     for j in range(rng.randint(0, 2 * len(crossing) + 2)):
-        span = DailyDrivingSpan(-1000 - j, -999 - j, 560, (None, None))
+        span = DailyDrivingSpan(-1000 - j, -999 - j, 560)
         fixed[span] = rng.randint(0, week)
     rng.shuffle(crossing)
     return fixed, crossing
@@ -327,8 +348,9 @@ def test_extension_attribution_matches_exhaustive_search():
 
 
 def _random_weekly_rest_instance(rng: random.Random, max_weeks: int = 6):
-    """2 to `max_weeks` weeks of breaks, daily rests and 24-75 h rests, with
-    random waived weeks, leap seconds and compensation knobs."""
+    """2 to `max_weeks` weeks of a minute trace: breaks, daily rests and
+    24-75 h rests, with 1-15 h of other work between them, and random
+    waived weeks, leap seconds and compensation knobs."""
     first = rng.randint(0, 3)
     scope = list(range(first, first + rng.randint(2, max_weeks)))
     leap_table = tuple(
@@ -341,20 +363,21 @@ def _random_weekly_rest_instance(rng: random.Random, max_weeks: int = 6):
         )
     )
     long_share = rng.uniform(0.03, 0.4)
-    rests = []
-    t = week_start(first) + rng.randint(-2000, 600) * 60
+    runs = []
+    start = week_start(first) // 60 + rng.randint(-2000, 600)
+    t = start * 60
     while t < week_start(scope[-1] + 1, leap_table) + 3 * 86400:
-        t += rng.randint(60, 900) * 60
+        gap = rng.randint(60, 900)
         roll = rng.random()
         if roll < long_share:
-            kind, minutes = PeriodKind.WEEKLY_REST_REDUCED, rng.randint(1440, 4500)
+            minutes = rng.randint(1440, 4500)
         elif roll < 0.6:
-            kind, minutes = PeriodKind.DAILY_REST, rng.randint(540, 1439)
+            minutes = rng.randint(540, 1439)
         else:
-            kind, minutes = PeriodKind.BREAK, rng.randint(15, 60)
-        rests.append(Period(kind, t, t + minutes * 60))
-        t += minutes * 60
-    rng.shuffle(rests)
+            minutes = rng.randint(15, 60)
+        runs += [(O, gap), (R, minutes)]
+        t += (gap + minutes) * 60
+    mt = MinuteTrace(start, *zip(*runs), TimeGrid())
     waived = frozenset(w for w in scope if rng.random() < 0.15)
     profile = dataclasses.replace(
         SPIRIT,
@@ -362,22 +385,26 @@ def _random_weekly_rest_instance(rng: random.Random, max_weeks: int = 6):
         attached_compensation=rng.random() < 0.4,
         daily_rest_threshold=rng.choice((15, 540, 660, 1440, rng.randint(15, 1440))),
     )
-    return scope, rests, profile, leap_table, waived
+    return scope, mt, profile, leap_table, waived
 
 
 def test_weekly_rest_solver_matches_the_backtracking_search():
     rng = random.Random(86)
     feasible = 0
     for _ in range(300):
-        scope, rests, profile, leap_table, waived = _random_weekly_rest_instance(rng)
-        witness = solve_weekly_rests(scope, rests, profile, leap_table, waived)
-        expected = oracles.solve_weekly_rests(scope, rests, profile, leap_table, waived)
+        scope, mt, profile, leap_table, waived = _random_weekly_rest_instance(rng)
+        rests = classify_rests(mt)
+        witness = solve_weekly_rests(scope, mt, rests, profile, leap_table, waived)
+        expected = oracles.solve_weekly_rests(
+            scope, oracles.classify_rests(mt, profile), profile, leap_table, waived
+        )
         assert (witness is None) == (expected is None)
         if witness is not None:
             feasible += 1
             verify_witness(
                 witness,
                 scope,
+                mt,
                 rests,
                 profile.daily_rest_threshold,
                 profile.attached_compensation,
@@ -394,13 +421,15 @@ def test_one_prepared_problem_answers_every_waiver_like_a_fresh_solve():
     rng = random.Random(8686)
     feasible = infeasible = 0
     for _ in range(30):
-        scope, rests, profile, leap_table, _ = _random_weekly_rest_instance(rng)
-        problem = WeeklyRestProblem(scope, rests, profile, leap_table)
+        scope, mt, profile, leap_table, _ = _random_weekly_rest_instance(rng)
+        rests = classify_rests(mt)
+        periods = oracles.classify_rests(mt, profile)
+        problem = WeeklyRestProblem(scope, mt, rests, profile, leap_table)
         for _ in range(24):
             waived = frozenset(w for w in scope if rng.random() < rng.choice((0.1, 0.3, 0.6)))
             solution = problem.solve(waived)
-            fresh = solve_weekly_rests(scope, rests, profile, leap_table, waived)
-            expected = oracles.solve_weekly_rests(scope, rests, profile, leap_table, waived)
+            fresh = solve_weekly_rests(scope, mt, rests, profile, leap_table, waived)
+            expected = oracles.solve_weekly_rests(scope, periods, profile, leap_table, waived)
             assert (solution is None) == (fresh is None) == (expected is None)
             if solution is None:
                 infeasible += 1
@@ -411,6 +440,7 @@ def test_one_prepared_problem_answers_every_waiver_like_a_fresh_solve():
             verify_witness(
                 witness,
                 scope,
+                mt,
                 rests,
                 profile.daily_rest_threshold,
                 profile.attached_compensation,
@@ -424,9 +454,10 @@ def test_article86_blame_matches_the_waiver_rounds():
     rng = random.Random(8609)
     multi = 0
     for _ in range(400):
-        scope, rests, profile, leap_table, _ = _random_weekly_rest_instance(rng, max_weeks=14)
-        violations = check_article86(scope, rests, profile, leap_table)
-        assert violations == oracles.check_article86(scope, rests, profile, leap_table)
+        scope, mt, profile, leap_table, _ = _random_weekly_rest_instance(rng, max_weeks=14)
+        rests = classify_rests(mt)
+        violations = check_article86(scope, mt, rests, profile, leap_table)
+        assert violations == oracles.check_article86(scope, mt, rests, profile, leap_table)
         multi += len(violations) >= 2
     assert multi >= 50  # blames of several weeks are well represented
 
@@ -757,17 +788,50 @@ def test_labels_of_column_traces_match_the_oracles_where_upgrades_merge_runs():
 
 def test_article82_matches_the_all_rests_scan_on_random_layouts():
     rng = random.Random(82)
-    kinds = list(PeriodKind)
-    for _ in range(2000):
-        profile = dataclasses.replace(SPIRIT, daily_rest_threshold=rng.choice([15, 540, 660]))
-        horizon = rng.randint(1, 6) * 1440
-        rests = []
-        for _ in range(rng.randint(0, 12)):
-            # minutes; periods may overlap, nest or share an edge
-            start = rng.randrange(horizon)
-            end = min(horizon, start + rng.choice([1, 15, rng.randint(1, 1800)]))
-            rests.append(Period(rng.choice(kinds), start * 60, end * 60))
-        mt = MinuteTrace(0, (R,), (horizon,), TimeGrid())
-        assert check_article82(rests, mt, profile) == oracles.check_article82(
-            rests, mt, profile
-        )
+    judged = collections.Counter()
+    for _ in range(3000):
+        mt = _random_minute_trace(rng)
+        threshold = rng.choice([15, 45, 540, 660, 1440, rng.randint(15, 1440)])
+        profile = dataclasses.replace(SPIRIT, daily_rest_threshold=threshold)
+        violations = check_article82(classify_rests(mt), mt, profile)
+        periods = oracles.classify_rests(mt, profile)
+        assert violations == oracles.check_article82(periods, mt, profile)
+        judged["violated"] += len(violations)
+        judged["met"] += sum(
+            p.kind in oracles.REST_PERIOD_KINDS and p.end + 86400 <= mt.end_instant
+            for p in periods
+        ) - len(violations)
+    assert min(judged.values()) > 500, judged
+
+
+def test_rest_indices_are_the_classified_periods():
+    # each kind the later stages read off a rest's minutes is the kind the
+    # per-run classification gives it
+    rng = random.Random(1516)
+    kinds = collections.Counter()
+    for _ in range(3000):
+        mt = _random_minute_trace(rng)
+        threshold = rng.choice([15, 44, 45, 46, 540, 1440, rng.randint(15, 1440)])
+        profile = dataclasses.replace(SPIRIT, daily_rest_threshold=threshold)
+        rests = classify_rests(mt)
+        periods = oracles.classify_rests(mt, profile)
+        assert len(rests) == len(periods)
+        for i, period in zip(rests, periods):
+            assert mt.activities[i] is R
+            assert mt.minute_instant(mt._bounds[i]) == period.start
+            assert mt.minute_instant(mt._bounds[i + 1]) == period.end
+            minutes = mt.counts[i]
+            assert (minutes >= threshold) == (period.kind in oracles.REST_PERIOD_KINDS)
+            assert (minutes >= REDUCED_WEEKLY_MIN_MINUTES) == (
+                period.kind in oracles.WEEKLY_REST_KINDS
+            )
+            assert (minutes >= REGULAR_WEEKLY_MIN_MINUTES) == (
+                period.kind is oracles.PeriodKind.WEEKLY_REST_REGULAR
+            )
+            # the accumulator's reset test for a rest with no pending part
+            assert (minutes >= min(FULL_BREAK_MIN_MINUTES, threshold)) == (
+                period.kind is not oracles.PeriodKind.BREAK
+                or minutes >= FULL_BREAK_MIN_MINUTES
+            )
+            kinds[period.kind] += 1
+    assert len(kinds) == 4 and min(kinds.values()) > 200, kinds

@@ -1,10 +1,11 @@
 import dataclasses
 import random
 
+import oracles
 from conftest import D, HOUR, O, R, minutes_of, per_minute, trace_of
+from oracles import PeriodKind
 from tachocheck.minutes import label_minutes
 from tachocheck.periods import (
-    PeriodKind,
     accumulate_driving,
     classify_rests,
     daily_driving_spans,
@@ -22,7 +23,11 @@ def labeled(*runs, start=0):
 
 
 def kinds_of(mt, profile=SPIRIT):
-    return [p.kind for p in classify_rests(mt, profile)]
+    """The reference kinds of the rest runs; the engine must find the same runs."""
+    periods = oracles.classify_rests(mt, profile)
+    starts = [mt.minute_instant(mt._bounds[i]) for i in classify_rests(mt)]
+    assert [p.start for p in periods] == starts
+    return [p.kind for p in periods]
 
 
 def test_45h_rest_is_regular_weekly():
@@ -56,14 +61,14 @@ def test_daily_threshold_is_a_knob():
 
 def test_period_instants():
     mt = labeled((O, 10), (R, 20), (O, 10))
-    (period,) = classify_rests(mt, SPIRIT)
-    assert period.start == 600
-    assert period.end == 1800
-    assert period.minutes == 20
+    assert classify_rests(mt) == [1]
+    assert mt.minute_instant(mt._bounds[1]) == 600
+    assert mt.minute_instant(mt._bounds[2]) == 1800
+    assert mt.counts[1] == 20
 
 
 def _stream(mt, profile=SPIRIT):
-    return per_minute(mt, accumulate_driving(mt, classify_rests(mt, profile)))
+    return per_minute(mt, accumulate_driving(mt, classify_rests(mt), profile))
 
 
 def test_accumulator_simple_peak():
@@ -143,7 +148,7 @@ def test_sandwich_spans_strict_vs_spirit():
         (R, 45 * HOUR),
     )
     mt = label_minutes(trace, GRID)
-    rests = classify_rests(mt, SPIRIT)
+    rests = classify_rests(mt)
     strict = daily_driving_spans(mt, rests, LETTER)
     spirit = daily_driving_spans(mt, rests, SPIRIT)
     assert strict == []
@@ -153,24 +158,24 @@ def test_sandwich_spans_strict_vs_spirit():
 
 def test_trace_edge_counts_as_rest_when_enabled():
     mt = labeled((D, 60), (R, 9 * 60), (O, 30))
-    rests = classify_rests(mt, SPIRIT)
+    rests = classify_rests(mt)
     with_edge = daily_driving_spans(mt, rests, SPIRIT)
     assert len(with_edge) == 1
     assert with_edge[0].driving_minutes == 60
-    assert with_edge[0].bounding_rests[0] is None
+    assert with_edge[0].start == mt.start_instant
     without_edge = daily_driving_spans(mt, rests, LETTER)
     assert without_edge == []
 
 
 def test_all_rest_trace_has_no_spans():
     mt = labeled((R, 10 * 60))
-    rests = classify_rests(mt, SPIRIT)
+    rests = classify_rests(mt)
     assert daily_driving_spans(mt, rests, SPIRIT) == []
 
 
 def test_weekly_to_daily_stretch_still_counts_under_strict():
     mt = labeled((R, 45 * 60), (D, 100), (R, 9 * 60), (D, 50), (R, 45 * 60))
-    rests = classify_rests(mt, SPIRIT)
+    rests = classify_rests(mt)
     strict = daily_driving_spans(mt, rests, LETTER)
     assert [s.driving_minutes for s in strict] == [100, 50]
 
@@ -183,7 +188,7 @@ def test_span_driving_sums_to_total_under_spirit_with_edges():
             for _ in range(rng.randint(3, 15))
         ]
         mt = labeled(*runs)
-        rests = classify_rests(mt, SPIRIT)
+        rests = classify_rests(mt)
         spans = daily_driving_spans(mt, rests, SPIRIT)
         assert sum(s.driving_minutes for s in spans) == mt.driving_minutes()
 
@@ -196,6 +201,7 @@ def test_periods_are_disjoint_and_ordered():
             for _ in range(rng.randint(3, 15))
         ]
         mt = labeled(*runs)
-        periods = classify_rests(mt, SPIRIT)
-        for a, b in zip(periods, periods[1:]):
-            assert a.end <= b.start
+        rests = classify_rests(mt)
+        assert rests == [
+            i for i, (a, n) in enumerate(zip(mt.activities, mt.counts)) if a is R and n >= 15
+        ]

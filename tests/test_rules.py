@@ -40,7 +40,7 @@ LETTER = builtin_profiles()["letter"]
 
 def pipeline(trace, profile=SPIRIT):
     mt = label_minutes(trace, GRID, profile.rule51)
-    rests = classify_rests(mt, profile)
+    rests = classify_rests(mt)
     return mt, rests
 
 
@@ -50,13 +50,13 @@ def pipeline(trace, profile=SPIRIT):
 def test_article7_interleaved_rests_stay_legal():
     trace = minutes_of(*([(D, 1), (R, 2), (D, 1)] * 135))
     mt, rests = pipeline(trace)
-    assert check_article7(accumulate_driving(mt, rests), mt) == []
+    assert check_article7(accumulate_driving(mt, rests, SPIRIT), mt) == []
 
 
 def test_article7_one_minute_over():
     trace = minutes_of((D, 271))
     mt, rests = pipeline(trace)
-    violations = check_article7(accumulate_driving(mt, rests), mt)
+    violations = check_article7(accumulate_driving(mt, rests, SPIRIT), mt)
     assert len(violations) == 1
     assert violations[0].window_start == 270 * 60
     assert violations[0].window_end == 271 * 60
@@ -65,7 +65,7 @@ def test_article7_one_minute_over():
 def test_article7_split_break_window():
     trace = minutes_of((D, 260), (R, 15), (D, 20), (R, 30), (D, 200))
     mt, rests = pipeline(trace)
-    violations = check_article7(accumulate_driving(mt, rests), mt)
+    violations = check_article7(accumulate_driving(mt, rests, SPIRIT), mt)
     assert len(violations) == 1
     # accumulated driving minutes 271..280 fall in trace minutes 285..294
     assert violations[0].window_start == 285 * 60
@@ -75,7 +75,7 @@ def test_article7_split_break_window():
 def test_article7_two_separate_overruns():
     trace = minutes_of((D, 300), (R, 45), (D, 300))
     mt, rests = pipeline(trace)
-    violations = check_article7(accumulate_driving(mt, rests), mt)
+    violations = check_article7(accumulate_driving(mt, rests, SPIRIT), mt)
     assert len(violations) == 2
 
 
@@ -84,7 +84,7 @@ def article7_windows(trace, profile=SPIRIT):
     mt, rests = pipeline(trace, profile)
     return [
         (v.window_start // 60, v.window_end // 60, int(v.detail.split()[3]))
-        for v in check_article7(accumulate_driving(mt, rests), mt)
+        for v in check_article7(accumulate_driving(mt, rests, profile), mt)
     ]
 
 
@@ -127,13 +127,13 @@ def test_article7_monotone_under_added_rest():
         ]
         trace = minutes_of(*runs)
         mt, rests = pipeline(trace)
-        before = len(check_article7(accumulate_driving(mt, rests), mt))
+        before = len(check_article7(accumulate_driving(mt, rests, SPIRIT), mt))
 
         position = rng.randint(0, len(runs))
         longer = runs[:position] + [(R, rng.randint(1, 60))] + runs[position:]
         trace2 = minutes_of(*longer)
         mt2, rests2 = pipeline(trace2)
-        after = len(check_article7(accumulate_driving(mt2, rests2), mt2))
+        after = len(check_article7(accumulate_driving(mt2, rests2, SPIRIT), mt2))
         assert after <= before
 
 
@@ -264,6 +264,24 @@ def test_minimize_violations_is_linear_in_crossing_extensions():
     assert len(violations) == 12
 
 
+def test_more_rest_can_raise_the_61_count():
+    # three 9.5 h days after 11 h rests, then 9 h of other work and a fourth
+    # day: one 19 h span exceeds the 10 h cap. Turning the 9 h into rest
+    # splits it into two 9.5 h spans, the third and fourth extensions of
+    # week 0, so 6.1 counts two where it counted one, while the total falls.
+    day = [(D, 270), (R, 45), (D, 270), (R, 45), (D, 30)]
+    rest = [(R, 660)]
+    for gap, expected in (
+        (O, [("6.1", 198000, 309600), ("7", 284400, 286200), ("8.2", 198000, 284400)]),
+        (R, [("6.1", 198000, 237600), ("6.1", 270000, 309600)]),
+    ):
+        trace = minutes_of(*rest, *day, *rest, *day, *rest, *day, (gap, 540), *day, *rest)
+        for profile in (SPIRIT, LETTER):
+            report = check_all(trace, GRID, profile)
+            windows = [(v.article, v.window_start, v.window_end) for v in report.violations]
+            assert windows == expected
+
+
 def test_letter_leap_policy_surfaces_in_week_attribution():
     trace = SecondTrace.from_runs(0, [(R, 9 * HOUR)] + ext_day(60) + [(R, 9 * HOUR)])
     mt, rests = pipeline(trace)
@@ -327,7 +345,7 @@ def chain_weeks(*rest_hours):
 def test_full_weekly_rests_every_week_pass():
     trace = chain_weeks(45, 45, 45)
     mt, rests = pipeline(trace)
-    assert check_article86(complete_weeks(trace), rests, SPIRIT) == []
+    assert check_article86(complete_weeks(trace), mt, rests, SPIRIT) == []
 
 
 def test_scope_must_be_consecutive_weeks():
@@ -336,17 +354,17 @@ def test_scope_must_be_consecutive_weeks():
     trace = chain_weeks(45, 45, 45, 45)
     mt, rests = pipeline(trace)
     with pytest.raises(ValueError, match=r"consecutive weeks, got \[0, 2\]"):
-        check_article86([0, 2], rests, SPIRIT)
+        check_article86([0, 2], mt, rests, SPIRIT)
     with pytest.raises(ValueError, match=r"consecutive weeks, got \[2, 1\]"):
-        solve_weekly_rests([2, 1], rests, SPIRIT)
-    assert check_article86([1, 2], rests, SPIRIT) == []
-    assert check_article86(range(4), rests, SPIRIT) == []
+        solve_weekly_rests([2, 1], mt, rests, SPIRIT)
+    assert check_article86([1, 2], mt, rests, SPIRIT) == []
+    assert check_article86(range(4), mt, rests, SPIRIT) == []
 
 
 def test_reduced_rest_needs_compensation():
     trace = chain_weeks(45, 24, 45, 45)
     mt, rests = pipeline(trace)
-    violations = check_article86(complete_weeks(trace), rests, SPIRIT)
+    violations = check_article86(complete_weeks(trace), mt, rests, SPIRIT)
     assert [v.window_start // SECONDS_PER_WEEK for v in violations] == [1]
 
 
@@ -365,13 +383,13 @@ def test_compensated_reduction_passes():
     runs += week_runs(45)
     trace = SecondTrace.from_runs(0, runs)
     mt, rests = pipeline(trace)
-    assert check_article86(complete_weeks(trace), rests, SPIRIT) == []
+    assert check_article86(complete_weeks(trace), mt, rests, SPIRIT) == []
 
 
 def test_two_consecutive_reduced_rests_fail():
     trace = chain_weeks(45, 24, 24, 45)
     mt, rests = pipeline(trace)
-    violations = check_article86(complete_weeks(trace), rests, SPIRIT)
+    violations = check_article86(complete_weeks(trace), mt, rests, SPIRIT)
     assert violations != []
 
 
@@ -381,7 +399,7 @@ def test_week_without_weekly_rest_fails():
     runs += week_runs(45)
     trace = SecondTrace.from_runs(0, runs)
     mt, rests = pipeline(trace)
-    violations = check_article86(complete_weeks(trace), rests, SPIRIT)
+    violations = check_article86(complete_weeks(trace), mt, rests, SPIRIT)
     assert [v.window_start // SECONDS_PER_WEEK for v in violations] == [1]
 
 
@@ -399,15 +417,41 @@ def test_restless_week_can_be_carried_by_a_neighbour_with_two_rests():
     trace = SecondTrace.from_runs(0, runs)
     mt, rests = pipeline(trace)
     scope = complete_weeks(trace)
-    assert check_article86(scope, rests, SPIRIT) == []
-    witness = solve_weekly_rests(scope, rests, SPIRIT)
+    assert check_article86(scope, mt, rests, SPIRIT) == []
+    witness = solve_weekly_rests(scope, mt, rests, SPIRIT)
     assert len(witness["assignments"]) == 2
-    verify_witness(witness, scope, rests)
+    verify_witness(witness, scope, mt, rests)
+
+
+def test_rest_ending_at_monday_midnight_is_not_a_candidate_for_that_week():
+    # week 1 holds two 45 h rests, the second ending exactly at week 2's
+    # start, week 2 none and week 3 one. Counted for week 2, that rest would
+    # meet both pairs; it does not overlap week 2, so pair (2, 3) fails.
+    # One minute more of it does overlap week 2, and the scope is feasible.
+    for extra, feasible in ((0, False), (60, True)):
+        trace = SecondTrace.from_runs(
+            week_start(1),
+            [
+                (O, 2 * HOUR),
+                (R, 45 * HOUR),
+                (O, 76 * HOUR),
+                (R, 45 * HOUR + extra),
+                (O, SECONDS_PER_WEEK - extra + 2 * HOUR),
+                (R, 45 * HOUR),
+                (O, 121 * HOUR),
+            ],
+        )
+        mt, rests = pipeline(trace)
+        witness = solve_weekly_rests([1, 2, 3], mt, rests, SPIRIT)
+        assert (witness is not None) == feasible
+        if feasible:
+            verify_witness(witness, [1, 2, 3], mt, rests)
 
 
 def verify_witness(
     witness,
     scope,
+    mt,
     rests,
     daily_threshold=540,
     attached=False,
@@ -416,7 +460,7 @@ def verify_witness(
 ):
     """Check a weekly-rest witness by direct arithmetic, independently of the
     solver's own bookkeeping."""
-    runs = {p.start: (p.end - p.start) // 60 for p in rests}
+    runs = {mt.minute_instant(mt._bounds[i]): mt.counts[i] for i in rests}
     assignments = witness["assignments"]
     blocks = witness["compensations"]
 
@@ -483,10 +527,10 @@ def test_solver_witness_counts_each_rest_once():
     trace = chain_weeks(45, 24, 66, 45)
     mt, rests = pipeline(trace)
     scope = complete_weeks(trace)
-    witness = solve_weekly_rests(scope, rests, SPIRIT)
+    witness = solve_weekly_rests(scope, mt, rests, SPIRIT)
     assert witness is not None
     assert {entry["week"] for entry in witness["assignments"]} == set(scope)
-    verify_witness(witness, scope, rests)
+    verify_witness(witness, scope, mt, rests)
 
 
 def test_solver_witnesses_verify_independently():
@@ -500,9 +544,9 @@ def test_solver_witnesses_verify_independently():
     for trace in cases:
         mt, rests = pipeline(trace)
         scope = complete_weeks(trace)
-        witness = solve_weekly_rests(scope, rests, SPIRIT)
+        witness = solve_weekly_rests(scope, mt, rests, SPIRIT)
         assert witness is not None, "expected a satisfiable layout"
-        verify_witness(witness, scope, rests)
+        verify_witness(witness, scope, mt, rests)
 
 
 def test_spare_rest_before_the_reduction_does_not_compensate():
@@ -511,7 +555,7 @@ def test_spare_rest_before_the_reduction_does_not_compensate():
     # produces adjacent reduced weeks
     trace = chain_weeks(66, 24, 45, 45)
     mt, rests = pipeline(trace)
-    violations = check_article86(complete_weeks(trace), rests, SPIRIT)
+    violations = check_article86(complete_weeks(trace), mt, rests, SPIRIT)
     assert [v.window_start // SECONDS_PER_WEEK for v in violations] == [1]
 
 
@@ -522,8 +566,8 @@ def test_deadline_forces_a_cascade_instead_of_direct_donation():
     trace = chain_weeks(45, 24, 45, 45, 45, 66, 45)
     mt, rests = pipeline(trace)
     scope = complete_weeks(trace)
-    assert check_article86(scope, rests, SPIRIT) == []
-    witness = solve_weekly_rests(scope, rests, SPIRIT)
+    assert check_article86(scope, mt, rests, SPIRIT) == []
+    witness = solve_weekly_rests(scope, mt, rests, SPIRIT)
     blocks = witness["compensations"]
     assert len(blocks) >= 2  # the debt hopped at least once
     for block in blocks:
@@ -544,10 +588,10 @@ def test_counted_host_keeps_a_reduced_weekly_rest():
     for week2_hours, feasible in ((30, False), (45, True)):
         trace = chain_weeks(24, 45, week2_hours, 45, 66)
         mt, rests = pipeline(trace)
-        witness = solve_weekly_rests([0, 1, 2, 3], rests, SPIRIT)
+        witness = solve_weekly_rests([0, 1, 2, 3], mt, rests, SPIRIT)
         assert (witness is not None) == feasible
         if feasible:
-            verify_witness(witness, [0, 1, 2, 3], rests)
+            verify_witness(witness, [0, 1, 2, 3], mt, rests)
 
 
 def test_attached_compensation_knob():
@@ -566,9 +610,9 @@ def test_attached_compensation_knob():
     trace = SecondTrace.from_runs(0, runs)
     mt, rests = pipeline(trace)
     scope = complete_weeks(trace)
-    assert check_article86(scope, rests, SPIRIT) == []
+    assert check_article86(scope, mt, rests, SPIRIT) == []
     attached = dataclasses.replace(SPIRIT, id="att", attached_compensation=True)
-    assert check_article86(scope, rests, attached) != []
+    assert check_article86(scope, mt, rests, attached) != []
 
 
 def test_solver_stays_fast_on_long_infeasible_traces():
@@ -577,7 +621,7 @@ def test_solver_stays_fast_on_long_infeasible_traces():
     trace = chain_weeks(*[45 if i != 8 else 24 for i in range(16)])
     mt, rests = pipeline(trace)
     start = time.perf_counter()
-    violations = check_article86(complete_weeks(trace), rests, SPIRIT)
+    violations = check_article86(complete_weeks(trace), mt, rests, SPIRIT)
     elapsed = time.perf_counter() - start
     assert [v.window_start // SECONDS_PER_WEEK for v in violations] == [8]
     assert elapsed < 5.0
@@ -586,8 +630,8 @@ def test_solver_stays_fast_on_long_infeasible_traces():
 def test_solver_attribution_is_deterministic_on_messy_traces():
     trace = chain_weeks(*[24 if i % 2 == 0 else 45 for i in range(10)])
     mt, rests = pipeline(trace)
-    first = check_article86(complete_weeks(trace), rests, SPIRIT)
-    second = check_article86(complete_weeks(trace), rests, SPIRIT)
+    first = check_article86(complete_weeks(trace), mt, rests, SPIRIT)
+    second = check_article86(complete_weeks(trace), mt, rests, SPIRIT)
     assert first == second
     assert all(v.article == "8.6" for v in first)
     assert first != []
@@ -653,11 +697,11 @@ def test_one_check_prepares_the_rests_once(monkeypatch):
         return lookup(*args, **kwargs)
 
     monkeypatch.setattr(rules, "week_of", counting_week_of)
-    assert solve_weekly_rests(scope, rests, SPIRIT) is None
+    assert solve_weekly_rests(scope, mt, rests, SPIRIT) is None
     single = len(lookups)
     calls = count_solves(monkeypatch)
     lookups.clear()
-    assert len(check_article86(scope, rests, SPIRIT)) == 1
+    assert len(check_article86(scope, mt, rests, SPIRIT)) == 1
     assert len(calls) == 10
     assert len(lookups) == single > 0
 
@@ -735,6 +779,34 @@ def test_check_all_is_deterministic():
     first = check_all(trace, GRID, SPIRIT).to_json()
     second = check_all(trace, GRID, SPIRIT).to_json()
     assert first == second
+
+
+@pytest.mark.parametrize("threshold", [15, 44, 45, 46, 1440])
+def test_a_rest_of_the_threshold_is_a_rest_period_and_one_minute_less_is_not(threshold):
+    # a 24 h rest, 200 min driving, the rest under test, 100 min driving,
+    # then other work long enough for both 8.2 windows to be judged
+    profile = dataclasses.replace(SPIRIT, id="t", daily_rest_threshold=threshold)
+    day = 1440
+    for rest, period in ((threshold, True), (threshold - 1, False)):
+        trace = minutes_of((R, day), (D, 200), (R, rest), (D, 100), (O, 3000))
+        report = check_all(trace, GRID, profile)
+        assert report.statistics["rest_periods"] == 1 + period
+        # a rest period bounds two spans; a shorter rest leaves one
+        assert report.statistics["daily_driving_spans"] == 1 + period
+        rest_end = day + 200 + rest
+        expected = set()
+        # 300 driving minutes pass the Article 7 limit unless the rest resets
+        if not (period or rest >= 45):
+            expected.add(("7", rest_end + 70, rest_end + 100))
+        # the 24 h rest's window needs a new rest period to complete in it;
+        # one of 1440 minutes could only by starting at the window's start
+        if not period or rest_end + rest > 2 * day:
+            expected.add(("8.2", day, 2 * day))
+        if period:
+            expected.add(("8.2", rest_end, rest_end + day))
+        assert {
+            (v.article, v.window_start // 60, v.window_end // 60) for v in report.violations
+        } == expected
 
 
 def test_violation_windows_lie_within_trace():
