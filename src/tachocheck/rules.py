@@ -24,7 +24,6 @@ import bisect
 import functools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -158,9 +157,28 @@ def check_article61(
     profile: InterpretationProfile,
     leap_table: Sequence[LeapSecond] = (),
 ) -> list[Violation]:
-    """Daily driving limit with the twice-per-week 10-hour extension."""
+    """Daily driving limit with the twice-per-week 10-hour extension.
+
+    `spans` must be disjoint and in time order, as `daily_driving_spans`
+    returns them. An extension (over 540, at most 600 minutes) counts
+    against its week. One that crosses Sunday 24:00 counts against its
+    start week or its end week, as `extended_attribution` says; under
+    MinimizeViolations, against whichever leaves the fewest third-or-later
+    extensions, ties going to the start week, earlier spans first.
+
+    Lemma: whichever week each crossing extension takes, the week an
+    extension counts against never decreases along the spans, since its end
+    week is at most the next span's start week. So each week's extensions
+    are consecutive, and the state after an extension is its week and its
+    count there, capped at 2. A backward pass finds `least[i, state]`, the
+    fewest third-or-later extensions that extensions i.. can leave after
+    `state`. The forward pass takes each extension's first option that
+    keeps that optimum, and flags it when its week's count passes 2. Under
+    a fixed reading every extension has one option.
+    """
+    attribution = profile.extended_attribution
     violations = []
-    extension_spans = []
+    extensions = []  # (span, the weeks it may count against: start week first)
     for span in spans:
         if span.driving_minutes > EXTENDED_DAILY_LIMIT_MINUTES:
             violations.append(
@@ -174,34 +192,34 @@ def check_article61(
                 )
             )
         elif span.driving_minutes > DAILY_DRIVING_LIMIT_MINUTES:
-            extension_spans.append(span)
+            start_week = week_of(span.start, profile.leap_week_policy, leap_table)
+            end_week = week_of(span.end - 1, profile.leap_week_policy, leap_table)
+            if start_week == end_week or attribution is ExtendedAttribution.START_WEEK:
+                extensions.append((span, (start_week,)))
+            elif attribution is ExtendedAttribution.END_WEEK:
+                extensions.append((span, (end_week,)))
+            else:
+                extensions.append((span, (start_week, end_week)))
 
-    def week_at(t: int) -> int:
-        return week_of(t, profile.leap_week_policy, leap_table)
+    # least[i, state]; past the last extension nothing is left to count
+    least = {}
+    counts = range(1, MAX_EXTENSIONS_PER_WEEK + 1)
+    for i in range(len(extensions) - 1, -1, -1):
+        states = [(week, c) for week in extensions[i - 1][1] for c in counts] if i else [(None, 0)]
+        for state in states:
+            least[i, state] = min(
+                third + least.get((i + 1, after), 0)
+                for after, third in (_count_extension(state, w) for w in extensions[i][1])
+            )
 
-    fixed: dict = {}
-    crossing = []
-    for span in extension_spans:
-        start_week = week_at(span.start)
-        end_week = week_at(span.end - 1)
-        if start_week == end_week:
-            fixed[span] = start_week
-        elif profile.extended_attribution is ExtendedAttribution.START_WEEK:
-            fixed[span] = start_week
-        elif profile.extended_attribution is ExtendedAttribution.END_WEEK:
-            fixed[span] = end_week
-        else:
-            crossing.append((span, start_week, end_week))
-
-    if crossing:
-        fixed.update(_minimize_extension_violations(fixed, crossing))
-
-    by_week: dict[int, list[DailyDrivingSpan]] = {}
-    for span, week in fixed.items():
-        by_week.setdefault(week, []).append(span)
-    for week in sorted(by_week):
-        week_spans = sorted(by_week[week], key=lambda s: (s.start, s.end))
-        for span in week_spans[MAX_EXTENSIONS_PER_WEEK:]:
+    state = (None, 0)
+    for i, (span, weeks) in enumerate(extensions):
+        for week in weeks:
+            after, third = _count_extension(state, week)
+            if third + least.get((i + 1, after), 0) == least[i, state]:
+                break
+        state = after
+        if third:
             violations.append(
                 Violation(
                     "6.1",
@@ -215,43 +233,13 @@ def check_article61(
     return violations
 
 
-def _minimize_extension_violations(fixed, crossing):
-    """Exact minimum over attributions of week-crossing extensions.
-
-    Spans are disjoint, so two crossing spans can only compete for a week
-    when one ends in the week the next one starts in. A backward pass finds
-    the least cost of each suffix; the forward pass then picks the start
-    week whenever that is still optimal, so ties prefer the start week,
-    earlier spans first.
-    """
-    counts = Counter(fixed.values())
-    crossing = sorted(crossing, key=lambda item: (item[0].start, item[0].end))
-    n = len(crossing)
-
-    def step_cost(i: int, prev_end: int, end: int) -> int:
-        # Excess in span i's start week (shared with span i-1's end week when
-        # they coincide) and in its end week, unless span i+1 starts there.
-        _span, start_week, end_week = crossing[i]
-        shared = i > 0 and prev_end and crossing[i - 1][2] == start_week
-        settled = {start_week: 1 - end + shared}
-        if i + 1 == n or crossing[i + 1][1] != end_week:
-            settled[end_week] = end
-        return sum(
-            max(0, counts[week] + extra - MAX_EXTENSIONS_PER_WEEK)
-            for week, extra in settled.items()
-        )
-
-    # best[i][prev_end]: least cost of spans i.. given span i-1's choice
-    best = [[0, 0] for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        best[i] = [min(step_cost(i, p, e) + best[i + 1][e] for e in (0, 1)) for p in (0, 1)]
-
-    result = {}
-    prev_end = 0
-    for i, (span, start_week, end_week) in enumerate(crossing):
-        prev_end = int(step_cost(i, prev_end, 0) + best[i + 1][0] != best[i][prev_end])
-        result[span] = end_week if prev_end else start_week
-    return result
+def _count_extension(state: tuple, week: int) -> tuple[tuple, bool]:
+    """The state after one more extension in `week`, and whether that is a
+    third or later extension there."""
+    last_week, count = state
+    if week != last_week:
+        return (week, 1), False
+    return (week, min(count + 1, MAX_EXTENSIONS_PER_WEEK)), count == MAX_EXTENSIONS_PER_WEEK
 
 
 def check_article82(

@@ -7,7 +7,8 @@ second, classify each rest run as a `Period` of one kind, accumulate one
 sample per minute or one item per label run, count
 the driving of each daily span between its instants, look for the next
 daily rest of Article 8.2 among all rests, attribute Article 6.1 extensions by
-brute-force search, decide Article 8.6 by backtracking over every
+brute-force search and count them per week after regrouping and sorting,
+decide Article 8.6 by backtracking over every
 assignment of rests to weeks and every compensation cascade, and blame an
 infeasible Article 8.6 scope by waiving weeks one round at a time, and find
 the complete weeks of a trace by walking week starts. They are slow and
@@ -35,10 +36,16 @@ from tachocheck.periods import (
     DailyDrivingSpan,
 )
 from tachocheck import rules
-from tachocheck.profiles import InterpretationProfile, WeeklyGapSemantics
+from tachocheck.profiles import (
+    ExtendedAttribution,
+    InterpretationProfile,
+    WeeklyGapSemantics,
+)
 from tachocheck.rules import (
     COMPENSATION_WINDOW_WEEKS,
+    DAILY_DRIVING_LIMIT_MINUTES,
     DRIVE_BEFORE_BREAK_LIMIT_MINUTES,
+    EXTENDED_DAILY_LIMIT_MINUTES,
     MAX_EXTENSIONS_PER_WEEK,
     NEW_REST_WINDOW_SECONDS,
     Violation,
@@ -52,6 +59,7 @@ from tachocheck.timeline import (
     SecondTrace,
     TraceError,
     TraceParseError,
+    week_of,
     week_start,
 )
 
@@ -442,6 +450,68 @@ def check_article82(rests, mt, profile):
                     deadline,
                     "no new daily rest completed within 24 hours of the end of "
                     f"the rest finishing at second {period.end}",
+                    profile.id,
+                )
+            )
+    return violations
+
+
+def check_article61(
+    spans: Sequence[DailyDrivingSpan],
+    profile: InterpretationProfile,
+    leap_table: Sequence[LeapSecond] = (),
+) -> list[Violation]:
+    """Daily driving limit with the twice-per-week 10-hour extension."""
+    violations = []
+    extension_spans = []
+    for span in spans:
+        if span.driving_minutes > EXTENDED_DAILY_LIMIT_MINUTES:
+            violations.append(
+                Violation(
+                    "6.1",
+                    span.start,
+                    span.end,
+                    f"daily driving of {span.driving_minutes} minutes exceeds even "
+                    f"the {EXTENDED_DAILY_LIMIT_MINUTES}-minute extension cap",
+                    profile.id,
+                )
+            )
+        elif span.driving_minutes > DAILY_DRIVING_LIMIT_MINUTES:
+            extension_spans.append(span)
+
+    def week_at(t: int) -> int:
+        return week_of(t, profile.leap_week_policy, leap_table)
+
+    fixed: dict = {}
+    crossing = []
+    for span in extension_spans:
+        start_week = week_at(span.start)
+        end_week = week_at(span.end - 1)
+        if start_week == end_week:
+            fixed[span] = start_week
+        elif profile.extended_attribution is ExtendedAttribution.START_WEEK:
+            fixed[span] = start_week
+        elif profile.extended_attribution is ExtendedAttribution.END_WEEK:
+            fixed[span] = end_week
+        else:
+            crossing.append((span, start_week, end_week))
+
+    if crossing:
+        fixed.update(minimize_extension_violations(fixed, crossing))
+
+    by_week: dict[int, list[DailyDrivingSpan]] = {}
+    for span, week in fixed.items():
+        by_week.setdefault(week, []).append(span)
+    for week in sorted(by_week):
+        week_spans = sorted(by_week[week], key=lambda s: (s.start, s.end))
+        for span in week_spans[MAX_EXTENSIONS_PER_WEEK:]:
+            violations.append(
+                Violation(
+                    "6.1",
+                    span.start,
+                    span.end,
+                    f"daily driving of {span.driving_minutes} minutes is a third "
+                    f"or later 10-hour extension in week {week}",
                     profile.id,
                 )
             )

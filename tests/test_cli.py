@@ -397,6 +397,17 @@ def test_leap_table_with_a_null_field_exits_two(tmp_path, all_rest_file, capsys)
     assert "bad leap table entry" in err and "'sunday_index': None" in err
 
 
+def test_leap_table_naming_a_sunday_twice_exits_two(tmp_path, all_rest_file, capsys):
+    table = tmp_path / "leap.json"
+    table.write_text('[{"sunday_index": 0, "delta": 1}, {"sunday_index": 0, "delta": -1}]')
+    status = main(
+        ["check", str(all_rest_file), "--profile", "spirit", "--leap-table", str(table)]
+    )
+    err = capsys.readouterr().err
+    assert status == 2
+    assert "that Sunday is already listed" in err
+
+
 def test_importing_the_cli_leaves_the_demo_modules_unloaded():
     src = Path(tachocheck.__file__).resolve().parents[1]
     code = (

@@ -28,10 +28,10 @@ from tachocheck.periods import (
     classify_rests,
     daily_driving_spans,
 )
-from tachocheck.profiles import WeeklyGapSemantics, builtin_profiles
+from tachocheck.profiles import ExtendedAttribution, WeeklyGapSemantics, builtin_profiles
 from tachocheck.rules import (
+    Violation,
     WeeklyRestProblem,
-    _minimize_extension_violations,
     check_all,
     check_article7,
     check_article82,
@@ -46,6 +46,8 @@ from tachocheck.timeline import (
     SecondTrace,
     TimeGrid,
     TraceError,
+    WeekPolicy,
+    WeekUndefinedError,
     maximal_columns,
     parse_trace,
     week_start,
@@ -321,30 +323,67 @@ def test_stretches_spans_and_reports_match_the_per_run_code(monkeypatch):
     assert all(count > 200 for count in seen.values()), seen
 
 
-def _random_attribution_instance(rng: random.Random):
-    """Fixed extension weeks plus a chain of week-crossing spans."""
-    crossing = []
-    week = rng.randint(0, 2)
-    for i in range(rng.randint(1, 10)):
-        week += rng.choice([0, 0, 1, 2])
-        end_week = week + rng.choice([1, 1, 1, 2])
-        span = DailyDrivingSpan(i * 1000, i * 1000 + 500, 600)
-        crossing.append((span, week, end_week))
-        week = end_week
-    fixed = {}
-    for j in range(rng.randint(0, 2 * len(crossing) + 2)):
-        span = DailyDrivingSpan(-1000 - j, -999 - j, 560)
-        fixed[span] = rng.randint(0, week)
-    rng.shuffle(crossing)
-    return fixed, crossing
+def _random_article61_instance(rng: random.Random):
+    """Disjoint, time-ordered daily spans over 1-12 weeks and a random leap
+    table. Each week holds 0-3 days inside it, and most weeks end in a day
+    that crosses Sunday 24:00, at most 10 of them extensions; some crossing
+    days start or end a second or two from the (leap-shifted) boundary, and
+    some cross two boundaries. Most days are extensions, so weeks fill up."""
+    first = rng.randint(-2, 2)
+    weeks = range(first, first + rng.randint(1, 12))
+    leap_table = tuple(
+        LeapSecond(rng.randint(first - 1, weeks[-1]), rng.choice((-1, 1)))
+        for _ in range(rng.choice((0, 0, 1, 2)))
+    )
+    driving_minutes = [480, 540, 541, 570, 600, 600, 601]
+    spans, crossing = [], 0
+    at = week_start(first, leap_table)
+    for week in weeks:
+        boundary = week_start(week + 1, leap_table)
+        for _ in range(rng.randint(0, 3)):
+            start = at + rng.randint(1, 30000)
+            end = start + rng.randint(3600, 50000)
+            if end > boundary - 40000:
+                break
+            spans.append(DailyDrivingSpan(start, end, rng.choice(driving_minutes)))
+            at = end
+        if at >= boundary - 2 or crossing == 10 or rng.random() < 0.15:
+            continue
+        start = max(at, boundary - rng.choice((1, 2, rng.randint(1, 40000))))
+        end = boundary + rng.choice((0, 1, 2, rng.randint(1, 40000), SECONDS_PER_WEEK + 1))
+        driving = rng.choice(driving_minutes[2:])
+        spans.append(DailyDrivingSpan(start, end, driving))
+        crossing += 540 < driving <= 600
+        at = end
+    return spans, leap_table
 
 
-def test_extension_attribution_matches_exhaustive_search():
+def test_article61_matches_the_regrouping_oracle():
     rng = random.Random(61)
-    for _ in range(400):
-        fixed, crossing = _random_attribution_instance(rng)
-        expected = oracles.minimize_extension_violations(fixed, crossing)
-        assert _minimize_extension_violations(fixed, crossing) == expected
+    seen = collections.Counter()
+    for _ in range(2000):
+        spans, leap_table = _random_article61_instance(rng)
+        for policy in WeekPolicy:
+            found = {}
+            for attribution in ExtendedAttribution:
+                profile = dataclasses.replace(
+                    SPIRIT, id="x", extended_attribution=attribution, leap_week_policy=policy
+                )
+                results = []
+                for check in (rules.check_article61, oracles.check_article61):
+                    try:
+                        violations = check(spans, profile, leap_table)
+                    except WeekUndefinedError as exc:
+                        results.append(("raised", str(exc)))
+                    else:
+                        results.append(sorted(violations, key=Violation.sort_key))
+                assert results[0] == results[1], (spans, leap_table, profile)
+                found[attribution] = results[0]
+            minimized = found.pop(ExtendedAttribution.MINIMIZE_VIOLATIONS)
+            seen["raised"] += isinstance(minimized, tuple)
+            seen["flagged"] += isinstance(minimized, list) and bool(minimized)
+            seen["minimize differs"] += all(minimized != fixed for fixed in found.values())
+    assert all(count > 100 for count in seen.values()), seen
 
 
 def _random_weekly_rest_instance(rng: random.Random, max_weeks: int = 6):

@@ -228,9 +228,18 @@ def test_minimize_violations_cannot_fix_two_full_weeks():
     trace = SecondTrace.from_runs(0, runs)
     mt, rests = pipeline(trace)
     spans = daily_driving_spans(mt, rests, SPIRIT)
-    for attribution in ExtendedAttribution:
+    third = "daily driving of 600 minutes is a third or later 10-hour extension"
+    in_week0 = [(583200, 624600, f"{third} in week 0")]
+    in_week1 = [(730800, 772200, f"{third} in week 1")]
+    # a tie between the crossing day's two weeks goes to its start week
+    for attribution, expected in (
+        (ExtendedAttribution.START_WEEK, in_week0),
+        (ExtendedAttribution.END_WEEK, in_week1),
+        (ExtendedAttribution.MINIMIZE_VIOLATIONS, in_week0),
+    ):
         profile = dataclasses.replace(SPIRIT, id="x", extended_attribution=attribution)
-        assert len(check_article61(spans, profile)) >= 1
+        found = [(v.window_start, v.window_end, v.detail) for v in check_article61(spans, profile)]
+        assert found == expected
 
 
 def test_minimize_violations_is_linear_in_crossing_extensions():

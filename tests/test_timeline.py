@@ -264,6 +264,11 @@ def test_parse_leap_table():
         with pytest.raises(TraceError, match="bad leap table entry") as info:
             parse_leap_table(text)
         assert repr(json.loads(text)[1]) in str(info.value)
+    # a Sunday is named once: a second entry for it, of either sign, is refused
+    for delta in (-1, 1):
+        text = f'[{{"sunday_index": 0, "delta": 1}}, {{"sunday_index": 0, "delta": {delta}}}]'
+        with pytest.raises(TraceError, match="that Sunday is already listed"):
+            parse_leap_table(text)
 
 
 def test_shift_grid_identity():
