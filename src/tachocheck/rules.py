@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Container, Iterator, Optional, Sequence
 
 from .minutes import MinuteTrace, TraceTooShortError, label_minutes
 from .periods import (
@@ -44,6 +46,7 @@ from .timeline import (
     SecondTrace,
     TimeGrid,
     WeekPolicy,
+    validate_leap_table,
     week_of,
     week_start,
 )
@@ -309,7 +312,7 @@ def solve_weekly_rests(
     weeks in ascending order; any other scope raises ValueError.
 
     Prepares a `WeeklyRestProblem` and solves it once; `check_article86`
-    prepares once per check and solves once per waiver it probes.
+    prepares once per check and resumes its probes from recorded frontiers.
 
     Returns a witness dict when an assignment satisfying every pair of
     consecutive non-waived weeks exists, else None.
@@ -322,13 +325,22 @@ def solve_weekly_rests(
 class WeeklyRestProblem:
     """The inputs of the Article 8.6 search, prepared once per check.
 
-    The preparation reads each rest run's start, its minutes and its
-    candidate weeks: the scope weeks it overlaps, for runs of at least 1440
-    minutes. It computes each scope week's compensation
-    deadline. A pair of consecutive weeks is judged at the last run that
-    could count for either week; pairs that no run can serve are kept
-    apart. For each index it also keeps the next candidate run. `solve`
-    filters all of this by `waived` alone.
+    The preparation reads each rest run's start and minutes. Only the runs
+    of at least 1440 minutes get candidate weeks, the scope weeks they
+    overlap, looked up by bisection over the scope's week starts. It
+    computes each scope week's compensation deadline. A pair of consecutive
+    weeks is judged at the last run that could count for either week; pairs
+    that no run can serve are kept apart. A pass filters all of this by
+    `waived` alone.
+
+    Resume rule: waiving the weeks X as well drops only their candidacy and
+    the pairs x - 1 and x for each x in X. A run whose candidate weeks miss
+    every x - 1, x and x + 1 counts for the same weeks, touches the same
+    pair tallies and judges the same pairs either way. So a pass with X
+    waived as well takes every step before `divergence(X)`, the first run
+    whose candidate weeks meet them, exactly as the pass without, and can
+    resume there from that pass's frontier; if that pass died before the
+    run, it dies too.
     """
 
     def __init__(
@@ -342,31 +354,36 @@ class WeeklyRestProblem:
         scope = list(scope_weeks)
         if any(b != a + 1 for a, b in zip(scope, scope[1:])):
             raise ValueError(f"Article 8.6 scope must be consecutive weeks, got {scope}")
-        origin, bounds = mt.start_instant, mt._bounds
+        origin, bounds, counts = mt.start_instant, mt._bounds, mt.counts
         self.starts = [origin + bounds[i] * SECONDS_PER_MINUTE for i in rests]
-        self.minutes = [mt.counts[i] for i in rests]
-        self.deadlines = {
-            w: week_start(w + COMPENSATION_WINDOW_WEEKS + 1, leap_table) for w in scope
-        }
+        self.minutes = [counts[i] for i in rests]
         self.uncounted_reserve = (
             profile.daily_rest_threshold if profile.attached_compensation else 0
         )
-
-        def week_at(t: int) -> int:
-            return week_of(t, WeekPolicy.SPIRIT, leap_table)
-
         first, last = (scope[0], scope[-1]) if scope else (0, -1)
-        self.candidates = [
-            range(
-                max(first, week_at(start)),
-                min(last, week_at(start + minutes * SECONDS_PER_MINUTE - 1)) + 1,
-            )
-            if minutes >= REDUCED_WEEKLY_MIN_MINUTES
-            else range(0)
-            for start, minutes in zip(self.starts, self.minutes)
+        # Monday 00:00 of each week from the scope's first to its last deadline's
+        mondays = [
+            week_start(w, leap_table) for w in range(first, last + COMPENSATION_WINDOW_WEEKS + 2)
         ]
-        last_candidate = {w: i for i, weeks in enumerate(self.candidates) for w in weeks}
-        self.pairs = frozenset(range(first, last))  # by first week
+        self.deadlines = {w: mondays[w - first + COMPENSATION_WINDOW_WEEKS + 1] for w in scope}
+
+        def week_at(t: int) -> int:  # first - 1 before the scope, last + 1 after it
+            return first - 1 + bisect.bisect_right(mondays, t, 0, last - first + 2)
+
+        n = len(self.starts)
+        self.candidates: list = [()] * n
+        self.candidate_runs = []  # the runs with a candidate week, then n
+        last_candidate = {}
+        for i in [i for i, m in enumerate(self.minutes) if m >= REDUCED_WEEKLY_MIN_MINUTES]:
+            start = self.starts[i]
+            end = start + self.minutes[i] * SECONDS_PER_MINUTE
+            weeks = range(max(first, week_at(start)), min(last, week_at(end - 1)) + 1)
+            if weeks:
+                self.candidates[i] = weeks
+                self.candidate_runs.append(i)
+                last_candidate.update(zip(weeks, itertools.repeat(i)))
+        self.candidate_runs.append(n)
+        self.pairs = range(first, last)  # by first week
         self.unservable = []  # pairs no run can serve
         self.judged_at: dict[int, list[int]] = {}  # run index -> pairs
         for pair in range(first, last):
@@ -375,12 +392,32 @@ class WeeklyRestProblem:
                 self.unservable.append(pair)
             else:
                 self.judged_at.setdefault(judge, []).append(pair)
-        n = len(self.starts)
-        self.next_candidate = [n] * (n + 1)  # the first candidate run from an index on
-        for i in range(n - 1, -1, -1):
-            self.next_candidate[i] = i if self.candidates[i] else self.next_candidate[i + 1]
 
-    def solve(self, waived: frozenset[int] = frozenset()) -> Optional[tuple]:
+    def unserved(self, waived: Container[int]) -> bool:
+        """Whether a pair no run can serve is left when `waived` are waived."""
+        return any(pair not in waived and pair + 1 not in waived for pair in self.unservable)
+
+    def divergence(self, weeks: Sequence[int]) -> int:
+        """The first run whose candidate weeks meet weeks[0] - 1 through
+        weeks[-1] + 1, or the number of runs when none does: a pass that
+        also waives the consecutive `weeks` takes every step before it
+        exactly as the pass without (see the resume rule)."""
+        runs = self.candidate_runs
+        # candidate weeks are ranges whose both ends grow along the runs
+        k = bisect.bisect_left(
+            runs, weeks[0] - 1, 0, len(runs) - 1, key=lambda i: self.candidates[i][-1]
+        )
+        if k < len(runs) - 1 and self.candidates[runs[k]][0] <= weeks[-1] + 1:
+            return runs[k]
+        return runs[-1]
+
+    def frontiers(
+        self,
+        waived: Container[int] = frozenset(),
+        start: int = 0,
+        states: Sequence[tuple] = (((), ()),),
+        trail: Optional[list] = None,
+    ) -> Iterator[tuple[int, list]]:
         """One forward pass over the runs in start order with `waived` waived.
 
         Hosting can reduce a counted run and so create a further debt. The
@@ -390,65 +427,113 @@ class WeeklyRestProblem:
         a debt no longer fits, when a judged pair is unmet, or when another
         state has no lower tally and a sub-multiset of its debts. While no
         state holds an open debt, a run with no candidate week changes no
-        state, so the pass jumps to the next candidate run: a solve costs
+        state, so the pass jumps to the next candidate run: a pass costs
         the candidate runs plus the runs visited while a debt is open.
+
+        Yields (i, states) before each step, the undominated states the pass
+        holds before run i, and (n, states) at the end, n being the number of
+        runs; after a step that leaves no state it stops. It starts at run
+        `start` from `states`: another pass's frontier there, under the
+        resume rule. With `trail`, each step is appended to it as (run
+        index, {state: (previous state, counted week, hosted debts)}). Pairs
+        no run can serve are never judged; `unserved` tells them.
+        """
+        touches: dict = {}  # counted week -> the pairs its count adds to
+        deadlines = self.deadlines
+        uncounted_reserve = self.uncounted_reserve
+        n = len(self.starts)
+        smallest_debt = min((m for debts, _ in states for _, m in debts), default=math.inf)
+        i = start
+        while i < n:
+            minutes = self.minutes[i]
+            weeks = self.candidates[i]
+            if weeks and waived:
+                weeks = [w for w in weeks if w not in waived]
+            # a run that can neither be counted nor host a debt changes nothing
+            if weeks or minutes - uncounted_reserve >= smallest_debt:
+                yield i, states
+                run_start = self.starts[i]
+                judged = self.judged_at.get(i, ())
+                if judged and waived:  # a pair is left when neither of its weeks is waived
+                    judged = [p for p in judged if p not in waived and p + 1 not in waived]
+                step: dict = {}
+                for state in states:
+                    debts, tallies = state
+                    if debts:
+                        if any(run_start + m * SECONDS_PER_MINUTE > deadlines[w] for w, m in debts):
+                            continue
+                        uncounted = _hostings(
+                            run_start, minutes - uncounted_reserve, debts, deadlines
+                        )
+                        counted = weeks and _hostings(
+                            run_start, minutes - REDUCED_WEEKLY_MIN_MINUTES, debts, deadlines
+                        )
+                    else:
+                        uncounted = counted = _NOTHING_HOSTED
+                    current = dict(tallies)
+                    # one run adds at most one count to a pair
+                    if judged and not all(pair in current for pair in judged):
+                        continue
+                    for week in (None, *weeks):
+                        if week is None:
+                            hostings, touched = uncounted, ()
+                        else:
+                            hostings, touched = counted, touches.get(week)
+                            if touched is None:
+                                touched = [
+                                    p
+                                    for p in (week - 1, week)
+                                    if p in self.pairs and p not in waived and p + 1 not in waived
+                                ]
+                                touches[week] = touched
+                        for hosted, kept, total in hostings:
+                            if week is not None:
+                                regular = minutes - total >= REGULAR_WEEKLY_MIN_MINUTES
+                                if not regular:
+                                    debt = (week, REGULAR_WEEKLY_MIN_MINUTES - minutes + total)
+                                    kept = tuple(sorted(kept + (debt,)))
+                            if touched or judged:
+                                pair_tallies = current.copy()
+                                for pair in touched:
+                                    count, was_regular = pair_tallies.get(pair, (0, False))
+                                    pair_tallies[pair] = (min(2, count + 1), was_regular or regular)
+                                # stops at the first unmet pair: the option is dropped then
+                                if judged and not all(
+                                    pair_tallies.pop(pair) == (2, True) for pair in judged
+                                ):
+                                    continue
+                                tallies_after = tuple(sorted(pair_tallies.items()))
+                            else:
+                                tallies_after = tallies
+                            step.setdefault((kept, tallies_after), (state, week, hosted))
+                states = _undominated(step)
+                if not states:
+                    return
+                if trail is not None:
+                    trail.append((i, step))
+                smallest_debt = min(
+                    (m for debts, _ in states for _, m in debts), default=math.inf
+                )
+            if smallest_debt < math.inf:
+                i += 1
+            else:
+                runs = self.candidate_runs
+                i = runs[bisect.bisect_left(runs, i + 1)]
+        yield n, states
+
+    def solve(self, waived: frozenset[int] = frozenset()) -> Optional[tuple]:
+        """One full pass with `waived` waived.
 
         Returns the final debt-free state and the trail of steps that reach
         it, or None when no assignment satisfies every pair of consecutive
         non-waived weeks.
         """
-        pairs = self.pairs.difference(waived, [w - 1 for w in waived])
-        if any(pair in pairs for pair in self.unservable):
+        if self.unserved(waived):
             return None
-        deadlines = self.deadlines
-        uncounted_reserve = self.uncounted_reserve
-        n = len(self.starts)
-        states = [((), ())]  # (open debts, pair tallies)
-        smallest_debt = math.inf
-        trail = []  # (run index, {state: (previous state, counted week, hosted debts)})
-        i = -1
-        while True:
-            i = i + 1 if smallest_debt < math.inf else self.next_candidate[i + 1]
-            if i == n:
-                break
-            start, minutes = self.starts[i], self.minutes[i]
-            weeks = [w for w in self.candidates[i] if w not in waived]
-            if not weeks and minutes - uncounted_reserve < smallest_debt:
-                continue  # can neither be counted nor host a debt
-            judged = [pair for pair in self.judged_at.get(i, ()) if pair in pairs]
-            step: dict = {}
-            for state in states:
-                debts, tallies = state
-                if any(start + m * SECONDS_PER_MINUTE > deadlines[w] for w, m in debts):
-                    continue
-                for week in [None, *weeks]:
-                    reserve = uncounted_reserve if week is None else REDUCED_WEEKLY_MIN_MINUTES
-                    for hosted, kept, total in _hostings(
-                        start, minutes - reserve, debts, deadlines
-                    ):
-                        pair_tallies = dict(tallies)
-                        if week is not None:
-                            counted = min(REGULAR_WEEKLY_MIN_MINUTES, minutes - total)
-                            if counted < REGULAR_WEEKLY_MIN_MINUTES:
-                                debt = (week, REGULAR_WEEKLY_MIN_MINUTES - counted)
-                                kept = tuple(sorted(kept + (debt,)))
-                            for pair in {week - 1, week} & pairs:
-                                count, regular = pair_tallies.get(pair, (0, False))
-                                pair_tallies[pair] = (
-                                    min(2, count + 1),
-                                    regular or counted == REGULAR_WEEKLY_MIN_MINUTES,
-                                )
-                        # stops at the first unmet pair: the option is dropped then
-                        if all(pair_tallies.pop(pair, None) == (2, True) for pair in judged):
-                            state_after = (kept, tuple(sorted(pair_tallies.items())))
-                            step.setdefault(state_after, (state, week, hosted))
-            states = _undominated(step)
-            if not states:
-                return None
-            trail.append((i, step))
-            smallest_debt = min((m for debts, _ in states for _, m in debts), default=math.inf)
-
-        state = next((s for s in states if not s[0]), None)
+        trail: list = []
+        for i, states in self.frontiers(waived, trail=trail):
+            pass  # to the last record: the end, or the run the pass died at
+        state = next((s for s in states if not s[0]), None) if i == len(self.starts) else None
         return None if state is None else (state, trail)
 
     def witness(self, solution: tuple) -> dict:
@@ -492,6 +577,9 @@ class WeeklyRestProblem:
         }
 
 
+_NOTHING_HOSTED = (((), (), 0),)  # the one hosting of a state with no debt
+
+
 def _hostings(start: int, capacity: int, debts: tuple, deadlines: dict) -> list:
     """(hosted, kept, hosted minutes) for each subset of `debts` that fits
     in `capacity` minutes of a run starting at `start`. Debts come in
@@ -521,14 +609,69 @@ def _undominated(states) -> list:
 
 def _dominates(a: tuple, b: tuple) -> bool:
     """Whether state a completes whenever state b does."""
-    remaining = iter(b[0])
-    if not all(debt in remaining for debt in a[0]):  # sorted: a sub-multiset
-        return False
+    if a[0]:
+        remaining = iter(b[0])
+        if not all(debt in remaining for debt in a[0]):  # sorted: a sub-multiset
+            return False
     tallies = dict(a[1])
     return all(
         pair in tallies and tallies[pair][0] >= count and tallies[pair][1] >= regular
         for pair, (count, regular) in b[1]
     )
+
+
+class _Pass:
+    """A pass of `problem` with `waived` waived, taken only as far as asked.
+
+    Without a `source` it starts at run 0. A `source` is a pass that waives
+    all these weeks but the consecutive `extra`; this pass resumes at
+    `problem.divergence(extra)` from the source's frontier there, and is
+    the source before that run. `records` holds the (i, states) that
+    `frontiers` has yielded so far.
+    """
+
+    def __init__(
+        self,
+        problem: WeeklyRestProblem,
+        waived: Container[int],
+        source: Optional[_Pass] = None,
+        extra: Sequence[int] = (),
+    ) -> None:
+        self.problem = problem
+        self.waived = waived
+        self.source = source
+        self.start = 0 if source is None else problem.divergence(extra)
+        self.records: list = []
+        self.steps: Optional[Iterator] = None
+
+    def frontier(self, run: int) -> Optional[tuple[int, list]]:
+        """The first record at or after `run`, whose states are those the
+        pass holds before `run`; None when the pass died before it."""
+        if self.source is not None and run <= self.start:
+            return self.source.frontier(run)
+        if self.steps is None:
+            if self.source is None:
+                self.steps = self.problem.frontiers(self.waived)
+            else:
+                resume = self.source.frontier(self.start)
+                self.steps = (
+                    iter(())
+                    if resume is None
+                    else self.problem.frontiers(self.waived, self.start, resume[1])
+                )
+        while not self.records or self.records[-1][0] < run:
+            record = next(self.steps, None)
+            if record is None:
+                return None
+            self.records.append(record)
+        return self.records[bisect.bisect_left(self.records, run, key=operator.itemgetter(0))]
+
+    def feasible(self) -> bool:
+        """Whether an assignment satisfies every pair the pass leaves."""
+        if self.problem.unserved(self.waived):
+            return False
+        end = self.frontier(len(self.problem.starts))
+        return end is not None and any(not debts for debts, _ in end[1])
 
 
 def check_article86(
@@ -543,14 +686,17 @@ def check_article86(
     When no assignment at all satisfies the scope, the infeasibility is
     pinned to specific weeks: the first k weeks of the scope plus the
     earliest later week whose waiver then restores feasibility, with k as
-    small as possible. Each waived week is reported as a violation. For n
-    weeks this costs about log2(n) solves plus log2(j) scans of the weeks
-    from scope[j - 1] on, where scope[:j] is the shortest waived prefix
-    that restores feasibility: O(log n) solves when j is near n. The rests
-    are prepared once per check (their starts, minutes and candidate weeks,
-    deadlines and judged pairs found); each solve then costs the candidate
-    runs plus the runs it visits while a compensation debt is open. A scope
-    that is not consecutive weeks raises ValueError.
+    small as possible. Each waived week is reported as a violation. The
+    rests are prepared once per check (their starts and minutes, the long
+    rests' candidate weeks, deadlines and judged pairs found). Each pass
+    then costs the candidate runs plus the runs it visits while a
+    compensation debt is open. A probe that waives one more week resumes,
+    under the resume rule of `WeeklyRestProblem`, from the frontier a
+    recorded pass held before the first run that could count for that week
+    or a neighbour, and starts no pass when that pass died earlier (see
+    `_blamed_weeks`). A scope infeasible only at its end costs about one
+    pass: the 26-week 45/24/66 rotation takes 3, two of them two steps
+    long. A scope that is not consecutive weeks raises ValueError.
     """
     scope = list(weeks)
     if len(scope) < 2:
@@ -570,31 +716,80 @@ def check_article86(
 
 
 def _blamed_weeks(scope: list[int], problem: WeeklyRestProblem) -> list[int]:
-    """The weeks `check_article86` blames; none when the scope is feasible."""
+    """The weeks `check_article86` blames; none when the scope is feasible.
 
-    def feasible(waived: Sequence[int]) -> bool:
-        return problem.solve(frozenset(waived)) is not None
+    Waiving a week drops its pairs and its candidacy and adds no
+    constraint, so F(S), "waiving S leaves a feasible scope", is monotone.
+    Let j be the least j with F(scope[:j]); one week has no pair, so
+    1 <= j <= n - 1. scope[:k] + [scope[i]] lies inside
+    scope[:max(k, i + 1)], so for k < j only weeks from scope[j - 1] on
+    can rescue, and k = j - 1 is rescued by scope[j - 1] itself. Rescue is
+    monotone in k too. So j is found by a galloping search that starts at
+    the last week the unwaived pass could count before it died, where the
+    obstruction usually lies, and k is 0 when a week of the tail rescues
+    alone, else found by a galloping search down from j - 1.
 
-    if feasible(()):
+    Every pass waives a prefix scope[:k], or such a prefix and one week. It
+    resumes, at the divergence of the weeks it adds, from the pass of the
+    longest shorter prefix, or of its own prefix; a prefix's pass goes only
+    as far as the passes resumed from it ask. So a probe costs the runs
+    from its week on, and one whose source died before that week costs no
+    pass. A scope whose one obstruction lies at week d costs the unwaived
+    pass, O(log d) prefix passes, most of them short, and a few probes.
+    """
+    n = len(problem.starts)
+    prefixes = {0: _Pass(problem, range(0))}  # k -> the pass waiving scope[:k]
+
+    def prefix(k: int) -> _Pass:
+        if k not in prefixes:
+            below = max(p for p in prefixes if p < k)
+            waived = range(scope[0], scope[0] + k)  # no set: a scope can span 10^5 weeks
+            prefixes[k] = _Pass(problem, waived, prefixes[below], scope[below:k])
+        return prefixes[k]
+
+    if prefix(0).feasible():
         return []
 
     @functools.cache
     def rescues(k: int, w: int) -> bool:
-        return feasible(scope[:k] + [w])
+        if w == scope[k]:
+            return prefix(k + 1).feasible()
+        return _Pass(problem, frozenset([*scope[:k], w]), prefix(k), (w,)).feasible()
 
-    # Waiving a week drops its pairs and its candidacy and adds no
-    # constraint, so F(S), "waiving S leaves a feasible scope", is monotone.
-    # Let j be the least j with F(scope[:j]); one week has no pair, so
-    # 1 <= j <= n - 1. scope[:k] + [scope[i]] lies inside
-    # scope[:max(k, i + 1)], so for k < j only weeks from scope[j - 1] on
-    # can rescue, and k = j - 1 is rescued by scope[j - 1] itself. Rescue is
-    # monotone in k too, so j and k are both found by bisection.
-    j = bisect.bisect_left(
-        range(len(scope) - 1), True, lo=1, key=lambda j: rescues(j - 1, scope[j - 1])
-    )
+    guess = len(scope) - 1
+    records = prefix(0).records  # none when a pair no run can serve stopped it
+    if records and records[-1][0] < n:  # it died at that run
+        runs = problem.candidate_runs
+        reached = problem.candidates[runs[bisect.bisect_right(runs, records[-1][0]) - 1]][-1]
+        guess = min(guess, max(1, reached - scope[0] + 1))
+    j = _least(1, len(scope) - 1, guess, lambda j: prefix(j).feasible())
     tail = scope[j - 1 :]
-    k = bisect.bisect_left(range(j - 1), True, key=lambda k: any(rescues(k, w) for w in tail))
+
+    def any_rescue(k: int) -> bool:
+        return any(rescues(k, w) for w in tail)
+
+    k = 0 if any_rescue(0) else _least(1, j - 1, j - 1, any_rescue)
     return scope[:k] + [next(w for w in tail if rescues(k, w))]
+
+
+def _least(lo: int, hi: int, guess: int, holds) -> int:
+    """The least x in [lo, hi] at which the monotone `holds` is true, given
+    that it is true at hi. Gallops from `guess` (tries guess + 1, + 2, + 4,
+    ... when false there, guess - 1, - 2, - 4, ... when true) and bisects
+    the last gap, so an answer d away from the guess costs O(log d) calls."""
+    if guess < hi and not holds(guess):
+        lo, step = guess + 1, 1
+        while guess + step < hi and not holds(guess + step):
+            lo = guess + step + 1
+            step *= 2
+        hi = min(hi, guess + step)
+    else:
+        hi, step = min(hi, guess), 1
+        while hi - step >= lo and holds(hi - step):
+            hi -= step
+            step *= 2
+        lo = max(lo, hi - step + 1)
+    return bisect.bisect_left(range(hi), True, lo=lo, key=holds)
 
 
 def complete_weeks(trace: SecondTrace, leap_table: Sequence[LeapSecond] = ()) -> range:
@@ -618,8 +813,10 @@ def check_all(
     """Label, segment and run every check; deterministic for fixed inputs.
 
     A trace that covers no complete minute on the grid is judged on no
-    minutes: the report has no violations and says so in a notice.
+    minutes: the report has no violations and says so in a notice. A leap
+    table that names a Sunday twice raises TraceError.
     """
+    leap_table = validate_leap_table(leap_table)
     notices = []
     try:
         mt = label_minutes(trace, grid, profile.rule51)

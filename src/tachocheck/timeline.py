@@ -66,8 +66,8 @@ def parse_leap_table(text: str) -> tuple[LeapSecond, ...]:
     """Parse a JSON list of {"sunday_index": int, "delta": -1|+1} entries.
 
     Both fields must be JSON integers: a float, string, boolean or null is
-    refused rather than truncated or coerced. A Sunday ends with at most one
-    leap second, so a table naming the same `sunday_index` twice is refused.
+    refused rather than truncated or coerced. The table must then pass
+    `validate_leap_table`.
     """
     try:
         raw = json.loads(text)
@@ -75,7 +75,7 @@ def parse_leap_table(text: str) -> tuple[LeapSecond, ...]:
         raise TraceError(f"leap table is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise TraceError("leap table must be a JSON list")
-    entries = {}
+    entries = []
     for item in raw:
         if not isinstance(item, dict) or set(item) != {"sunday_index", "delta"}:
             raise TraceError(f"bad leap table entry: {item!r}")
@@ -84,10 +84,19 @@ def parse_leap_table(text: str) -> tuple[LeapSecond, ...]:
             raise TraceError(
                 f"bad leap table entry: {item!r} (sunday_index and delta must be integers)"
             )
-        if item["sunday_index"] in entries:
-            raise TraceError(f"bad leap table entry: {item!r} (that Sunday is already listed)")
-        entries[item["sunday_index"]] = LeapSecond(item["sunday_index"], item["delta"])
-    return tuple(entries.values())
+        entries.append(LeapSecond(item["sunday_index"], item["delta"]))
+    return validate_leap_table(entries)
+
+
+def validate_leap_table(table: Sequence[LeapSecond]) -> tuple[LeapSecond, ...]:
+    """The table as a tuple. A Sunday ends with at most one leap second, so
+    a table naming the same `sunday_index` twice raises TraceError."""
+    listed = set()
+    for entry in table:
+        if entry.sunday_index in listed:
+            raise TraceError(f"bad leap table entry: {entry!r} (that Sunday is already listed)")
+        listed.add(entry.sunday_index)
+    return tuple(table)
 
 
 @dataclass(frozen=True)

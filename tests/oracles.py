@@ -9,9 +9,10 @@ the driving of each daily span between its instants, look for the next
 daily rest of Article 8.2 among all rests, attribute Article 6.1 extensions by
 brute-force search and count them per week after regrouping and sorting,
 decide Article 8.6 by backtracking over every
-assignment of rests to weeks and every compensation cascade, and blame an
-infeasible Article 8.6 scope by waiving weeks one round at a time, and find
-the complete weeks of a trace by walking week starts. They are slow and
+assignment of rests to weeks and every compensation cascade, blame an
+infeasible Article 8.6 scope by waiving weeks one round at a time, or by
+bisections that solve every probe afresh, and find the complete weeks of a
+trace by walking week starts. They are slow and
 literal on purpose; the differential tests compare the engine with
 them.
 """
@@ -19,6 +20,7 @@ them.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -786,6 +788,36 @@ def check_article86(
             )
         )
     return violations
+
+
+def blamed_weeks(scope: list[int], problem: rules.WeeklyRestProblem) -> list[int]:
+    """The weeks `check_article86` blames, by bisections whose every probe
+    is a fresh `problem.solve` from the first run; none when the scope is
+    feasible."""
+
+    def feasible(waived: Sequence[int]) -> bool:
+        return problem.solve(frozenset(waived)) is not None
+
+    if feasible(()):
+        return []
+
+    @functools.cache
+    def rescues(k: int, w: int) -> bool:
+        return feasible(scope[:k] + [w])
+
+    # Waiving a week drops its pairs and its candidacy and adds no
+    # constraint, so F(S), "waiving S leaves a feasible scope", is monotone.
+    # Let j be the least j with F(scope[:j]); one week has no pair, so
+    # 1 <= j <= n - 1. scope[:k] + [scope[i]] lies inside
+    # scope[:max(k, i + 1)], so for k < j only weeks from scope[j - 1] on
+    # can rescue, and k = j - 1 is rescued by scope[j - 1] itself. Rescue is
+    # monotone in k too, so j and k are both found by bisection.
+    j = bisect.bisect_left(
+        range(len(scope) - 1), True, lo=1, key=lambda j: rescues(j - 1, scope[j - 1])
+    )
+    tail = scope[j - 1 :]
+    k = bisect.bisect_left(range(j - 1), True, key=lambda k: any(rescues(k, w) for w in tail))
+    return scope[:k] + [next(w for w in tail if rescues(k, w))]
 
 
 def complete_weeks(

@@ -1,5 +1,6 @@
 """Differential tests: the run-based engine against the expanded oracles."""
 
+import bisect
 import collections
 import dataclasses
 import hashlib
@@ -489,6 +490,38 @@ def test_one_prepared_problem_answers_every_waiver_like_a_fresh_solve():
     assert feasible >= 100 and infeasible >= 100  # both verdicts are well represented
 
 
+def test_a_resumed_pass_holds_a_fresh_passs_frontiers():
+    # a pass that waives the weeks `extra` besides its source's resumes at
+    # their divergence from the source's frontier; before every run it must
+    # hold the states a fresh pass holds there, and give the same verdict
+    rng = random.Random(1887)
+    seen = collections.Counter()
+    for _ in range(150):
+        scope, mt, profile, leap_table, _ = _random_weekly_rest_instance(rng, max_weeks=10)
+        problem = WeeklyRestProblem(scope, mt, classify_rests(mt), profile, leap_table)
+        n = len(problem.starts)
+        for _ in range(6):
+            source = rules._Pass(problem, frozenset(w for w in scope if rng.random() < 0.15))
+            for _ in range(rng.randint(1, 3)):  # a chain of resumed passes
+                first = rng.choice(scope)
+                extra = range(first, min(scope[-1], first + rng.choice((0, 0, 1, 3))) + 1)
+                seen["unservable source"] += problem.unserved(source.waived)
+                resumed = rules._Pass(problem, source.waived | set(extra), source, extra)
+                seen["source died"] += source.frontier(resumed.start) is None
+                seen["resumes at run 0"] += resumed.start == 0
+                fresh = list(problem.frontiers(resumed.waived))
+                for run in range(n + 1):
+                    at = bisect.bisect_left(fresh, run, key=lambda record: record[0])
+                    expected = fresh[at][1] if at < len(fresh) else None
+                    record = resumed.frontier(run)
+                    assert (record and record[1]) == expected, (run, resumed.waived)
+                solution = problem.solve(resumed.waived)
+                assert resumed.feasible() == (solution is not None)
+                seen["feasible"] += solution is not None
+                source = resumed
+    assert min(seen.values()) >= 40, seen
+
+
 def test_article86_blame_matches_the_waiver_rounds():
     rng = random.Random(8609)
     multi = 0
@@ -499,6 +532,84 @@ def test_article86_blame_matches_the_waiver_rounds():
         assert violations == oracles.check_article86(scope, mt, rests, profile, leap_table)
         multi += len(violations) >= 2
     assert multi >= 50  # blames of several weeks are well represented
+
+
+def _weekly_layout_instance(rng: random.Random, max_weeks: int = 40):
+    """2 to `max_weeks` weeks whose rests sit near each week's start, in one
+    of four layouts: an early obstruction (reduced weeks, maybe a long one)
+    with a long regular tail, one rest spanning weeks, a 45/24/66-like
+    rotation, or weeks drawn from a menu of rest lengths. Day cycles fill
+    each week; knobs and leap seconds are random."""
+    first = rng.randint(0, 3)
+    n = rng.randint(2, max_weeks)
+    layout = rng.choice(("tail", "long", "rotation", "menu"))
+    if layout == "tail":
+        reduced = rng.randint(1, min(8, n))
+        hours = [rng.randint(24, 40) for _ in range(reduced)]
+        if rng.random() < 0.6:
+            hours.append(rng.randint(55, 80))
+        hours += [rng.randint(45, 50)] * (n - len(hours))
+    elif layout == "long":
+        hours = [rng.choice((24, 45, 45, 66)) for _ in range(n)]
+        at = rng.randrange(n)
+        hours[at] = rng.randint(1, min(4, n - at)) * 168 - rng.randint(20, 60)
+    elif layout == "rotation":
+        cycle = [rng.choice((24, 30, 45, 50, 66, 70)) for _ in range(rng.randint(2, 4))]
+        hours = [cycle[w % len(cycle)] for w in range(n)]
+    else:
+        hours = [rng.choice((0, 24, 30, 36, 45, 45, 45, 66, 80)) for _ in range(n)]
+    leap_table = tuple(
+        LeapSecond(i, rng.choice((-1, 1)))
+        for i in sorted(rng.sample(range(first - 1, first + n + 1), rng.randint(0, 2)))
+    )
+    week = 7 * 24 * 60
+    start = week_start(first, leap_table) // 60 - rng.randint(0, 600)
+    runs = [(R, rng.randint(1, 600))]
+    skip = 0  # weeks a long rest already covers
+    for h in hours:
+        if skip:
+            skip -= 1
+            continue
+        lead = rng.randint(0, 1800)
+        rest = h * 60 + rng.randint(-30, 30) if h else 0
+        runs += [(O, lead + 1), (R, max(rest, 1))]
+        used = lead + 1 + max(rest, 1)
+        skip = used // week
+        used %= week
+        while used + 24 * 60 <= week:
+            runs += [(O, 13 * 60), (R, 11 * 60)]
+            used += 24 * 60
+        runs.append((O, week - used + 1))
+    runs.append((R, rng.randint(60, 3000)))
+    mt = MinuteTrace(start, *zip(*runs), TimeGrid())
+    profile = dataclasses.replace(
+        SPIRIT,
+        id="layout",
+        attached_compensation=rng.random() < 0.3,
+        daily_rest_threshold=rng.choice((15, 540, 660, 1440)),
+    )
+    return list(range(first, first + n)), mt, profile, leap_table
+
+
+def test_article86_blame_matches_the_fresh_solve_bisections():
+    # every probe of the oracle solves from the first run; the engine's
+    # probes resume from recorded frontiers and skip those whose source died
+    rng = random.Random(1886)
+    seen = collections.Counter()
+    for case in range(2000):
+        max_weeks = rng.choice((8, 16, 40))
+        if case % 2:
+            scope, mt, profile, leap_table, _ = _random_weekly_rest_instance(rng, max_weeks)
+        else:
+            scope, mt, profile, leap_table = _weekly_layout_instance(rng, max_weeks)
+        rests = classify_rests(mt)
+        problem = WeeklyRestProblem(scope, mt, rests, profile, leap_table)
+        blamed = rules._blamed_weeks(scope, problem)
+        assert blamed == oracles.blamed_weeks(scope, problem), (case, scope, blamed)
+        seen["infeasible"] += bool(blamed)
+        seen["several"] += len(blamed) >= 2
+        seen["long scope"] += len(scope) >= 20 and bool(blamed)
+    assert seen["infeasible"] >= 800 and seen["several"] >= 200 and seen["long scope"] >= 200, seen
 
 
 def test_complete_weeks_match_the_week_walk():

@@ -12,6 +12,7 @@ from tachocheck.periods import accumulate_driving, classify_rests, daily_driving
 from tachocheck.profiles import (
     ExtendedAttribution,
     builtin_profiles,
+    diff_verdicts,
 )
 from tachocheck.rules import (
     check_all,
@@ -27,8 +28,10 @@ from tachocheck.timeline import (
     LeapSecond,
     SecondTrace,
     TimeGrid,
+    TraceError,
     WeekUndefinedError,
     parse_trace,
+    validate_leap_table,
     week_of,
     week_start,
 )
@@ -300,6 +303,21 @@ def test_letter_leap_policy_surfaces_in_week_attribution():
     with pytest.raises(WeekUndefinedError):
         check_article61(spans, profile, table)
     assert check_article61(spans, SPIRIT, table) == []
+
+
+def test_check_all_refuses_a_leap_table_naming_a_sunday_twice():
+    # two +1 entries would make week 0 two seconds longer, and a +1 and a -1
+    # would cancel while Letter still refused week 0's 24:00
+    trace = chain_weeks(45, 45, 45)
+    for delta in (1, -1):
+        table = (LeapSecond(0, 1), LeapSecond(0, delta))
+        with pytest.raises(TraceError, match="that Sunday is already listed"):
+            check_all(trace, GRID, SPIRIT, table)
+        with pytest.raises(TraceError, match="that Sunday is already listed"):
+            diff_verdicts(trace, [SPIRIT, LETTER], table)
+    table = [LeapSecond(0, 1), LeapSecond(1, -1)]
+    assert validate_leap_table(table) == tuple(table)
+    assert check_all(trace, GRID, SPIRIT, table).violations == ()
 
 
 # --- article 8.2 ---
@@ -660,27 +678,30 @@ def test_compensation_chain_has_no_depth_cliff():
     assert elapsed < 2.0
 
 
-def count_solves(monkeypatch) -> list:
-    """Make the per-probe 8.6 solve append one entry per call to the
-    returned list; a check prepares once and solves once per probe."""
+def count_passes(monkeypatch) -> list:
+    """Make the 8.6 forward pass append one entry per pass started to the
+    returned list: a full solve, or a pass resumed from a recorded frontier.
+    A probe whose source died before the week it waives starts none."""
     calls = []
-    solve = rules.WeeklyRestProblem.solve
+    frontiers = rules.WeeklyRestProblem.frontiers
 
-    def counting_solve(*args, **kwargs):
+    def counting_frontiers(*args, **kwargs):
         calls.append(None)
-        return solve(*args, **kwargs)
+        return frontiers(*args, **kwargs)
 
-    monkeypatch.setattr(rules.WeeklyRestProblem, "solve", counting_solve)
+    monkeypatch.setattr(rules.WeeklyRestProblem, "frontiers", counting_frontiers)
     return calls
 
 
 def test_long_reduced_rest_rotation_checks_quickly(monkeypatch):
     # 45/24/66 over 26 weeks ends on an unpaid reduction in week 25; the
-    # blame is week 24, as the backtracking solver found. One solve of the
-    # whole scope, a bisection for the shortest waived prefix that restores
-    # feasibility (weeks 0-24), then a bisection for how many leading weeks
-    # to waive besides week 24 or 25: none.
-    calls = count_solves(monkeypatch)
+    # blame is week 24, as the backtracking solver found. One pass of the
+    # whole scope, which ends with the debt unpaid; the search for the
+    # shortest waived prefix that restores feasibility starts at week 25,
+    # and one pass waiving weeks 0-23 fails, so it is weeks 0-24. Then
+    # week 24 alone rescues: its probe resumes near the end of the first
+    # pass.
+    calls = count_passes(monkeypatch)
     trace = chain_weeks(*[(45, 24, 66)[w % 3] for w in range(26)])
     started = time.perf_counter()
     report = check_all(trace, GRID, SPIRIT)
@@ -688,38 +709,35 @@ def test_long_reduced_rest_rotation_checks_quickly(monkeypatch):
     assert [(v.article, v.window_start // SECONDS_PER_WEEK) for v in report.violations] == [
         ("8.6", 24)
     ]
-    assert len(calls) == 10
+    assert len(calls) == 3
     assert elapsed < 1.0
 
 
 def test_one_check_prepares_the_rests_once(monkeypatch):
-    # the rotation makes 10 solves, but week_of is called only while the
-    # rests are prepared, exactly as often as for a single solve
+    # the rotation makes 3 passes over one prepared problem
     trace = chain_weeks(*[(45, 24, 66)[w % 3] for w in range(26)])
     mt, rests = pipeline(trace)
     scope = complete_weeks(trace)
-    lookups = []
-    lookup = rules.week_of
+    prepared = []
+    prepare = rules.WeeklyRestProblem.__init__
 
-    def counting_week_of(*args, **kwargs):
-        lookups.append(None)
-        return lookup(*args, **kwargs)
+    def counting_prepare(*args, **kwargs):
+        prepared.append(None)
+        prepare(*args, **kwargs)
 
-    monkeypatch.setattr(rules, "week_of", counting_week_of)
-    assert solve_weekly_rests(scope, mt, rests, SPIRIT) is None
-    single = len(lookups)
-    calls = count_solves(monkeypatch)
-    lookups.clear()
+    monkeypatch.setattr(rules.WeeklyRestProblem, "__init__", counting_prepare)
+    calls = count_passes(monkeypatch)
     assert len(check_article86(scope, mt, rests, SPIRIT)) == 1
-    assert len(calls) == 10
-    assert len(lookups) == single > 0
+    assert len(calls) == 3
+    assert len(prepared) == 1
 
 
 def test_early_obstruction_with_a_long_tail_checks_quickly(monkeypatch):
-    # ten reduced weeks and a 66 h week, then 300 regular weeks: every probe
-    # for k scans the tail, one solve per week, but each solve jumps over
-    # the tail's runs that are too short to count as a weekly rest
-    calls = count_solves(monkeypatch)
+    # ten reduced weeks and a 66 h week, then 300 regular weeks: the
+    # unwaived pass dies in week 1, so the prefix search starts there and
+    # its infeasible passes die early too; each probe of the tail resumes
+    # from a prefix's pass, and those past where it died start no pass
+    calls = count_passes(monkeypatch)
     trace = chain_weeks(*[24] * 10, 66, *[45] * 300)
     started = time.perf_counter()
     report = check_all(trace, GRID, SPIRIT)
@@ -727,28 +745,28 @@ def test_early_obstruction_with_a_long_tail_checks_quickly(monkeypatch):
     assert [(v.article, week_of(v.window_start)) for v in report.violations] == [
         ("8.6", week) for week in [*range(7), 8]
     ]
-    assert len(calls) == 616
+    assert len(calls) == 12
     assert elapsed < 1.0
 
 
 @pytest.mark.parametrize(
-    "trace, blamed, solves",
+    "trace, blamed, passes",
     [
         # every week reduced and never compensated
-        (lambda: SecondTrace.from_runs(0, week_runs(24) * 104), [*range(101), 102], 20),
+        (lambda: SecondTrace.from_runs(0, week_runs(24) * 104), [*range(101), 102], 17),
         # one valid record: a single rest spanning n complete weeks counts for
         # at most one week, so no pair is met and the blame is weeks 0 to
         # n - 4 and week n - 2
-        (lambda: parse_trace("0,REST,100000000\n"), [*range(162), 163], 21),
-        (lambda: parse_trace("0,REST,1000000000\n"), [*range(1650), 1651], 32),
-        (lambda: parse_trace("0,REST,10000000000\n"), [*range(16531), 16532], 42),
+        (lambda: parse_trace("0,REST,100000000\n"), [*range(162), 163], 9),
+        (lambda: parse_trace("0,REST,1000000000\n"), [*range(1650), 1651], 9),
+        (lambda: parse_trace("0,REST,10000000000\n"), [*range(16531), 16532], 9),
     ],
     ids=["week-runs-24-x104", "rest-1e8-seconds", "rest-1e9-seconds", "rest-1e10-seconds"],
 )
 def test_long_infeasible_traces_blame_the_same_weeks_quickly(
-    monkeypatch, trace, blamed, solves
+    monkeypatch, trace, blamed, passes
 ):
-    calls = count_solves(monkeypatch)
+    calls = count_passes(monkeypatch)
     trace = trace()
     started = time.perf_counter()
     report = check_all(trace, GRID, SPIRIT)
@@ -756,7 +774,7 @@ def test_long_infeasible_traces_blame_the_same_weeks_quickly(
     assert [(v.article, week_of(v.window_start)) for v in report.violations] == [
         ("8.6", week) for week in blamed
     ]
-    assert len(calls) == solves
+    assert len(calls) == passes
     assert elapsed < 2.0
 
 
