@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import sys
 from pathlib import Path
@@ -244,5 +245,18 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """Process entry point: exit with the status of `main` on `sys.argv`.
+
+    The heap is frozen first, so the interpreter's shutdown collections
+    skip every object still alive; atexit handlers and the stdio flush run
+    as usual. `main` itself leaves the collector alone for in-process
+    callers.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

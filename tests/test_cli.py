@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 
 import tachocheck
 from conftest import D, HOUR, week_runs
-from tachocheck.cli import main
+from tachocheck.cli import main, run
 from tachocheck.patterns import gen_weekly_sandwich
 from tachocheck.profiles import builtin_profiles
 from tachocheck.timeline import SecondTrace
@@ -445,3 +446,88 @@ def test_machine_rejects_an_unknown_program_and_names_the_known_ones(capsys):
     err = capsys.readouterr().err
     assert "unknown program 'ackermann'" in err
     assert "decrement, increment-forever, collatz" in err
+
+
+def _child(argv, **kwargs):
+    """`python -m tachocheck ARGV` with this checkout's package on the path."""
+    src = Path(tachocheck.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), **kwargs.pop("env", {})}
+    return subprocess.run(
+        [sys.executable, "-m", "tachocheck", *argv], env=env, timeout=60, **kwargs
+    )
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(sandwich_file, capsys):
+    before = gc.get_freeze_count()
+    assert main(["check", str(sandwich_file), "--profile", "spirit"]) == 1
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_run_freezes_the_heap_and_exits_with_the_status_of_main(
+    sandwich_file, capsys, monkeypatch
+):
+    argv = ["tachocheck", "check", str(sandwich_file), "--profile", "spirit"]
+    monkeypatch.setattr(sys, "argv", argv)
+    before = gc.get_freeze_count()
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            run()
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+    assert exit_info.value.code == 1
+    assert json.loads(capsys.readouterr().out)["violations"]
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["check", "{sandwich}", "--profile", "spirit"], 1),
+        (["diff", "{all_rest}", "--profiles", "letter", "spirit"], 0),
+        (["diff", "{sandwich}", "--profiles", "letter", "spirit"], 1),
+        (["check", "{sandwich}"], 2),  # --profile is required
+    ],
+)
+def test_python_dash_m_matches_main_in_process(
+    argv, status, sandwich_file, all_rest_file, capsys
+):
+    argv = [a.format(sandwich=sandwich_file, all_rest=all_rest_file) for a in argv]
+    assert main(argv) == status
+    captured = capsys.readouterr()
+    proc = _child(argv, capture_output=True)
+    assert proc.returncode == status
+    assert proc.stdout == captured.out.encode()
+    assert proc.stderr == captured.err.encode()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_pipe_gives_the_status_and_stderr_it_always_gave(
+    unbuffered, sandwich_file
+):
+    # Freezing the heap must not change what `sys.exit(main())` gives here.
+    # Buffered, the report waits in the stdout buffer until the interpreter
+    # flushes it at shutdown; that flush fails, and CPython reports it and
+    # exits 120 (the first stderr line is worded differently from 3.13 on).
+    # Unbuffered, print fails inside `main`, which reports the OSError and
+    # returns 2.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {"PYTHONUNBUFFERED": "1" if unbuffered else ""}
+    try:
+        proc = _child(
+            ["check", str(sandwich_file), "--profile", "spirit"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    if unbuffered:
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
+    else:
+        assert proc.returncode == 120
+        first, second = proc.stderr.splitlines(keepends=True)
+        assert first.startswith(b"Exception ignored ")
+        assert second == b"BrokenPipeError: [Errno 32] Broken pipe\n"

@@ -393,14 +393,13 @@ def _random_weekly_rest_instance(rng: random.Random, max_weeks: int = 6):
     waived weeks, leap seconds and compensation knobs."""
     first = rng.randint(0, 3)
     scope = list(range(first, first + rng.randint(2, max_weeks)))
-    leap_table = tuple(
-        sorted(
-            {
-                LeapSecond(rng.randint(first - 1, scope[-1] + 1), rng.choice((-1, 1)))
-                for _ in range(rng.randint(0, 2))
-            },
-            key=lambda ls: ls.sunday_index,
-        )
+    # distinct Sundays, as check_all requires: a Sunday drawn again keeps its
+    # first delta
+    deltas = {}
+    for _ in range(rng.randint(0, 2)):
+        deltas.setdefault(rng.randint(first - 1, scope[-1] + 1), rng.choice((-1, 1)))
+    leap_table = timeline.validate_leap_table(
+        [LeapSecond(sunday, deltas[sunday]) for sunday in sorted(deltas)]
     )
     long_share = rng.uniform(0.03, 0.4)
     runs = []
