@@ -2,6 +2,7 @@
 
 from .timeline import (
     Activity,
+    Calendar,
     LeapSecond,
     SecondTrace,
     TimeGrid,
@@ -12,8 +13,6 @@ from .timeline import (
     parse_leap_table,
     parse_trace,
     shift_grid,
-    week_of,
-    week_start,
 )
 from .minutes import MinuteTrace, Rule51Semantics, label_minutes, label_rule52
 from .periods import (
@@ -41,7 +40,6 @@ from .rules import (
     check_article61,
     check_article82,
     check_article86,
-    complete_weeks,
     solve_weekly_rests,
 )
 

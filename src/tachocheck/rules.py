@@ -42,13 +42,10 @@ from .profiles import ExtendedAttribution, InterpretationProfile
 from .timeline import (
     SECONDS_PER_DAY,
     SECONDS_PER_MINUTE,
+    Calendar,
     LeapSecond,
     SecondTrace,
     TimeGrid,
-    WeekPolicy,
-    validate_leap_table,
-    week_of,
-    week_start,
 )
 
 DRIVE_BEFORE_BREAK_LIMIT_MINUTES = 270
@@ -158,7 +155,7 @@ def _article7_violation(start: int, end: int, peak: int, profile_id: str) -> Vio
 def check_article61(
     spans: Sequence[DailyDrivingSpan],
     profile: InterpretationProfile,
-    leap_table: Sequence[LeapSecond] = (),
+    calendar: Calendar = Calendar(),
 ) -> list[Violation]:
     """Daily driving limit with the twice-per-week 10-hour extension.
 
@@ -195,8 +192,8 @@ def check_article61(
                 )
             )
         elif span.driving_minutes > DAILY_DRIVING_LIMIT_MINUTES:
-            start_week = week_of(span.start, profile.leap_week_policy, leap_table)
-            end_week = week_of(span.end - 1, profile.leap_week_policy, leap_table)
+            start_week = calendar.week_of(span.start)
+            end_week = calendar.week_of(span.end - 1)
             if start_week == end_week or attribution is ExtendedAttribution.START_WEEK:
                 extensions.append((span, (start_week,)))
             elif attribution is ExtendedAttribution.END_WEEK:
@@ -294,7 +291,7 @@ def solve_weekly_rests(
     mt: MinuteTrace,
     rests: Sequence[int],
     profile: InterpretationProfile,
-    leap_table: Sequence[LeapSecond] = (),
+    calendar: Calendar = Calendar(),
     waived: frozenset[int] = frozenset(),
 ) -> Optional[dict]:
     """Exact feasibility check for Articles 8.6/8.9 over the given weeks.
@@ -317,7 +314,7 @@ def solve_weekly_rests(
     Returns a witness dict when an assignment satisfying every pair of
     consecutive non-waived weeks exists, else None.
     """
-    problem = WeeklyRestProblem(scope_weeks, mt, rests, profile, leap_table)
+    problem = WeeklyRestProblem(scope_weeks, mt, rests, profile, calendar)
     solution = problem.solve(waived)
     return None if solution is None else problem.witness(solution)
 
@@ -326,12 +323,11 @@ class WeeklyRestProblem:
     """The inputs of the Article 8.6 search, prepared once per check.
 
     The preparation reads each rest run's start and minutes. Only the runs
-    of at least 1440 minutes get candidate weeks, the scope weeks they
-    overlap, looked up by bisection over the scope's week starts. It
-    computes each scope week's compensation deadline. A pair of consecutive
-    weeks is judged at the last run that could count for either week; pairs
-    that no run can serve are kept apart. A pass filters all of this by
-    `waived` alone.
+    of at least 1440 minutes get candidate weeks, the scope weeks of
+    `calendar` they overlap. It computes each scope week's compensation
+    deadline. A pair of consecutive weeks is judged at the last run that
+    could count for either week; pairs that no run can serve are kept
+    apart. A pass filters all of this by `waived` alone.
 
     Resume rule: waiving the weeks X as well drops only their candidacy and
     the pairs x - 1 and x for each x in X. A run whose candidate weeks miss
@@ -349,7 +345,7 @@ class WeeklyRestProblem:
         mt: MinuteTrace,
         rests: Sequence[int],
         profile: InterpretationProfile,
-        leap_table: Sequence[LeapSecond] = (),
+        calendar: Calendar = Calendar(),
     ) -> None:
         scope = list(scope_weeks)
         if any(b != a + 1 for a, b in zip(scope, scope[1:])):
@@ -361,15 +357,7 @@ class WeeklyRestProblem:
             profile.daily_rest_threshold if profile.attached_compensation else 0
         )
         first, last = (scope[0], scope[-1]) if scope else (0, -1)
-        # Monday 00:00 of each week from the scope's first to its last deadline's
-        mondays = [
-            week_start(w, leap_table) for w in range(first, last + COMPENSATION_WINDOW_WEEKS + 2)
-        ]
-        self.deadlines = {w: mondays[w - first + COMPENSATION_WINDOW_WEEKS + 1] for w in scope}
-
-        def week_at(t: int) -> int:  # first - 1 before the scope, last + 1 after it
-            return first - 1 + bisect.bisect_right(mondays, t, 0, last - first + 2)
-
+        self.deadlines = {w: calendar.monday(w + COMPENSATION_WINDOW_WEEKS + 1) for w in scope}
         n = len(self.starts)
         self.candidates: list = [()] * n
         self.candidate_runs = []  # the runs with a candidate week, then n
@@ -377,7 +365,9 @@ class WeeklyRestProblem:
         for i in [i for i, m in enumerate(self.minutes) if m >= REDUCED_WEEKLY_MIN_MINUTES]:
             start = self.starts[i]
             end = start + self.minutes[i] * SECONDS_PER_MINUTE
-            weeks = range(max(first, week_at(start)), min(last, week_at(end - 1)) + 1)
+            weeks = range(
+                max(first, calendar.week_of(start)), min(last, calendar.week_of(end - 1)) + 1
+            )
             if weeks:
                 self.candidates[i] = weeks
                 self.candidate_runs.append(i)
@@ -679,7 +669,7 @@ def check_article86(
     mt: MinuteTrace,
     rests: Sequence[int],
     profile: InterpretationProfile,
-    leap_table: Sequence[LeapSecond] = (),
+    calendar: Calendar = Calendar(),
 ) -> list[Violation]:
     """Weekly-rest and compensation check over complete, consecutive weeks.
 
@@ -702,12 +692,12 @@ def check_article86(
     if len(scope) < 2:
         return []
     # the prepared rests are freed before the violations are built
-    blamed = _blamed_weeks(scope, WeeklyRestProblem(scope, mt, rests, profile, leap_table))
+    blamed = _blamed_weeks(scope, WeeklyRestProblem(scope, mt, rests, profile, calendar))
     return [
         Violation(
             "8.6",
-            week_start(week, leap_table),
-            week_start(week + 1, leap_table),
+            calendar.monday(week),
+            calendar.monday(week + 1),
             f"no weekly-rest assignment with compensation satisfies week {week}",
             profile.id,
         )
@@ -792,18 +782,6 @@ def _least(lo: int, hi: int, guess: int, holds) -> int:
     return bisect.bisect_left(range(hi), True, lo=lo, key=holds)
 
 
-def complete_weeks(trace: SecondTrace, leap_table: Sequence[LeapSecond] = ()) -> range:
-    """Weeks whose full [Monday 00:00, Sunday 24:00) interval the trace covers.
-
-    The first is the week after the one holding the instant before the
-    trace, the last the week before the one holding the trace end.
-    """
-    return range(
-        week_of(trace.start - 1, WeekPolicy.SPIRIT, leap_table) + 1,
-        week_of(trace.end, WeekPolicy.SPIRIT, leap_table),
-    )
-
-
 def check_all(
     trace: SecondTrace,
     grid: TimeGrid,
@@ -816,7 +794,7 @@ def check_all(
     minutes: the report has no violations and says so in a notice. A leap
     table that names a Sunday twice raises TraceError.
     """
-    leap_table = validate_leap_table(leap_table)
+    calendar = Calendar(leap_table, profile.leap_week_policy)
     notices = []
     try:
         mt = label_minutes(trace, grid, profile.rule51)
@@ -832,16 +810,18 @@ def check_all(
 
     violations = []
     violations += check_article7(stretches, mt, profile.id)
-    violations += check_article61(spans, profile, leap_table)
+    violations += check_article61(spans, profile, calendar)
     violations += check_article82(rests, mt, profile)
 
-    scope = complete_weeks(trace, leap_table)
+    # an open reading: 8.6 and its scope read Spirit weeks under every policy
+    calendar = calendar.spirit()
+    scope = calendar.complete_weeks(trace.start, trace.end)
     if len(scope) < 2:
         notices.append(
             "article 8.6 skipped: trace covers fewer than two complete weeks"
         )
     else:
-        violations += check_article86(scope, mt, rests, profile, leap_table)
+        violations += check_article86(scope, mt, rests, profile, calendar)
 
     violations.sort(key=Violation.sort_key)
     statistics = {

@@ -16,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import eq, is_, itemgetter
+from operator import attrgetter, eq, is_, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 SECONDS_PER_MINUTE = 60
@@ -360,37 +360,57 @@ def _parse_lines(text: str) -> SecondTrace:
     return SecondTrace(first, activities, durations)
 
 
-def week_start(week: int, leap_table: Sequence[LeapSecond] = ()) -> int:
-    """Instant at which the given calendar week begins (Monday 00:00)."""
-    base = week * SECONDS_PER_WEEK
-    return base + sum(ls.delta for ls in leap_table if ls.sunday_index < week)
+class Calendar:
+    """The week arithmetic of one check: a leap table and a week policy.
 
-
-def week_of(
-    t: int,
-    policy: WeekPolicy = WeekPolicy.SPIRIT,
-    leap_table: Sequence[LeapSecond] = (),
-) -> int:
-    """Calendar week containing instant t.
-
-    Under the Spirit policy a week simply ends when its Sunday ends, leap
-    seconds included. Under the Letter policy a negative leap second on the
-    closing Sunday removes the Sunday-24:00 instant the week definition
-    hangs on, so the lookup is refused.
+    The table is validated on construction, so a Calendar is always valid.
+    The Sundays are kept sorted with the prefix sums of their deltas, so
+    `monday` costs one bisection, not a pass over the table.
     """
-    week = t // SECONDS_PER_WEEK
-    while t < week_start(week, leap_table):
-        week -= 1
-    while t >= week_start(week + 1, leap_table):
-        week += 1
-    if policy is WeekPolicy.LETTER:
-        for ls in leap_table:
-            if ls.sunday_index == week and ls.delta == -1:
-                raise WeekUndefinedError(
-                    f"week {week}: its Sunday ends at 23:59:59 and the 24:00 "
-                    "instant the week definition refers to does not exist"
-                )
-    return week
+
+    def __init__(
+        self, leap_table: Sequence[LeapSecond] = (), policy: WeekPolicy = WeekPolicy.SPIRIT
+    ) -> None:
+        self.leap_table = validate_leap_table(leap_table)
+        self.policy = policy
+        entries = sorted(self.leap_table, key=attrgetter("sunday_index"))
+        self._sundays = tuple(ls.sunday_index for ls in entries)
+        self._shifts = tuple(itertools.accumulate((ls.delta for ls in entries), initial=0))
+        self._undefined = frozenset(ls.sunday_index for ls in entries if ls.delta == -1)
+
+    def spirit(self) -> "Calendar":
+        """The same table under the Spirit policy."""
+        return Calendar(self.leap_table)
+
+    def monday(self, week: int) -> int:
+        """Instant at which the given calendar week begins (Monday 00:00)."""
+        return week * SECONDS_PER_WEEK + self._shifts[bisect.bisect_left(self._sundays, week)]
+
+    def week_of(self, t: int) -> int:
+        """Calendar week containing instant t.
+
+        Under the Spirit policy a week simply ends when its Sunday ends, leap
+        seconds included. Under the Letter policy a negative leap second on
+        the closing Sunday removes the Sunday-24:00 instant the week
+        definition hangs on, so the lookup is refused.
+        """
+        week = t // SECONDS_PER_WEEK
+        while t < self.monday(week):
+            week -= 1
+        while t >= self.monday(week + 1):
+            week += 1
+        if self.policy is WeekPolicy.LETTER and week in self._undefined:
+            raise WeekUndefinedError(
+                f"week {week}: its Sunday ends at 23:59:59 and the 24:00 "
+                "instant the week definition refers to does not exist"
+            )
+        return week
+
+    def complete_weeks(self, start: int, end: int) -> range:
+        """Weeks whose full [Monday 00:00, Sunday 24:00) interval [start,
+        end) covers: from the week after the one holding start - 1 to the
+        week before the one holding end."""
+        return range(self.week_of(start - 1) + 1, self.week_of(end))
 
 
 def shift_grid(trace: SecondTrace, offset: int) -> SecondTrace:

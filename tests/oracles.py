@@ -11,8 +11,9 @@ brute-force search and count them per week after regrouping and sorting,
 decide Article 8.6 by backtracking over every
 assignment of rests to weeks and every compensation cascade, blame an
 infeasible Article 8.6 scope by waiving weeks one round at a time, or by
-bisections that solve every probe afresh, and find the complete weeks of a
-trace by walking week starts. They are slow and
+bisections that solve every probe afresh, find a week's start by summing
+the whole leap table and an instant's week by stepping week starts, and
+find the complete weeks of a trace by walking week starts. They are slow and
 literal on purpose; the differential tests compare the engine with
 them.
 """
@@ -56,13 +57,15 @@ from tachocheck.timeline import (
     _ACTIVITY_BY_NAME,
     SECONDS_PER_DAY,
     SECONDS_PER_MINUTE,
+    SECONDS_PER_WEEK,
     Activity,
+    Calendar,
     LeapSecond,
     SecondTrace,
     TraceError,
     TraceParseError,
-    week_of,
-    week_start,
+    WeekPolicy,
+    WeekUndefinedError,
 )
 
 
@@ -755,10 +758,12 @@ def check_article86(
 
     waived: list[int] = []
 
+    calendar = Calendar(leap_table)
+
     def feasible(extra: Sequence[int]) -> bool:
         return (
             rules.solve_weekly_rests(
-                scope, mt, rests, profile, leap_table, frozenset(waived) | frozenset(extra)
+                scope, mt, rests, profile, calendar, frozenset(waived) | frozenset(extra)
             )
             is not None
         )
@@ -834,3 +839,36 @@ def complete_weeks(
         weeks.append(w)
         w += 1
     return weeks
+
+
+def week_start(week: int, leap_table: Sequence[LeapSecond] = ()) -> int:
+    """Instant at which the given calendar week begins (Monday 00:00)."""
+    base = week * SECONDS_PER_WEEK
+    return base + sum(ls.delta for ls in leap_table if ls.sunday_index < week)
+
+
+def week_of(
+    t: int,
+    policy: WeekPolicy = WeekPolicy.SPIRIT,
+    leap_table: Sequence[LeapSecond] = (),
+) -> int:
+    """Calendar week containing instant t.
+
+    Under the Spirit policy a week simply ends when its Sunday ends, leap
+    seconds included. Under the Letter policy a negative leap second on the
+    closing Sunday removes the Sunday-24:00 instant the week definition
+    hangs on, so the lookup is refused.
+    """
+    week = t // SECONDS_PER_WEEK
+    while t < week_start(week, leap_table):
+        week -= 1
+    while t >= week_start(week + 1, leap_table):
+        week += 1
+    if policy is WeekPolicy.LETTER:
+        for ls in leap_table:
+            if ls.sunday_index == week and ls.delta == -1:
+                raise WeekUndefinedError(
+                    f"week {week}: its Sunday ends at 23:59:59 and the 24:00 "
+                    "instant the week definition refers to does not exist"
+                )
+    return week

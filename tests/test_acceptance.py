@@ -23,7 +23,7 @@ from tachocheck.periods import accumulate_driving, classify_rests
 from tachocheck.profiles import builtin_profiles
 from tachocheck.proplogic import find_falsifying, is_tautology, parse_formula
 from tachocheck.rules import check_all
-from tachocheck.timeline import TimeGrid, week_start
+from tachocheck.timeline import Calendar, TimeGrid
 
 GRID = TimeGrid(0)
 PROFILES = builtin_profiles()
@@ -111,7 +111,7 @@ def test_criterion_05_week0_verdict_depends_on_week_k():
         start = time.perf_counter()
         trace = gen_compensation_chain(k)
         full = check_all(trace, GRID, PROFILES["spirit"])
-        cut = check_all(trace.truncated(week_start(k)), GRID, PROFILES["spirit"])
+        cut = check_all(trace.truncated(Calendar().monday(k)), GRID, PROFILES["spirit"])
         elapsed = time.perf_counter() - start
         full_week0 = [
             v for v in full.violations if v.article == "8.6" and v.window_start == 0

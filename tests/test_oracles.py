@@ -10,6 +10,7 @@ import random
 import pytest
 
 import oracles
+from oracles import week_of, week_start
 from conftest import D, O, R, labels, per_minute, per_run
 from tachocheck import minutes
 from tachocheck.minutes import (
@@ -37,12 +38,12 @@ from tachocheck.rules import (
     check_article7,
     check_article82,
     check_article86,
-    complete_weeks,
     solve_weekly_rests,
 )
 from tachocheck import timeline
 from tachocheck.timeline import (
     SECONDS_PER_WEEK,
+    Calendar,
     LeapSecond,
     SecondTrace,
     TimeGrid,
@@ -51,7 +52,6 @@ from tachocheck.timeline import (
     WeekUndefinedError,
     maximal_columns,
     parse_trace,
-    week_start,
 )
 from test_rules import verify_witness
 
@@ -332,10 +332,12 @@ def _random_article61_instance(rng: random.Random):
     some cross two boundaries. Most days are extensions, so weeks fill up."""
     first = rng.randint(-2, 2)
     weeks = range(first, first + rng.randint(1, 12))
-    leap_table = tuple(
-        LeapSecond(rng.randint(first - 1, weeks[-1]), rng.choice((-1, 1)))
-        for _ in range(rng.choice((0, 0, 1, 2)))
-    )
+    # distinct Sundays, as a Calendar requires: a Sunday drawn again keeps
+    # its first delta
+    deltas = {}
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        deltas.setdefault(rng.randint(first - 1, weeks[-1]), rng.choice((-1, 1)))
+    leap_table = tuple(LeapSecond(sunday, delta) for sunday, delta in deltas.items())
     driving_minutes = [480, 540, 541, 570, 600, 600, 601]
     spans, crossing = [], 0
     at = week_start(first, leap_table)
@@ -370,10 +372,14 @@ def test_article61_matches_the_regrouping_oracle():
                 profile = dataclasses.replace(
                     SPIRIT, id="x", extended_attribution=attribution, leap_week_policy=policy
                 )
+                calendar = Calendar(leap_table, policy)
                 results = []
-                for check in (rules.check_article61, oracles.check_article61):
+                for check in (
+                    lambda: rules.check_article61(spans, profile, calendar),
+                    lambda: oracles.check_article61(spans, profile, leap_table),
+                ):
                     try:
-                        violations = check(spans, profile, leap_table)
+                        violations = check()
                     except WeekUndefinedError as exc:
                         results.append(("raised", str(exc)))
                     else:
@@ -433,7 +439,7 @@ def test_weekly_rest_solver_matches_the_backtracking_search():
     for _ in range(300):
         scope, mt, profile, leap_table, waived = _random_weekly_rest_instance(rng)
         rests = classify_rests(mt)
-        witness = solve_weekly_rests(scope, mt, rests, profile, leap_table, waived)
+        witness = solve_weekly_rests(scope, mt, rests, profile, Calendar(leap_table), waived)
         expected = oracles.solve_weekly_rests(
             scope, oracles.classify_rests(mt, profile), profile, leap_table, waived
         )
@@ -463,11 +469,12 @@ def test_one_prepared_problem_answers_every_waiver_like_a_fresh_solve():
         scope, mt, profile, leap_table, _ = _random_weekly_rest_instance(rng)
         rests = classify_rests(mt)
         periods = oracles.classify_rests(mt, profile)
-        problem = WeeklyRestProblem(scope, mt, rests, profile, leap_table)
+        calendar = Calendar(leap_table)
+        problem = WeeklyRestProblem(scope, mt, rests, profile, calendar)
         for _ in range(24):
             waived = frozenset(w for w in scope if rng.random() < rng.choice((0.1, 0.3, 0.6)))
             solution = problem.solve(waived)
-            fresh = solve_weekly_rests(scope, mt, rests, profile, leap_table, waived)
+            fresh = solve_weekly_rests(scope, mt, rests, profile, calendar, waived)
             expected = oracles.solve_weekly_rests(scope, periods, profile, leap_table, waived)
             assert (solution is None) == (fresh is None) == (expected is None)
             if solution is None:
@@ -497,7 +504,7 @@ def test_a_resumed_pass_holds_a_fresh_passs_frontiers():
     seen = collections.Counter()
     for _ in range(150):
         scope, mt, profile, leap_table, _ = _random_weekly_rest_instance(rng, max_weeks=10)
-        problem = WeeklyRestProblem(scope, mt, classify_rests(mt), profile, leap_table)
+        problem = WeeklyRestProblem(scope, mt, classify_rests(mt), profile, Calendar(leap_table))
         n = len(problem.starts)
         for _ in range(6):
             source = rules._Pass(problem, frozenset(w for w in scope if rng.random() < 0.15))
@@ -527,7 +534,7 @@ def test_article86_blame_matches_the_waiver_rounds():
     for _ in range(400):
         scope, mt, profile, leap_table, _ = _random_weekly_rest_instance(rng, max_weeks=14)
         rests = classify_rests(mt)
-        violations = check_article86(scope, mt, rests, profile, leap_table)
+        violations = check_article86(scope, mt, rests, profile, Calendar(leap_table))
         assert violations == oracles.check_article86(scope, mt, rests, profile, leap_table)
         multi += len(violations) >= 2
     assert multi >= 50  # blames of several weeks are well represented
@@ -602,7 +609,7 @@ def test_article86_blame_matches_the_fresh_solve_bisections():
         else:
             scope, mt, profile, leap_table = _weekly_layout_instance(rng, max_weeks)
         rests = classify_rests(mt)
-        problem = WeeklyRestProblem(scope, mt, rests, profile, leap_table)
+        problem = WeeklyRestProblem(scope, mt, rests, profile, Calendar(leap_table))
         blamed = rules._blamed_weeks(scope, problem)
         assert blamed == oracles.blamed_weeks(scope, problem), (case, scope, blamed)
         seen["infeasible"] += bool(blamed)
@@ -611,26 +618,66 @@ def test_article86_blame_matches_the_fresh_solve_bisections():
     assert seen["infeasible"] >= 800 and seen["several"] >= 200 and seen["long scope"] >= 200, seen
 
 
+def _letter_week(t: int, leap_table) -> int | str:
+    """The reference Letter week of t, or the message its lookup raises."""
+    try:
+        return week_of(t, WeekPolicy.LETTER, leap_table)
+    except WeekUndefinedError as exc:
+        return str(exc)
+
+
 def test_complete_weeks_match_the_week_walk():
+    # the calendar against the reference `week_start`, `week_of` and week
+    # walk: tables of 0-3 Sundays near the trace and some of ~500 spread
+    # around it, unsorted, with both signs; instants within 2 s of each
+    # boundary; traces starting at or near a boundary
     rng = random.Random(1653)
     durations = (1, SECONDS_PER_WEEK - 1, SECONDS_PER_WEEK, SECONDS_PER_WEEK + 1)
-    for _ in range(3000):
-        leap_table = tuple(
-            LeapSecond(i, rng.choice((-1, 1)))
-            for i in sorted(rng.sample(range(8), rng.randint(0, 3)))
-        )
-        boundary = week_start(rng.randint(1, 6), leap_table)
+    seen = collections.Counter()
+    for case in range(2000):
+        if case % 40:
+            sundays = rng.sample(range(-4, 12), rng.randint(0, 3))
+            weeks = range(-3, 11)
+        else:
+            sundays = rng.sample(range(-300, 300), rng.randint(450, 550))
+            weeks = sorted(rng.sample(range(-350, 350), 14))
+        leap_table = tuple(LeapSecond(i, rng.choice((-1, 1))) for i in sundays)
+        letter = Calendar(leap_table, WeekPolicy.LETTER)
+        spirit = letter.spirit()
+        for week in weeks:
+            monday = week_start(week, leap_table)
+            assert spirit.monday(week) == letter.monday(week) == monday
+            for t in range(monday - 2, monday + 3):
+                assert spirit.week_of(t) == week_of(t, WeekPolicy.SPIRIT, leap_table)
+                expected = _letter_week(t, leap_table)
+                try:
+                    assert letter.week_of(t) == expected
+                except WeekUndefinedError as exc:
+                    assert str(exc) == expected
+                    seen["undefined"] += 1
+
+        boundary = week_start(rng.choice(weeks[1:-4]), leap_table)
         if rng.random() < 0.7:
             start = boundary + rng.randint(-2, 2)
         else:
-            start = rng.randint(0, 7 * SECONDS_PER_WEEK)
+            start = boundary + rng.randint(-SECONDS_PER_WEEK, SECONDS_PER_WEEK)
         if rng.random() < 0.6:
             duration = rng.choice(durations)
         else:
-            duration = rng.randint(1, 5 * SECONDS_PER_WEEK)
+            duration = rng.randint(1, 3 * SECONDS_PER_WEEK)
         trace = SecondTrace.from_runs(start, [(R, duration)])
         expected = oracles.complete_weeks(trace, leap_table)
-        assert list(complete_weeks(trace, leap_table)) == expected
+        assert list(spirit.complete_weeks(trace.start, trace.end)) == expected
+        seen["complete"] += bool(expected)
+        lookups = [_letter_week(t, leap_table) for t in (start - 1, trace.end)]
+        undefined = [w for w in lookups if isinstance(w, str)]
+        try:
+            assert list(letter.complete_weeks(trace.start, trace.end)) == expected
+            assert not undefined
+        except WeekUndefinedError as exc:
+            assert str(exc) == undefined[0]
+            seen["letter refuses the scope"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 # blank, whitespace-only and comment lines, one of them not ASCII

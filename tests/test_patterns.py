@@ -17,10 +17,10 @@ from tachocheck.rules import check_all
 from tachocheck.timeline import (
     SECONDS_PER_WEEK,
     Activity,
+    Calendar,
     SecondTrace,
     TimeGrid,
     parse_trace,
-    week_start,
 )
 
 GRID = TimeGrid(0)
@@ -169,7 +169,7 @@ def test_week0_verdict_flips_when_the_chain_is_cut(k):
     full = check_all(trace, GRID, SPIRIT)
     assert full.violations == ()
 
-    cut = check_all(trace.truncated(week_start(k)), GRID, SPIRIT)
+    cut = check_all(trace.truncated(Calendar().monday(k)), GRID, SPIRIT)
     week0 = [
         v
         for v in cut.violations

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import oracles
 from conftest import D, HOUR, O, R, day_cycle, minutes_of, trace_of, week_runs
 from tachocheck import rules
 from tachocheck.minutes import label_minutes
@@ -20,11 +21,11 @@ from tachocheck.rules import (
     check_article61,
     check_article82,
     check_article86,
-    complete_weeks,
     solve_weekly_rests,
 )
 from tachocheck.timeline import (
     SECONDS_PER_WEEK,
+    Calendar,
     LeapSecond,
     SecondTrace,
     TimeGrid,
@@ -32,13 +33,17 @@ from tachocheck.timeline import (
     WeekUndefinedError,
     parse_trace,
     validate_leap_table,
-    week_of,
-    week_start,
 )
 
 GRID = TimeGrid(0)
 SPIRIT = builtin_profiles()["spirit"]
 LETTER = builtin_profiles()["letter"]
+CALENDAR = Calendar()
+
+
+def scope_of(trace):
+    """The complete weeks of `trace`, the scope `check_all` gives 8.6."""
+    return CALENDAR.complete_weeks(trace.start, trace.end)
 
 
 def pipeline(trace, profile=SPIRIT):
@@ -299,10 +304,25 @@ def test_letter_leap_policy_surfaces_in_week_attribution():
     mt, rests = pipeline(trace)
     spans = daily_driving_spans(mt, rests, SPIRIT)
     table = (LeapSecond(sunday_index=0, delta=-1),)
+    with pytest.raises(WeekUndefinedError):
+        check_article61(spans, SPIRIT, Calendar(table, LETTER.leap_week_policy))
+    assert check_article61(spans, SPIRIT, Calendar(table)) == []
     profile = dataclasses.replace(SPIRIT, id="x", leap_week_policy=LETTER.leap_week_policy)
     with pytest.raises(WeekUndefinedError):
-        check_article61(spans, profile, table)
-    assert check_article61(spans, SPIRIT, table) == []
+        check_all(trace, GRID, profile, table)
+
+
+def test_article86_reads_spirit_weeks_under_letter():
+    """Article 8.6 and its complete-week scope read Spirit weeks under
+    every profile: `letter` judges week 1, whose Sunday 24:00 a negative
+    leap second removed, as if it ended, and does not raise. ROADMAP item 1
+    will change the `letter` half of this pin."""
+    table = (LeapSecond(0, 1), LeapSecond(1, -1), LeapSecond(2, 1))
+    trace = gen_compensation_chain(3).truncated(Calendar(table).monday(3))
+    for profile in (SPIRIT, LETTER):
+        report = check_all(trace, profile.grid(), profile, table)
+        found = [(v.article, v.window_start, v.window_end) for v in report.violations]
+        assert found == [("8.6", 0, 604801)]
 
 
 def test_check_all_refuses_a_leap_table_naming_a_sunday_twice():
@@ -313,6 +333,8 @@ def test_check_all_refuses_a_leap_table_naming_a_sunday_twice():
         table = (LeapSecond(0, 1), LeapSecond(0, delta))
         with pytest.raises(TraceError, match="that Sunday is already listed"):
             check_all(trace, GRID, SPIRIT, table)
+        with pytest.raises(TraceError, match="that Sunday is already listed"):
+            Calendar(table)
         with pytest.raises(TraceError, match="that Sunday is already listed"):
             diff_verdicts(trace, [SPIRIT, LETTER], table)
     table = [LeapSecond(0, 1), LeapSecond(1, -1)]
@@ -372,7 +394,7 @@ def chain_weeks(*rest_hours):
 def test_full_weekly_rests_every_week_pass():
     trace = chain_weeks(45, 45, 45)
     mt, rests = pipeline(trace)
-    assert check_article86(complete_weeks(trace), mt, rests, SPIRIT) == []
+    assert check_article86(scope_of(trace), mt, rests, SPIRIT) == []
 
 
 def test_scope_must_be_consecutive_weeks():
@@ -391,7 +413,7 @@ def test_scope_must_be_consecutive_weeks():
 def test_reduced_rest_needs_compensation():
     trace = chain_weeks(45, 24, 45, 45)
     mt, rests = pipeline(trace)
-    violations = check_article86(complete_weeks(trace), mt, rests, SPIRIT)
+    violations = check_article86(scope_of(trace), mt, rests, SPIRIT)
     assert [v.window_start // SECONDS_PER_WEEK for v in violations] == [1]
 
 
@@ -410,13 +432,13 @@ def test_compensated_reduction_passes():
     runs += week_runs(45)
     trace = SecondTrace.from_runs(0, runs)
     mt, rests = pipeline(trace)
-    assert check_article86(complete_weeks(trace), mt, rests, SPIRIT) == []
+    assert check_article86(scope_of(trace), mt, rests, SPIRIT) == []
 
 
 def test_two_consecutive_reduced_rests_fail():
     trace = chain_weeks(45, 24, 24, 45)
     mt, rests = pipeline(trace)
-    violations = check_article86(complete_weeks(trace), mt, rests, SPIRIT)
+    violations = check_article86(scope_of(trace), mt, rests, SPIRIT)
     assert violations != []
 
 
@@ -426,7 +448,7 @@ def test_week_without_weekly_rest_fails():
     runs += week_runs(45)
     trace = SecondTrace.from_runs(0, runs)
     mt, rests = pipeline(trace)
-    violations = check_article86(complete_weeks(trace), mt, rests, SPIRIT)
+    violations = check_article86(scope_of(trace), mt, rests, SPIRIT)
     assert [v.window_start // SECONDS_PER_WEEK for v in violations] == [1]
 
 
@@ -443,7 +465,7 @@ def test_restless_week_can_be_carried_by_a_neighbour_with_two_rests():
     runs += [(O, 14 * HOUR), (R, 9 * HOUR)] * 7 + [(O, SECONDS_PER_WEEK - 7 * 23 * HOUR)]
     trace = SecondTrace.from_runs(0, runs)
     mt, rests = pipeline(trace)
-    scope = complete_weeks(trace)
+    scope = scope_of(trace)
     assert check_article86(scope, mt, rests, SPIRIT) == []
     witness = solve_weekly_rests(scope, mt, rests, SPIRIT)
     assert len(witness["assignments"]) == 2
@@ -457,7 +479,7 @@ def test_rest_ending_at_monday_midnight_is_not_a_candidate_for_that_week():
     # One minute more of it does overlap week 2, and the scope is feasible.
     for extra, feasible in ((0, False), (60, True)):
         trace = SecondTrace.from_runs(
-            week_start(1),
+            CALENDAR.monday(1),
             [
                 (O, 2 * HOUR),
                 (R, 45 * HOUR),
@@ -504,8 +526,8 @@ def verify_witness(
         week = entry["week"]
         assert week in scope and week not in waived
         run_end = entry["run_start"] + entry["run_minutes"] * 60
-        assert entry["run_start"] < week_start(week + 1, leap_table)
-        assert run_end > week_start(week, leap_table)
+        assert entry["run_start"] < oracles.week_start(week + 1, leap_table)
+        assert run_end > oracles.week_start(week, leap_table)
 
     # every consecutive pair of non-waived weeks sees two regular rests or
     # one of each
@@ -529,7 +551,7 @@ def verify_witness(
     for block in blocks:
         week, minutes = debts[block["debtor_start"]]
         assert (block["week"], block["minutes"]) == (week, minutes)
-        assert block["deadline"] == week_start(week + 4, leap_table)
+        assert block["deadline"] == oracles.week_start(week + 4, leap_table)
         assert block["donor_start"] > block["debtor_start"]
 
     # donors: counted part plus blocks fit, and blocks meet their deadlines
@@ -553,7 +575,7 @@ def verify_witness(
 def test_solver_witness_counts_each_rest_once():
     trace = chain_weeks(45, 24, 66, 45)
     mt, rests = pipeline(trace)
-    scope = complete_weeks(trace)
+    scope = scope_of(trace)
     witness = solve_weekly_rests(scope, mt, rests, SPIRIT)
     assert witness is not None
     assert {entry["week"] for entry in witness["assignments"]} == set(scope)
@@ -570,7 +592,7 @@ def test_solver_witnesses_verify_independently():
     ]
     for trace in cases:
         mt, rests = pipeline(trace)
-        scope = complete_weeks(trace)
+        scope = scope_of(trace)
         witness = solve_weekly_rests(scope, mt, rests, SPIRIT)
         assert witness is not None, "expected a satisfiable layout"
         verify_witness(witness, scope, mt, rests)
@@ -582,7 +604,7 @@ def test_spare_rest_before_the_reduction_does_not_compensate():
     # produces adjacent reduced weeks
     trace = chain_weeks(66, 24, 45, 45)
     mt, rests = pipeline(trace)
-    violations = check_article86(complete_weeks(trace), mt, rests, SPIRIT)
+    violations = check_article86(scope_of(trace), mt, rests, SPIRIT)
     assert [v.window_start // SECONDS_PER_WEEK for v in violations] == [1]
 
 
@@ -592,13 +614,13 @@ def test_deadline_forces_a_cascade_instead_of_direct_donation():
     # through an intermediate week, reducing that week's own rest in turn
     trace = chain_weeks(45, 24, 45, 45, 45, 66, 45)
     mt, rests = pipeline(trace)
-    scope = complete_weeks(trace)
+    scope = scope_of(trace)
     assert check_article86(scope, mt, rests, SPIRIT) == []
     witness = solve_weekly_rests(scope, mt, rests, SPIRIT)
     blocks = witness["compensations"]
     assert len(blocks) >= 2  # the debt hopped at least once
     for block in blocks:
-        assert block["deadline"] == week_start(block["week"] + 4)
+        assert block["deadline"] == CALENDAR.monday(block["week"] + 4)
         assert block["donor_start"] + block["minutes"] * 60 <= block["deadline"]
     donors = {block["donor_start"] for block in blocks}
     fat_run_start = 5 * SECONDS_PER_WEEK
@@ -636,7 +658,7 @@ def test_attached_compensation_knob():
     runs += week_runs(45)
     trace = SecondTrace.from_runs(0, runs)
     mt, rests = pipeline(trace)
-    scope = complete_weeks(trace)
+    scope = scope_of(trace)
     assert check_article86(scope, mt, rests, SPIRIT) == []
     attached = dataclasses.replace(SPIRIT, id="att", attached_compensation=True)
     assert check_article86(scope, mt, rests, attached) != []
@@ -648,7 +670,7 @@ def test_solver_stays_fast_on_long_infeasible_traces():
     trace = chain_weeks(*[45 if i != 8 else 24 for i in range(16)])
     mt, rests = pipeline(trace)
     start = time.perf_counter()
-    violations = check_article86(complete_weeks(trace), mt, rests, SPIRIT)
+    violations = check_article86(scope_of(trace), mt, rests, SPIRIT)
     elapsed = time.perf_counter() - start
     assert [v.window_start // SECONDS_PER_WEEK for v in violations] == [8]
     assert elapsed < 5.0
@@ -657,8 +679,8 @@ def test_solver_stays_fast_on_long_infeasible_traces():
 def test_solver_attribution_is_deterministic_on_messy_traces():
     trace = chain_weeks(*[24 if i % 2 == 0 else 45 for i in range(10)])
     mt, rests = pipeline(trace)
-    first = check_article86(complete_weeks(trace), mt, rests, SPIRIT)
-    second = check_article86(complete_weeks(trace), mt, rests, SPIRIT)
+    first = check_article86(scope_of(trace), mt, rests, SPIRIT)
+    second = check_article86(scope_of(trace), mt, rests, SPIRIT)
     assert first == second
     assert all(v.article == "8.6" for v in first)
     assert first != []
@@ -669,7 +691,7 @@ def test_compensation_chain_has_no_depth_cliff():
     trace = gen_compensation_chain(49)
     started = time.perf_counter()
     full = check_all(trace, GRID, SPIRIT)
-    cut = check_all(trace.truncated(week_start(49)), GRID, SPIRIT)
+    cut = check_all(trace.truncated(CALENDAR.monday(49)), GRID, SPIRIT)
     elapsed = time.perf_counter() - started
     assert full.violations == ()
     assert [(v.article, v.window_start // SECONDS_PER_WEEK) for v in cut.violations] == [
@@ -717,7 +739,7 @@ def test_one_check_prepares_the_rests_once(monkeypatch):
     # the rotation makes 3 passes over one prepared problem
     trace = chain_weeks(*[(45, 24, 66)[w % 3] for w in range(26)])
     mt, rests = pipeline(trace)
-    scope = complete_weeks(trace)
+    scope = scope_of(trace)
     prepared = []
     prepare = rules.WeeklyRestProblem.__init__
 
@@ -742,7 +764,7 @@ def test_early_obstruction_with_a_long_tail_checks_quickly(monkeypatch):
     started = time.perf_counter()
     report = check_all(trace, GRID, SPIRIT)
     elapsed = time.perf_counter() - started
-    assert [(v.article, week_of(v.window_start)) for v in report.violations] == [
+    assert [(v.article, CALENDAR.week_of(v.window_start)) for v in report.violations] == [
         ("8.6", week) for week in [*range(7), 8]
     ]
     assert len(calls) == 12
@@ -771,7 +793,7 @@ def test_long_infeasible_traces_blame_the_same_weeks_quickly(
     started = time.perf_counter()
     report = check_all(trace, GRID, SPIRIT)
     elapsed = time.perf_counter() - started
-    assert [(v.article, week_of(v.window_start)) for v in report.violations] == [
+    assert [(v.article, CALENDAR.week_of(v.window_start)) for v in report.violations] == [
         ("8.6", week) for week in blamed
     ]
     assert len(calls) == passes

@@ -13,6 +13,7 @@ from tachocheck.minutes import MinuteTrace, label_minutes
 from tachocheck.timeline import (
     SECONDS_PER_WEEK,
     Activity,
+    Calendar,
     LeapSecond,
     SecondTrace,
     TimeGrid,
@@ -24,8 +25,6 @@ from tachocheck.timeline import (
     parse_leap_table,
     parse_trace,
     shift_grid,
-    week_of,
-    week_start,
 )
 
 
@@ -198,12 +197,13 @@ def test_digest_hashes_the_record_text_whatever_the_duration(monkeypatch):
     assert sum(map(len, hashed)) == len(trace.to_records()) == len("0,REST,1000000000\n")
 
 def test_week_of_epoch_anchor():
-    assert week_of(0) == 0
+    assert Calendar().week_of(0) == 0
+    assert Calendar().monday(0) == 0
 
 
 def test_week_of_boundary():
-    assert week_of(7 * 86400 - 1) == 0
-    assert week_of(7 * 86400) == 1
+    assert Calendar().week_of(7 * 86400 - 1) == 0
+    assert Calendar().week_of(7 * 86400) == 1
 
 
 def test_week_of_monotone_under_random_leap_tables():
@@ -214,31 +214,34 @@ def test_week_of_monotone_under_random_leap_tables():
             for i in sorted(rng.sample(range(10), rng.randint(0, 4)))
         )
         instants = sorted(rng.randint(0, 12 * SECONDS_PER_WEEK) for _ in range(50))
-        weeks = [week_of(t, WeekPolicy.SPIRIT, table) for t in instants]
+        weeks = [Calendar(table).week_of(t) for t in instants]
         assert weeks == sorted(weeks)
 
 
 def test_letter_policy_rejects_missing_sunday_midnight():
     table = (LeapSecond(sunday_index=0, delta=-1),)
+    letter = Calendar(table, WeekPolicy.LETTER)
     with pytest.raises(WeekUndefinedError):
-        week_of(3600, WeekPolicy.LETTER, table)
+        letter.week_of(3600)
     # other weeks unaffected
-    assert week_of(SECONDS_PER_WEEK + 10, WeekPolicy.LETTER, table) == 1
+    assert letter.week_of(SECONDS_PER_WEEK + 10) == 1
+    # the same table under Spirit answers
+    assert letter.spirit().week_of(3600) == 0
 
 
 def test_spirit_policy_shifts_boundary_with_leap():
-    table = (LeapSecond(sunday_index=0, delta=-1),)
-    assert week_of(SECONDS_PER_WEEK - 2, WeekPolicy.SPIRIT, table) == 0
-    assert week_of(SECONDS_PER_WEEK - 1, WeekPolicy.SPIRIT, table) == 1
-    assert week_start(1, table) == SECONDS_PER_WEEK - 1
+    spirit = Calendar((LeapSecond(sunday_index=0, delta=-1),))
+    assert spirit.week_of(SECONDS_PER_WEEK - 2) == 0
+    assert spirit.week_of(SECONDS_PER_WEEK - 1) == 1
+    assert spirit.monday(1) == SECONDS_PER_WEEK - 1
 
 
 def test_positive_leap_extends_week():
     table = (LeapSecond(sunday_index=0, delta=1),)
-    assert week_of(SECONDS_PER_WEEK, WeekPolicy.SPIRIT, table) == 0
-    assert week_of(SECONDS_PER_WEEK + 1, WeekPolicy.SPIRIT, table) == 1
+    assert Calendar(table).week_of(SECONDS_PER_WEEK) == 0
+    assert Calendar(table).week_of(SECONDS_PER_WEEK + 1) == 1
     # a positive leap leaves Sunday 24:00 in place, so Letter accepts it
-    assert week_of(10, WeekPolicy.LETTER, table) == 0
+    assert Calendar(table, WeekPolicy.LETTER).week_of(10) == 0
 
 
 def test_parse_leap_table():
@@ -300,7 +303,7 @@ def test_every_second_has_one_activity_and_week():
     for activity, start, seconds in trace.runs():
         for t in range(start, start + seconds):
             assert trace.run_at(t)[0] is activity
-            week_of(t)
+            Calendar().week_of(t)
             seen += 1
     assert seen == trace.duration
 
