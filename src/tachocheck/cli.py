@@ -8,7 +8,6 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import sys
@@ -49,7 +48,7 @@ def _cmd_check(args) -> int:
     profile = _resolve_profile(args.profile)
     leap_table = _load_leap_table(args.leap_table)
     if args.grid_offset is not None:
-        profile = dataclasses.replace(profile, grid_offset=args.grid_offset)
+        profile = profile.replace(grid_offset=args.grid_offset)
     report = check_all(trace, profile.grid(), profile, leap_table)
     print(report.to_json())
     if args.pretty:

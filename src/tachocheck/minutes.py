@@ -32,7 +32,6 @@ one-minute run skips it.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, islice, repeat
 from operator import floordiv, ge, is_, mul, sub
@@ -41,10 +40,12 @@ from typing import Sequence
 from .timeline import (
     SECONDS_PER_MINUTE,
     Activity,
+    Record,
     SecondTrace,
     TimeGrid,
     TraceError,
     maximal_columns,
+    set_field,
 )
 
 
@@ -58,8 +59,7 @@ class Rule51Semantics(Enum):
     FIXPOINT = "Fixpoint"
 
 
-@dataclass(frozen=True)
-class MinuteTrace:
+class MinuteTrace(Record):
     """One activity label per complete calendar minute, held as label runs.
 
     The runs are held as two parallel columns: `activities[i]` labels
@@ -68,23 +68,27 @@ class MinuteTrace:
     demand and costs one tuple per run.
     """
 
-    start_minute: int
-    activities: tuple[Activity, ...]
-    counts: tuple[int, ...]
-    grid: TimeGrid
+    _fields = ("start_minute", "activities", "counts", "grid")
     # first minute of each run (then the total) and driving minutes before it:
     # prefix sums that the segmentation and Article 7 read instead of the runs
-    _bounds: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _driving: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = (*_fields, "_bounds", "_driving")
 
-    def __post_init__(self) -> None:
-        activities, counts = maximal_columns(self.activities, self.counts)
-        object.__setattr__(self, "activities", activities)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "_bounds", tuple(accumulate(counts, initial=0)))
+    def __init__(
+        self,
+        start_minute: int,
+        activities: Sequence[Activity],
+        counts: Sequence[int],
+        grid: TimeGrid,
+    ) -> None:
+        activities, counts = maximal_columns(activities, counts)
+        set_field(self, "start_minute", start_minute)
+        set_field(self, "activities", activities)
+        set_field(self, "counts", counts)
+        set_field(self, "grid", grid)
+        set_field(self, "_bounds", tuple(accumulate(counts, initial=0)))
         # True * count is count: the driving runs' minutes, summed in C
         driven = map(mul, map(is_, activities, repeat(Activity.DRIVING)), counts)
-        object.__setattr__(self, "_driving", tuple(accumulate(driven, initial=0)))
+        set_field(self, "_driving", tuple(accumulate(driven, initial=0)))
 
     @property
     def segments(self) -> tuple[tuple[Activity, int], ...]:

@@ -12,14 +12,13 @@ weekly rest, not simultaneously a daily rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import is_
 from typing import Sequence
 
 from .minutes import MinuteTrace
 from .profiles import InterpretationProfile, WeeklyGapSemantics
-from .timeline import SECONDS_PER_MINUTE, Activity
+from .timeline import SECONDS_PER_MINUTE, Activity, Record, set_field
 
 BREAK_MIN_MINUTES = 15
 SPLIT_FIRST_MIN_MINUTES = 15
@@ -29,13 +28,15 @@ REDUCED_WEEKLY_MIN_MINUTES = 24 * 60
 REGULAR_WEEKLY_MIN_MINUTES = 45 * 60
 
 
-@dataclass(frozen=True)
-class DailyDrivingSpan:
+class DailyDrivingSpan(Record):
     """A driving accumulation between two bounding rests (or trace edges)."""
 
-    start: int
-    end: int
-    driving_minutes: int
+    __slots__ = _fields = ("start", "end", "driving_minutes")
+
+    def __init__(self, start: int, end: int, driving_minutes: int) -> None:
+        set_field(self, "start", start)
+        set_field(self, "end", end)
+        set_field(self, "driving_minutes", driving_minutes)
 
 
 def classify_rests(mt: MinuteTrace) -> list[int]:

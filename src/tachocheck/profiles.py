@@ -5,22 +5,21 @@ here. A profile assigns a value to every knob, so that a compliance verdict
 is always relative to an explicit, auditable set of legal readings. Profiles
 are data (JSON), not code.
 
-A knob is one field of `InterpretationProfile` and nothing else: `to_dict`
-and `parse_profile` walk the fields, and the type of a field's default fixes
-how its JSON value is read (an Enum by its value, a bool or an int only as
-exactly that JSON type).
+A knob is one entry of `_KNOB_DEFAULTS` and nothing else: the fields of
+`InterpretationProfile`, its `__init__`, `to_dict` and `parse_profile` all
+walk that table, and the type of a knob's default fixes how its JSON value
+is read (an Enum by its value, a bool or an int only as exactly that JSON
+type).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 from .minutes import Rule51Semantics
-from .timeline import LeapSecond, SecondTrace, TimeGrid, WeekPolicy
+from .timeline import LeapSecond, Record, SecondTrace, TimeGrid, WeekPolicy, set_field
 
 
 class ProfileError(ValueError):
@@ -42,21 +41,46 @@ class ExtendedAttribution(Enum):
     MINIMIZE_VIOLATIONS = "MinimizeViolations"
 
 
-@dataclass(frozen=True)
-class InterpretationProfile:
-    id: str
-    leap_week_policy: WeekPolicy = WeekPolicy.SPIRIT
-    rule51: Rule51Semantics = Rule51Semantics.NEIGHBOR_RULE52
-    weekly_gap: WeeklyGapSemantics = WeeklyGapSemantics.SPIRIT
-    trace_edge_is_rest: bool = True
-    extended_attribution: ExtendedAttribution = ExtendedAttribution.END_WEEK
-    daily_rest_threshold: int = 540  # minutes; 9 h
-    attached_compensation: bool = False
-    grid_offset: int = 0  # seconds
+# knob name -> its default, in field order; `id` has no default and is not a knob
+_KNOB_DEFAULTS = {
+    "leap_week_policy": WeekPolicy.SPIRIT,
+    "rule51": Rule51Semantics.NEIGHBOR_RULE52,
+    "weekly_gap": WeeklyGapSemantics.SPIRIT,
+    "trace_edge_is_rest": True,
+    "extended_attribution": ExtendedAttribution.END_WEEK,
+    "daily_rest_threshold": 540,  # minutes; 9 h
+    "attached_compensation": False,
+    "grid_offset": 0,  # seconds
+}
 
-    def __post_init__(self) -> None:
-        if not self.id:
+
+class InterpretationProfile(Record):
+    """An `id` and a value for every knob; omitted knobs take their defaults.
+
+    The knobs follow `id` in `_KNOB_DEFAULTS` order, positionally or by
+    name.
+    """
+
+    __slots__ = _fields = ("id", *_KNOB_DEFAULTS)
+
+    def __init__(self, id: str, *knob_values, **knobs) -> None:
+        if len(knob_values) > len(_KNOB_DEFAULTS):
+            raise TypeError(
+                f"InterpretationProfile takes at most {len(self._fields)} arguments, "
+                f"got {1 + len(knob_values)}"
+            )
+        for name, value in zip(_KNOB_DEFAULTS, knob_values):
+            if name in knobs:
+                raise TypeError(f"InterpretationProfile got two values for {name!r}")
+            knobs[name] = value
+        unknown = knobs.keys() - _KNOB_DEFAULTS.keys()
+        if unknown:
+            raise TypeError(f"InterpretationProfile got unknown knobs {sorted(unknown)}")
+        if not id:
             raise ProfileError("profile id must be non-empty")
+        set_field(self, "id", id)
+        for name, default in _KNOB_DEFAULTS.items():
+            set_field(self, name, knobs.get(name, default))
         if not 15 <= self.daily_rest_threshold <= 1440:
             raise ProfileError(
                 f"daily_rest_threshold must be in [15, 1440] minutes, "
@@ -69,16 +93,11 @@ class InterpretationProfile:
         return TimeGrid(self.grid_offset)
 
     def to_dict(self) -> dict:
-        values = ((f.name, getattr(self, f.name)) for f in dataclasses.fields(self))
+        values = zip(self._fields, self._values())
         return {name: v.value if isinstance(v, Enum) else v for name, v in values}
 
 
-# knob name -> type of its default; `id` has no default and is not a knob
-_KNOB_TYPES = {
-    f.name: type(f.default)
-    for f in dataclasses.fields(InterpretationProfile)
-    if f.default is not dataclasses.MISSING
-}
+_KNOB_TYPES = {name: type(default) for name, default in _KNOB_DEFAULTS.items()}
 _TYPE_NAMES = {bool: "a boolean", int: "an integer"}
 
 
@@ -146,26 +165,33 @@ def builtin_profiles() -> dict[str, InterpretationProfile]:
     seconds.
     """
     spirit = InterpretationProfile(id="spirit")
-    letter = dataclasses.replace(
-        spirit,
+    letter = spirit.replace(
         id="letter",
         leap_week_policy=WeekPolicy.LETTER,
         weekly_gap=WeeklyGapSemantics.STRICT,
         trace_edge_is_rest=False,
     )
-    unix_grid = dataclasses.replace(spirit, id="unix-grid", grid_offset=0)
-    utc_grid = dataclasses.replace(spirit, id="utc-grid", grid_offset=27)
+    unix_grid = spirit.replace(id="unix-grid", grid_offset=0)
+    utc_grid = spirit.replace(id="utc-grid", grid_offset=27)
     return {p.id: p for p in (letter, spirit, unix_grid, utc_grid)}
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(Record):
     """Where profiles disagree about the same trace."""
 
-    profile_ids: tuple[str, ...]
-    verdicts: dict  # article -> {profile id -> violation count}
-    disagreements: tuple[dict, ...]  # windows flagged by some profiles only
-    notices: dict  # profile id -> notices; empty when every profile has the same
+    __slots__ = _fields = ("profile_ids", "verdicts", "disagreements", "notices")
+
+    def __init__(
+        self,
+        profile_ids: tuple[str, ...],
+        verdicts: dict,  # article -> {profile id -> violation count}
+        disagreements: tuple[dict, ...],  # windows flagged by some profiles only
+        notices: dict,  # profile id -> notices; empty when every profile has the same
+    ) -> None:
+        set_field(self, "profile_ids", profile_ids)
+        set_field(self, "verdicts", verdicts)
+        set_field(self, "disagreements", disagreements)
+        set_field(self, "notices", notices)
 
     @property
     def is_empty(self) -> bool:

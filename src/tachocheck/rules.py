@@ -26,7 +26,6 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from typing import Container, Iterator, Optional, Sequence
 
 from .minutes import MinuteTrace, TraceTooShortError, label_minutes
@@ -44,8 +43,10 @@ from .timeline import (
     SECONDS_PER_MINUTE,
     Calendar,
     LeapSecond,
+    Record,
     SecondTrace,
     TimeGrid,
+    set_field,
 )
 
 DRIVE_BEFORE_BREAK_LIMIT_MINUTES = 270
@@ -56,13 +57,17 @@ COMPENSATION_WINDOW_WEEKS = 3
 NEW_REST_WINDOW_SECONDS = SECONDS_PER_DAY
 
 
-@dataclass(frozen=True)
-class Violation:
-    article: str
-    window_start: int
-    window_end: int
-    detail: str
-    profile_id: str
+class Violation(Record):
+    __slots__ = _fields = ("article", "window_start", "window_end", "detail", "profile_id")
+
+    def __init__(
+        self, article: str, window_start: int, window_end: int, detail: str, profile_id: str
+    ) -> None:
+        set_field(self, "article", article)
+        set_field(self, "window_start", window_start)
+        set_field(self, "window_end", window_end)
+        set_field(self, "detail", detail)
+        set_field(self, "profile_id", profile_id)
 
     def to_dict(self) -> dict:
         return {
@@ -76,16 +81,37 @@ class Violation:
         return (self.article, self.window_start, self.window_end, self.detail)
 
 
-@dataclass(frozen=True)
-class Report:
-    trace_digest: str
-    trace_start: int
-    trace_seconds: int
-    grid_offset: int
-    profile: InterpretationProfile
-    violations: tuple[Violation, ...]
-    statistics: dict
-    notices: tuple[str, ...]
+class Report(Record):
+    __slots__ = _fields = (
+        "trace_digest",
+        "trace_start",
+        "trace_seconds",
+        "grid_offset",
+        "profile",
+        "violations",
+        "statistics",
+        "notices",
+    )
+
+    def __init__(
+        self,
+        trace_digest: str,
+        trace_start: int,
+        trace_seconds: int,
+        grid_offset: int,
+        profile: InterpretationProfile,
+        violations: tuple[Violation, ...],
+        statistics: dict,
+        notices: tuple[str, ...],
+    ) -> None:
+        set_field(self, "trace_digest", trace_digest)
+        set_field(self, "trace_start", trace_start)
+        set_field(self, "trace_seconds", trace_seconds)
+        set_field(self, "grid_offset", grid_offset)
+        set_field(self, "profile", profile)
+        set_field(self, "violations", violations)
+        set_field(self, "statistics", statistics)
+        set_field(self, "notices", notices)
 
     def to_dict(self) -> dict:
         return {

@@ -14,7 +14,6 @@ import hashlib
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter, eq, is_, itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -50,16 +49,67 @@ class WeekPolicy(Enum):
     SPIRIT = "Spirit"
 
 
-@dataclass(frozen=True)
-class LeapSecond:
+# An `__init__` assigns its record's fields with this; `Record` refuses `=`.
+set_field = object.__setattr__
+
+
+class Record:
+    """An immutable value with named fields.
+
+    A subclass lists its fields in `_fields`, in the order its `__init__`
+    takes them, declares them (and any cached, derived attributes) in
+    `__slots__`, and assigns them with `set_field`. Two records are equal
+    when they are of the same class and their fields are equal; the hash
+    and the repr read the same fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, like `replace`
+        return self.__class__, self._values()
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, built and validated by
+        `__init__`; an unknown field name raises TypeError."""
+        values = dict(zip(self._fields, self._values()))
+        values.update(changes)
+        return self.__class__(**values)
+
+
+class LeapSecond(Record):
     """A one-second adjustment at the end of the Sunday closing the given week."""
 
-    sunday_index: int
-    delta: int  # +1 second inserted, -1 second removed
+    __slots__ = _fields = ("sunday_index", "delta")
 
-    def __post_init__(self) -> None:
-        if self.delta not in (-1, 1):
-            raise TraceError(f"leap second delta must be -1 or +1, got {self.delta}")
+    def __init__(self, sunday_index: int, delta: int) -> None:
+        # delta: +1 second inserted, -1 second removed
+        if delta not in (-1, 1):
+            raise TraceError(f"leap second delta must be -1 or +1, got {delta}")
+        set_field(self, "sunday_index", sunday_index)
+        set_field(self, "delta", delta)
 
 
 def parse_leap_table(text: str) -> tuple[LeapSecond, ...]:
@@ -99,17 +149,15 @@ def validate_leap_table(table: Sequence[LeapSecond]) -> tuple[LeapSecond, ...]:
     return tuple(table)
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(Record):
     """Phase of the minute grid: minute boundaries sit at offset (mod 60)."""
 
-    minute_offset_seconds: int = 0
+    __slots__ = _fields = ("minute_offset_seconds",)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.minute_offset_seconds < SECONDS_PER_MINUTE:
-            raise TraceError(
-                f"grid offset must be in [0, 60), got {self.minute_offset_seconds}"
-            )
+    def __init__(self, minute_offset_seconds: int = 0) -> None:
+        if not 0 <= minute_offset_seconds < SECONDS_PER_MINUTE:
+            raise TraceError(f"grid offset must be in [0, 60), got {minute_offset_seconds}")
+        set_field(self, "minute_offset_seconds", minute_offset_seconds)
 
     def minute_start(self, index: int) -> int:
         return index * SECONDS_PER_MINUTE + self.minute_offset_seconds
@@ -148,8 +196,7 @@ def maximal_columns(
     return tuple(merged_activities), tuple(merged_lengths)
 
 
-@dataclass(frozen=True)
-class SecondTrace:
+class SecondTrace(Record):
     """Per-second activity from a given instant on, held as maximal runs.
 
     The runs are held as two parallel columns: `activities[i]` lasts
@@ -159,20 +206,21 @@ class SecondTrace:
     demand and costs one tuple per run.
     """
 
-    start: int
-    activities: tuple[Activity, ...]
-    seconds: tuple[int, ...]
-    _ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("start", "activities", "seconds")
+    # `_ends`: the instant each run ends; `_digest`: `digest()`, once computed
+    __slots__ = (*_fields, "_ends", "_digest")
 
-    def __post_init__(self) -> None:
-        activities, seconds = maximal_columns(self.activities, self.seconds)
+    def __init__(
+        self, start: int, activities: Sequence[Activity], seconds: Sequence[int]
+    ) -> None:
+        activities, seconds = maximal_columns(activities, seconds)
         if not seconds:
             raise TraceError("trace must cover at least one second")
-        object.__setattr__(self, "activities", activities)
-        object.__setattr__(self, "seconds", seconds)
-        ends = tuple(itertools.accumulate(seconds, initial=self.start))
-        object.__setattr__(self, "_ends", ends[1:])
+        set_field(self, "start", start)
+        set_field(self, "activities", activities)
+        set_field(self, "seconds", seconds)
+        set_field(self, "_ends", tuple(itertools.accumulate(seconds, initial=start))[1:])
+        set_field(self, "_digest", None)
 
     @classmethod
     def from_runs(cls, start: int, runs: Iterable[tuple[Activity, int]]) -> "SecondTrace":
@@ -238,7 +286,7 @@ class SecondTrace:
             lines = self._record_lines()
             while batch := "".join(itertools.islice(lines, 4096)):
                 h.update(batch.encode("ascii"))
-            object.__setattr__(self, "_digest", h.hexdigest())
+            set_field(self, "_digest", h.hexdigest())
         return self._digest
 
     def to_records(self) -> str:
@@ -278,7 +326,7 @@ def parse_trace(data: bytes | str) -> SecondTrace:
     if text[-1] == "\n" and len(trace.seconds) == text.count("\n"):
         # no two records merged, so the text is the canonical record text
         raw = data if isinstance(data, bytes) else text.encode("ascii")
-        object.__setattr__(trace, "_digest", hashlib.sha256(raw).hexdigest())
+        set_field(trace, "_digest", hashlib.sha256(raw).hexdigest())
     return trace
 
 

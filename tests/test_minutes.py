@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -183,7 +182,7 @@ def test_minute_instants():
 def test_replacing_the_columns_of_a_minute_trace_recomputes_its_prefix_sums():
     mt = label_minutes(minutes_of((D, 2), (R, 3), (D, 1)), GRID)
     assert mt._bounds == (0, 2, 5, 6) and mt._driving == (0, 2, 2, 3)
-    swapped = dataclasses.replace(mt, activities=(R, D, D), counts=(4, 1, 2))
+    swapped = mt.replace(activities=(R, D, D), counts=(4, 1, 2))
     assert swapped == MinuteTrace(0, (R, D), (4, 3), GRID)
     assert swapped._bounds == (0, 4, 7) and swapped._driving == (0, 0, 3)
     assert len(swapped) == 7 and swapped.driving_minutes() == 3

@@ -2,7 +2,6 @@
 
 import bisect
 import collections
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -253,8 +252,8 @@ def _random_minute_trace(rng: random.Random) -> MinuteTrace:
 
 def test_stretches_spans_and_reports_match_the_per_run_code(monkeypatch):
     profiles = [
-        dataclasses.replace(
-            base, daily_rest_threshold=threshold, trace_edge_is_rest=edge, weekly_gap=gap
+        base.replace(
+            daily_rest_threshold=threshold, trace_edge_is_rest=edge, weekly_gap=gap
         )
         for base in builtin_profiles().values()
         for threshold in (15, 30, 45, 540, 1440)
@@ -318,7 +317,7 @@ def test_stretches_spans_and_reports_match_the_per_run_code(monkeypatch):
         seen["article 7"] += len(violations)
         seen["spans"] += len(spans)
         if profile.weekly_gap is WeeklyGapSemantics.STRICT:
-            spirit = dataclasses.replace(profile, weekly_gap=WeeklyGapSemantics.SPIRIT)
+            spirit = profile.replace(weekly_gap=WeeklyGapSemantics.SPIRIT)
             seen["strict skips"] += len(daily_driving_spans(mt, rests, spirit)) - len(spans)
         seen["8.6 judged"] += not any(x.startswith("article 8.6") for x in report.notices)
     assert all(count > 200 for count in seen.values()), seen
@@ -369,8 +368,8 @@ def test_article61_matches_the_regrouping_oracle():
         for policy in WeekPolicy:
             found = {}
             for attribution in ExtendedAttribution:
-                profile = dataclasses.replace(
-                    SPIRIT, id="x", extended_attribution=attribution, leap_week_policy=policy
+                profile = SPIRIT.replace(
+                    id="x", extended_attribution=attribution, leap_week_policy=policy
                 )
                 calendar = Calendar(leap_table, policy)
                 results = []
@@ -424,8 +423,7 @@ def _random_weekly_rest_instance(rng: random.Random, max_weeks: int = 6):
         t += (gap + minutes) * 60
     mt = MinuteTrace(start, *zip(*runs), TimeGrid())
     waived = frozenset(w for w in scope if rng.random() < 0.15)
-    profile = dataclasses.replace(
-        SPIRIT,
+    profile = SPIRIT.replace(
         id="random",
         attached_compensation=rng.random() < 0.4,
         daily_rest_threshold=rng.choice((15, 540, 660, 1440, rng.randint(15, 1440))),
@@ -588,8 +586,7 @@ def _weekly_layout_instance(rng: random.Random, max_weeks: int = 40):
         runs.append((O, week - used + 1))
     runs.append((R, rng.randint(60, 3000)))
     mt = MinuteTrace(start, *zip(*runs), TimeGrid())
-    profile = dataclasses.replace(
-        SPIRIT,
+    profile = SPIRIT.replace(
         id="layout",
         attached_compensation=rng.random() < 0.3,
         daily_rest_threshold=rng.choice((15, 540, 660, 1440)),
@@ -988,7 +985,7 @@ def test_article82_matches_the_all_rests_scan_on_random_layouts():
     for _ in range(3000):
         mt = _random_minute_trace(rng)
         threshold = rng.choice([15, 45, 540, 660, 1440, rng.randint(15, 1440)])
-        profile = dataclasses.replace(SPIRIT, daily_rest_threshold=threshold)
+        profile = SPIRIT.replace(daily_rest_threshold=threshold)
         violations = check_article82(classify_rests(mt), mt, profile)
         periods = oracles.classify_rests(mt, profile)
         assert violations == oracles.check_article82(periods, mt, profile)
@@ -1008,7 +1005,7 @@ def test_rest_indices_are_the_classified_periods():
     for _ in range(3000):
         mt = _random_minute_trace(rng)
         threshold = rng.choice([15, 44, 45, 46, 540, 1440, rng.randint(15, 1440)])
-        profile = dataclasses.replace(SPIRIT, daily_rest_threshold=threshold)
+        profile = SPIRIT.replace(daily_rest_threshold=threshold)
         rests = classify_rests(mt)
         periods = oracles.classify_rests(mt, profile)
         assert len(rests) == len(periods)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import oracles
@@ -55,7 +54,7 @@ def test_15min_rest_is_break_14_is_nothing():
 def test_daily_threshold_is_a_knob():
     eight_hours = labeled((O, 30), (R, 8 * 60), (O, 30))
     assert kinds_of(eight_hours) == [PeriodKind.BREAK]
-    lowered = dataclasses.replace(SPIRIT, id="low", daily_rest_threshold=480)
+    lowered = SPIRIT.replace(id="low", daily_rest_threshold=480)
     assert kinds_of(eight_hours, lowered) == [PeriodKind.DAILY_REST]
 
 

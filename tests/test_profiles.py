@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from enum import Enum
 
@@ -73,11 +72,25 @@ def _non_default(value):
     raise AssertionError(f"no non-default value for {value!r}")
 
 
-@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(InterpretationProfile)])
+@pytest.mark.parametrize("name", InterpretationProfile._fields)
 def test_every_knob_round_trips_through_json(name):
-    changed = dataclasses.replace(SPIRIT, **{name: _non_default(getattr(SPIRIT, name))})
+    changed = SPIRIT.replace(**{name: _non_default(getattr(SPIRIT, name))})
     assert changed != SPIRIT
     assert parse_profile(json.dumps(changed.to_dict())) == changed
+
+
+def test_knobs_bind_positionally_in_field_order():
+    names = InterpretationProfile._fields[1:]
+    values = [_non_default(getattr(SPIRIT, name)) for name in names]
+    assert InterpretationProfile("p", *values) == InterpretationProfile(
+        "p", **dict(zip(names, values))
+    )
+    with pytest.raises(TypeError, match="at most 9 arguments, got 10"):
+        InterpretationProfile("p", *values, 0)
+    with pytest.raises(TypeError, match="two values for 'leap_week_policy'"):
+        InterpretationProfile("p", WeekPolicy.LETTER, leap_week_policy=WeekPolicy.SPIRIT)
+    with pytest.raises(TypeError, match=r"unknown knobs \['grid'\]"):
+        InterpretationProfile("p", grid=0)
 
 
 @pytest.mark.parametrize(
@@ -155,7 +168,7 @@ def test_diff_is_symmetric_in_profile_order():
 
 
 def test_identical_knobs_never_diverge():
-    clone = dataclasses.replace(SPIRIT, id="spirit-clone")
+    clone = SPIRIT.replace(id="spirit-clone")
     report = diff_verdicts(sandwich(), [SPIRIT, clone])
     assert report.is_empty
 
@@ -169,7 +182,7 @@ def test_duplicate_ids_are_rejected():
 
 
 def flip(**kwargs):
-    return dataclasses.replace(SPIRIT, id="flipped", **kwargs)
+    return SPIRIT.replace(id="flipped", **kwargs)
 
 
 def run(trace, profile, leap_table=()):
@@ -286,7 +299,7 @@ def test_diff_hashes_the_trace_once(monkeypatch):
     monkeypatch.setattr(timeline.hashlib, "sha256", counting_sha256)
     trace = SecondTrace.from_runs(0, week_runs(45) * 2)
     profiles = list(builtin_profiles().values())
-    raw = dataclasses.replace(SPIRIT, id="neighbor-raw", rule51=Rule51Semantics.NEIGHBOR_RAW)
+    raw = SPIRIT.replace(id="neighbor-raw", rule51=Rule51Semantics.NEIGHBOR_RAW)
     profiles.append(raw)
     assert len(profiles) == 5
     diff_verdicts(trace, profiles)

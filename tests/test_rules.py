@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import time
 
@@ -117,7 +116,7 @@ def test_article7_thirty_minute_daily_rest_resets():
     trace = minutes_of((D, 200), (R, 30), (D, 100))
     # under the default threshold the 30 min rest is only a first split part
     assert article7_windows(trace) == [(300, 330, 300)]
-    daily = dataclasses.replace(SPIRIT, id="short-daily", daily_rest_threshold=30)
+    daily = SPIRIT.replace(id="short-daily", daily_rest_threshold=30)
     assert article7_windows(trace, daily) == []
 
 
@@ -218,7 +217,7 @@ def test_extension_attribution_knob_changes_the_verdict():
     assert len(crossing) == 1
 
     def with_attribution(attribution):
-        profile = dataclasses.replace(SPIRIT, id="x", extended_attribution=attribution)
+        profile = SPIRIT.replace(id="x", extended_attribution=attribution)
         return check_article61(spans, profile)
 
     assert len(with_attribution(ExtendedAttribution.START_WEEK)) == 1
@@ -245,7 +244,7 @@ def test_minimize_violations_cannot_fix_two_full_weeks():
         (ExtendedAttribution.END_WEEK, in_week1),
         (ExtendedAttribution.MINIMIZE_VIOLATIONS, in_week0),
     ):
-        profile = dataclasses.replace(SPIRIT, id="x", extended_attribution=attribution)
+        profile = SPIRIT.replace(id="x", extended_attribution=attribution)
         found = [(v.window_start, v.window_end, v.detail) for v in check_article61(spans, profile)]
         assert found == expected
 
@@ -272,8 +271,8 @@ def test_minimize_violations_is_linear_in_crossing_extensions():
     mt, rests = pipeline(trace)
     spans = daily_driving_spans(mt, rests, SPIRIT)
     assert sum(1 for s in spans if s.driving_minutes == 600) == 25 + 13 * 2 + 13
-    profile = dataclasses.replace(
-        SPIRIT, id="x", extended_attribution=ExtendedAttribution.MINIMIZE_VIOLATIONS
+    profile = SPIRIT.replace(
+        id="x", extended_attribution=ExtendedAttribution.MINIMIZE_VIOLATIONS
     )
     started = time.perf_counter()
     violations = check_article61(spans, profile)
@@ -307,7 +306,7 @@ def test_letter_leap_policy_surfaces_in_week_attribution():
     with pytest.raises(WeekUndefinedError):
         check_article61(spans, SPIRIT, Calendar(table, LETTER.leap_week_policy))
     assert check_article61(spans, SPIRIT, Calendar(table)) == []
-    profile = dataclasses.replace(SPIRIT, id="x", leap_week_policy=LETTER.leap_week_policy)
+    profile = SPIRIT.replace(id="x", leap_week_policy=LETTER.leap_week_policy)
     with pytest.raises(WeekUndefinedError):
         check_all(trace, GRID, profile, table)
 
@@ -660,7 +659,7 @@ def test_attached_compensation_knob():
     mt, rests = pipeline(trace)
     scope = scope_of(trace)
     assert check_article86(scope, mt, rests, SPIRIT) == []
-    attached = dataclasses.replace(SPIRIT, id="att", attached_compensation=True)
+    attached = SPIRIT.replace(id="att", attached_compensation=True)
     assert check_article86(scope, mt, rests, attached) != []
 
 
@@ -834,7 +833,7 @@ def test_check_all_is_deterministic():
 def test_a_rest_of_the_threshold_is_a_rest_period_and_one_minute_less_is_not(threshold):
     # a 24 h rest, 200 min driving, the rest under test, 100 min driving,
     # then other work long enough for both 8.2 windows to be judged
-    profile = dataclasses.replace(SPIRIT, id="t", daily_rest_threshold=threshold)
+    profile = SPIRIT.replace(id="t", daily_rest_threshold=threshold)
     day = 1440
     for rest, period in ((threshold, True), (threshold - 1, False)):
         trace = minutes_of((R, day), (D, 200), (R, rest), (D, 100), (O, 3000))

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import json
@@ -353,7 +352,7 @@ def test_copies_of_a_digested_trace_get_their_own_digest():
         trace.truncated(trace.start + 100),
         SecondTrace.from_runs(5, trace.segments),
         SecondTrace(trace.start, (O,), (300,)),
-        dataclasses.replace(trace, start=5),
+        trace.replace(start=5),
     )
     for copy in copies:
         assert copy.digest() == _sha256_of_records(copy)
