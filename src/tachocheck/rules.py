@@ -157,25 +157,16 @@ def check_article7(
         # one past the stretch's last driving run
         last = bisect.bisect_left(driving, total, first, end)
         violations.append(
-            _article7_violation(
+            Violation(
+                "7",
                 origin + over_minute * SECONDS_PER_MINUTE,
                 origin + bounds[last] * SECONDS_PER_MINUTE,
-                total - base,
+                f"accumulated driving reached {total - base} minutes without a "
+                f"qualifying break (limit {limit})",
                 profile_id,
             )
         )
     return violations
-
-
-def _article7_violation(start: int, end: int, peak: int, profile_id: str) -> Violation:
-    return Violation(
-        "7",
-        start,
-        end,
-        f"accumulated driving reached {peak} minutes without a qualifying break "
-        f"(limit {DRIVE_BEFORE_BREAK_LIMIT_MINUTES})",
-        profile_id,
-    )
 
 
 def check_article61(

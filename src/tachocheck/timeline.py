@@ -305,7 +305,8 @@ def parse_trace(data: bytes | str) -> SecondTrace:
     """Parse the record-per-line text format into a trace.
 
     Each record is `start_second,ACTIVITY,duration_seconds`; records must be
-    sorted and contiguous. Blank lines and lines starting with '#' are skipped.
+    sorted and contiguous. A line ends at LF, CR LF or a lone CR.
+    Blank lines and lines starting with '#' are skipped.
 
     A text whose lines are all canonical records, as `to_records` writes
     them (`\n` line ends; no spaces, '+', '_', leading zeros or '-0'), is
@@ -357,6 +358,11 @@ def _parse_canonical(text: str) -> SecondTrace | None:
     return SecondTrace(start, activities, durations)
 
 
+# A line ends at "\n", "\r\n" or a lone "\r", never at the other characters
+# `str.splitlines` breaks at ("\v", "\f", "\x1c"-"\x1e", "\x85", ...).
+_LINE_END = re.compile("\r\n|\r|\n")
+
+
 def _parse_lines(text: str) -> SecondTrace:
     # One pass builds the columns and checks contiguity. A format error on
     # any line wins over a gap or overlap, so the first disorder is only
@@ -365,7 +371,7 @@ def _parse_lines(text: str) -> SecondTrace:
     durations: list[int] = []
     first = expected = None
     disorder = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_LINE_END.split(text), 1):
         line = raw.strip()
         if not line or line[0] == "#":
             continue

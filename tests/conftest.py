@@ -38,7 +38,7 @@ def from_samples(start: int, data: bytes) -> SecondTrace:
 
 def labels(mt) -> tuple[Activity, ...]:
     """One label per minute of a minute trace."""
-    return tuple(a for a, n in mt.segments for _ in range(n))
+    return tuple(itertools.chain.from_iterable(map(itertools.repeat, mt.activities, mt.counts)))
 
 
 def per_run(mt, stretches) -> list[tuple[int, int, int, int]]:

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-import oracles
+import spec
 from conftest import D, HOUR, O, R, day_cycle, minutes_of, trace_of, week_runs
 from tachocheck import rules
 from tachocheck.minutes import label_minutes
@@ -371,6 +371,10 @@ def test_window_running_past_trace_end_is_not_judged():
     trace = trace_of((R, 9 * HOUR), (O, 10 * HOUR))
     mt, rests = pipeline(trace)
     assert check_article82(rests, mt, SPIRIT) == []
+    # a window that ends with the trace is judged; one a minute longer is not
+    for tail, judged in ((24 * HOUR, True), (24 * HOUR - 60, False)):
+        mt, rests = pipeline(trace_of((R, 9 * HOUR), (O, tail)))
+        assert len(check_article82(rests, mt, SPIRIT)) == judged
 
 
 def test_interleaved_driving_between_close_daily_rests():
@@ -496,6 +500,32 @@ def test_rest_ending_at_monday_midnight_is_not_a_candidate_for_that_week():
             verify_witness(witness, [1, 2, 3], mt, rests)
 
 
+def test_a_compensation_block_may_end_exactly_at_its_deadline():
+    # week 1's 24 h rest leaves 21 h to compensate before the end of week 4,
+    # and the only rest that can host them is 21 h long. Ending at Monday
+    # 00:00 of week 5 it is in time; one minute later it is not.
+    host_end = CALENDAR.monday(5)
+    for late, feasible in ((0, True), (60, False)):
+        host = host_end - 21 * HOUR + late
+        trace = SecondTrace.from_runs(
+            CALENDAR.monday(1),
+            [
+                (R, 24 * HOUR),
+                (O, SECONDS_PER_WEEK - 24 * HOUR),
+                (R, 45 * HOUR),
+                (O, host - CALENDAR.monday(2) - 45 * HOUR),
+                (R, 21 * HOUR),
+                (O, HOUR),
+            ],
+        )
+        mt, rests = pipeline(trace)
+        witness = solve_weekly_rests([1, 2], mt, rests, SPIRIT)
+        assert (witness is not None) == feasible
+        if feasible:
+            verify_witness(witness, [1, 2], mt, rests)
+            assert witness["compensations"][0]["donor_start"] == host
+
+
 def verify_witness(
     witness,
     scope,
@@ -525,8 +555,8 @@ def verify_witness(
         week = entry["week"]
         assert week in scope and week not in waived
         run_end = entry["run_start"] + entry["run_minutes"] * 60
-        assert entry["run_start"] < oracles.week_start(week + 1, leap_table)
-        assert run_end > oracles.week_start(week, leap_table)
+        assert entry["run_start"] < spec.monday(week + 1, leap_table)
+        assert run_end > spec.monday(week, leap_table)
 
     # every consecutive pair of non-waived weeks sees two regular rests or
     # one of each
@@ -550,7 +580,7 @@ def verify_witness(
     for block in blocks:
         week, minutes = debts[block["debtor_start"]]
         assert (block["week"], block["minutes"]) == (week, minutes)
-        assert block["deadline"] == oracles.week_start(week + 4, leap_table)
+        assert block["deadline"] == spec.monday(week + 4, leap_table)
         assert block["donor_start"] > block["debtor_start"]
 
     # donors: counted part plus blocks fit, and blocks meet their deadlines
@@ -632,9 +662,12 @@ def test_counted_host_keeps_a_reduced_weekly_rest():
     # week 0's 21 h debt must be paid before the end of week 3. Weeks 1 and
     # 3 hold exactly 45 h, and week 2's 30 h rest is needed for the pairs
     # but may keep no less than 24 h, so it cannot host the debt and pass a
-    # larger one on to week 4's spare. A 45 h week 2 can.
-    for week2_hours, feasible in ((30, False), (45, True)):
-        trace = chain_weeks(24, 45, week2_hours, 45, 66)
+    # larger one on to week 4's spare. A 45 h week 2 can, and keeps 24 h;
+    # one a minute shorter cannot.
+    shorter = [(R, 45 * HOUR - 60), (O, 60), *week_runs(45)[1:]]
+    for week2, feasible in ((week_runs(30), False), (shorter, False), (week_runs(45), True)):
+        runs = [*week_runs(24), *week_runs(45), *week2, *week_runs(45), *week_runs(66)]
+        trace = SecondTrace.from_runs(0, runs)
         mt, rests = pipeline(trace)
         witness = solve_weekly_rests([0, 1, 2, 3], mt, rests, SPIRIT)
         assert (witness is not None) == feasible

@@ -63,6 +63,35 @@ def test_parse_malformed_line_reports_lineno():
         parse_trace("0,DRIVING,60\nthis is not a record")
 
 
+def test_a_form_feed_does_not_end_a_line():
+    # `str.splitlines` would read two records here; the file has one line
+    with pytest.raises(TraceParseError, match="^line 1: expected 'start,ACTIVITY,duration'"):
+        parse_trace(b"0,DRIVING,60\f60,REST,60\n")
+
+
+@pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", " "])
+def test_errors_name_the_line_counted_at_line_ends(char):
+    # the character is whitespace at the end of line 1, so line 1 is valid
+    # and the error is on line 2, not on a line 3 that `splitlines` counts
+    text = f"0,DRIVING,60{char}\n60,BAD,60\n"
+    with pytest.raises(TraceParseError, match="^line 2: unknown activity 'BAD'$"):
+        parse_trace(text)
+    if char.isascii():
+        with pytest.raises(TraceParseError, match="^line 2: unknown activity 'BAD'$"):
+            parse_trace(text.encode("ascii"))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_lf_crlf_and_lone_cr_texts_give_the_same_trace(newline):
+    lines = ["# two records", "0,DRIVING,60", "", "60,REST,90"]
+    expected = SecondTrace.from_runs(0, [(D, 60), (R, 90)])
+    for final in ("", newline):
+        text = newline.join(lines) + final
+        assert parse_trace(text) == parse_trace(text.encode("ascii")) == expected
+    with pytest.raises(TraceParseError, match="^line 4: unknown activity"):
+        parse_trace(newline.join([*lines[:3], "60,BAD,90"]))
+
+
 def test_parse_empty_input():
     with pytest.raises(TraceParseError, match="no records"):
         parse_trace("\n# only a comment\n")
