@@ -43,14 +43,9 @@ from .timeline import (
     Record,
     SecondTrace,
     TimeGrid,
-    TraceError,
     maximal_columns,
     set_field,
 )
-
-
-class TraceTooShortError(TraceError):
-    """Trace does not cover a single complete minute on the grid."""
 
 
 class Rule51Semantics(Enum):
@@ -62,33 +57,31 @@ class Rule51Semantics(Enum):
 class MinuteTrace(Record):
     """One activity label per complete calendar minute, held as label runs.
 
-    The runs are held as two parallel columns: `activities[i]` labels
-    `counts[i]` minutes. Construction merges adjacent runs of the same
-    activity. `segments`, the (activity, minutes) pairs, is derived on
-    demand and costs one tuple per run.
+    The labeled minutes begin at instant `start`, which lies on the grid
+    they were labeled on. The runs are held as two parallel columns:
+    `activities[i]` labels `counts[i]` minutes. Construction merges adjacent
+    runs of the same activity. `segments`, the (activity, minutes) pairs, is
+    derived on demand and costs one tuple per run.
+
+    Two prefix sums are what the later stages read instead of the runs:
+    `bounds[i]`, the minutes from `start` to run `i`, and `driving[i]`, the
+    driving minutes before run `i`; each ends with the total.
     """
 
-    _fields = ("start_minute", "activities", "counts", "grid")
-    # first minute of each run (then the total) and driving minutes before it:
-    # prefix sums that the segmentation and Article 7 read instead of the runs
-    __slots__ = (*_fields, "_bounds", "_driving")
+    _fields = ("start", "activities", "counts")
+    __slots__ = (*_fields, "bounds", "driving")
 
     def __init__(
-        self,
-        start_minute: int,
-        activities: Sequence[Activity],
-        counts: Sequence[int],
-        grid: TimeGrid,
+        self, start: int, activities: Sequence[Activity], counts: Sequence[int]
     ) -> None:
         activities, counts = maximal_columns(activities, counts)
-        set_field(self, "start_minute", start_minute)
+        set_field(self, "start", start)
         set_field(self, "activities", activities)
         set_field(self, "counts", counts)
-        set_field(self, "grid", grid)
-        set_field(self, "_bounds", tuple(accumulate(counts, initial=0)))
+        set_field(self, "bounds", tuple(accumulate(counts, initial=0)))
         # True * count is count: the driving runs' minutes, summed in C
         driven = map(mul, map(is_, activities, repeat(Activity.DRIVING)), counts)
-        set_field(self, "_driving", tuple(accumulate(driven, initial=0)))
+        set_field(self, "driving", tuple(accumulate(driven, initial=0)))
 
     @property
     def segments(self) -> tuple[tuple[Activity, int], ...]:
@@ -96,53 +89,46 @@ class MinuteTrace(Record):
         return tuple(zip(self.activities, self.counts))
 
     def __len__(self) -> int:
-        return self._bounds[-1]
+        return self.bounds[-1]
 
     @property
-    def start_instant(self) -> int:
-        return self.grid.minute_start(self.start_minute)
-
-    @property
-    def end_instant(self) -> int:
-        return self.grid.minute_start(self.start_minute + len(self))
-
-    def minute_instant(self, index: int) -> int:
-        """Instant at which minute `index` (relative to this trace) begins."""
-        return self.grid.minute_start(self.start_minute + index)
+    def end(self) -> int:
+        return self.start + len(self) * SECONDS_PER_MINUTE
 
     def driving_minutes(self) -> int:
-        return self._driving[-1]
+        return self.driving[-1]
 
     def to_records(self) -> str:
         """Serialize to the trace record format at 60-second granularity."""
         seconds = map(mul, self.counts, repeat(SECONDS_PER_MINUTE))
-        return SecondTrace(self.start_instant, self.activities, seconds).to_records()
+        return SecondTrace(self.start, self.activities, seconds).to_records()
 
 
-def _rule52_runs(trace: SecondTrace, grid: TimeGrid) -> tuple[int, Sequence, list[int]]:
-    """First-layer label runs as (first minute, activities, minute counts).
+def _rule52_runs(trace: SecondTrace, grid: TimeGrid) -> tuple[int, Sequence, Sequence[int]]:
+    """First-layer label runs as (start instant, activities, minute counts).
 
-    A trace whose runs, but for the first and the last, all last at least a
-    minute has no grid minute that holds two run boundaries, and its labels
-    have a closed form. Any other trace is walked run by run.
+    The runs start at the first grid minute of the trace. A trace that
+    covers no grid minute has no runs. A trace whose runs, but for the first
+    and the last, all last at least a minute has no grid minute that holds
+    two run boundaries, and its labels have a closed form. Any other trace
+    is walked run by run.
     """
     first = grid.first_full_minute(trace.start)
     last = (trace.end - grid.minute_offset_seconds) // SECONDS_PER_MINUTE
+    start = grid.minute_start(first)
     if last <= first:
-        raise TraceTooShortError(
-            "trace does not cover a complete minute on the given grid"
-        )
+        return start, (), ()
     seconds = trace.seconds
     # stops at the first short interior run
     if all(map(ge, islice(seconds, 1, len(seconds) - 1), repeat(SECONDS_PER_MINUTE))):
-        return _closed_form_runs(trace, grid, first, last)
-    return _walk_runs(trace, grid, first)
+        return start, *_closed_form_runs(trace, grid, first, last)
+    return start, *_walk_runs(trace, start)
 
 
 def _closed_form_runs(
     trace: SecondTrace, grid: TimeGrid, first: int, last: int
-) -> tuple[int, tuple, list[int]]:
-    """`_rule52_runs` of a trace with no minute holding two run boundaries.
+) -> tuple[tuple, list[int]]:
+    """The label runs of a trace with no minute holding two run boundaries.
 
     Labels are kept for minutes `first` to `last - 1`. A minute holding the
     end of run `i`, `p` seconds after the minute starts, holds `p` seconds
@@ -165,18 +151,19 @@ def _closed_form_runs(
     lo = bisect.bisect_right(cuts, first)
     hi = bisect.bisect_left(cuts, last, lo)
     bounds = [first, *cuts[lo:hi], last]
-    return first, trace.activities[lo : hi + 1], list(map(sub, bounds[1:], bounds))
+    return trace.activities[lo : hi + 1], list(map(sub, bounds[1:], bounds))
 
 
-def _walk_runs(trace: SecondTrace, grid: TimeGrid, first: int) -> tuple[int, list, list[int]]:
-    """`_rule52_runs` of any trace, by one walk over its runs.
+def _walk_runs(trace: SecondTrace, start: int) -> tuple[list, list[int]]:
+    """The label runs of any trace from the grid minute beginning at
+    `start`, by one walk over its runs.
 
     The walk closes minutes as they fill: a run covering whole minutes
     labels them in bulk; a minute straddling run boundaries takes its
     longest piece, ">=" handing ties to the piece seen later. Runs are
     merged as they are appended, so the lists hold maximal label runs.
     """
-    boundary = grid.minute_start(first)  # where the minute being filled ends
+    boundary = start  # where the minute being filled ends
     # Every run starts inside the minute being filled, so a run ending
     # before `boundary` is one whole piece of it. The seconds before the
     # first grid minute fill a minute of their own: none of its pieces is
@@ -211,22 +198,23 @@ def _walk_runs(trace: SecondTrace, grid: TimeGrid, first: int) -> tuple[int, lis
                 counts.append(whole)
         best_len, best = end - boundary + SECONDS_PER_MINUTE, activity
     del activities[0], counts[0]
-    return first, activities, counts
+    return activities, counts
 
 
 def label_rule52(trace: SecondTrace, grid: TimeGrid) -> MinuteTrace:
     """First-layer labels: longest continuous activity, latest wins ties.
 
     Partial minutes at the trace edges are dropped; they would have to be
-    padded with invented data to be labeled.
+    padded with invented data to be labeled. A trace that covers no grid
+    minute labels as a minute trace with no runs.
     """
-    first, activities, counts = _rule52_runs(trace, grid)
-    return MinuteTrace(first, activities, counts, grid)
+    return MinuteTrace(*_rule52_runs(trace, grid))
 
 
-def _all_driving(trace: SecondTrace, grid: TimeGrid, minute: int) -> bool:
-    activity, start, seconds = trace.run_at(grid.minute_start(minute))
-    return activity is Activity.DRIVING and start + seconds >= grid.minute_start(minute + 1)
+def _all_driving(trace: SecondTrace, t: int) -> bool:
+    """Whether every second of the minute beginning at `t` is driving."""
+    activity, start, seconds = trace.run_at(t)
+    return activity is Activity.DRIVING and start + seconds >= t + SECONDS_PER_MINUTE
 
 
 def label_minutes(
@@ -237,12 +225,13 @@ def label_minutes(
     """Full minute labeling: first-layer labels plus the driving upgrade.
 
     The first and last minutes never have two neighbours, so they are never
-    upgraded under any semantics.
+    upgraded under any semantics. A trace that covers no grid minute labels
+    as a minute trace with no runs.
     """
-    first, activities, counts = _rule52_runs(trace, grid)
+    start, activities, counts = _rule52_runs(trace, grid)
     if 1 not in counts:
         # only a one-minute run can be upgraded
-        return MinuteTrace(first, activities, counts, grid)
+        return MinuteTrace(start, activities, counts)
     # The upgrade judges first-layer labels and rewrites the list in place:
     # a candidate's neighbours are driving, so no rewrite touches another
     # candidate's neighbours. Fixpoint takes the NeighborRule52 path: see
@@ -250,13 +239,14 @@ def label_minutes(
     activities = list(activities)
     raw = semantics is Rule51Semantics.NEIGHBOR_RAW
     driving = Activity.DRIVING
-    minute = first
+    t = start  # where run k begins
     for k in range(1, len(counts) - 1):
-        minute += counts[k - 1]
+        t += counts[k - 1] * SECONDS_PER_MINUTE
         if counts[k] == 1 and activities[k - 1] is driving and activities[k + 1] is driving:
             if not raw or (
-                _all_driving(trace, grid, minute - 1) and _all_driving(trace, grid, minute + 1)
+                _all_driving(trace, t - SECONDS_PER_MINUTE)
+                and _all_driving(trace, t + SECONDS_PER_MINUTE)
             ):
                 activities[k] = driving
     # an upgraded run merges with its two driving neighbours
-    return MinuteTrace(first, activities, counts, grid)
+    return MinuteTrace(start, activities, counts)

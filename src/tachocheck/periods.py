@@ -21,7 +21,6 @@ from .profiles import InterpretationProfile, WeeklyGapSemantics
 from .timeline import SECONDS_PER_MINUTE, Activity, Record, set_field
 
 BREAK_MIN_MINUTES = 15
-SPLIT_FIRST_MIN_MINUTES = 15
 SPLIT_SECOND_MIN_MINUTES = 30
 FULL_BREAK_MIN_MINUTES = 45
 REDUCED_WEEKLY_MIN_MINUTES = 24 * 60
@@ -103,8 +102,8 @@ def daily_driving_spans(
     difference of the driving prefix sums at the runs bounding it, so a span
     costs the same whatever runs it holds.
     """
-    counts, bounds, driving = mt.counts, mt._bounds, mt._driving
-    origin = mt.start_instant
+    counts, bounds, driving = mt.counts, mt.bounds, mt.driving
+    origin = mt.start
     threshold = profile.daily_rest_threshold
     strict = profile.weekly_gap is WeeklyGapSemantics.STRICT
     edge = profile.trace_edge_is_rest
@@ -132,5 +131,5 @@ def daily_driving_spans(
         driven = driving[-1] - driving[after]
         if driven:
             start = origin + bounds[after] * SECONDS_PER_MINUTE
-            spans.append(DailyDrivingSpan(start, mt.end_instant, driven))
+            spans.append(DailyDrivingSpan(start, mt.end, driven))
     return spans

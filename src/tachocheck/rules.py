@@ -28,7 +28,7 @@ import math
 import operator
 from typing import Container, Iterator, Optional, Sequence
 
-from .minutes import MinuteTrace, TraceTooShortError, label_minutes
+from .minutes import MinuteTrace, label_minutes
 from .periods import (
     REDUCED_WEEKLY_MIN_MINUTES,
     REGULAR_WEEKLY_MIN_MINUTES,
@@ -143,8 +143,8 @@ def check_article7(
     the driving prefix sums; only a stretch over the limit is searched, by
     two bisections on those sums.
     """
-    bounds, driving = mt._bounds, mt._driving
-    origin = mt.start_instant
+    bounds, driving = mt.bounds, mt.driving
+    origin = mt.start
     limit = DRIVE_BEFORE_BREAK_LIMIT_MINUTES
     violations = []
     for first, end in stretches:
@@ -277,8 +277,8 @@ def check_article82(
     minutes after they start. So each rest period is judged against the
     next one alone.
     """
-    counts, bounds = mt.counts, mt._bounds
-    origin, horizon = mt.start_instant, mt.end_instant
+    counts, bounds = mt.counts, mt.bounds
+    origin, horizon = mt.start, mt.end
     threshold = profile.daily_rest_threshold
     periods = [i for i in rests if counts[i] >= threshold]
     violations = []
@@ -367,7 +367,7 @@ class WeeklyRestProblem:
         scope = list(scope_weeks)
         if any(b != a + 1 for a, b in zip(scope, scope[1:])):
             raise ValueError(f"Article 8.6 scope must be consecutive weeks, got {scope}")
-        origin, bounds, counts = mt.start_instant, mt._bounds, mt.counts
+        origin, bounds, counts = mt.start, mt.bounds, mt.counts
         self.starts = [origin + bounds[i] * SECONDS_PER_MINUTE for i in rests]
         self.minutes = [counts[i] for i in rests]
         self.uncounted_reserve = (
@@ -813,10 +813,8 @@ def check_all(
     """
     calendar = Calendar(leap_table, profile.leap_week_policy)
     notices = []
-    try:
-        mt = label_minutes(trace, grid, profile.rule51)
-    except TraceTooShortError:
-        mt = MinuteTrace(grid.first_full_minute(trace.start), (), (), grid)
+    mt = label_minutes(trace, grid, profile.rule51)
+    if not mt.counts:
         notices.append(
             "no minute labeled: trace covers no complete minute on grid offset "
             f"{grid.minute_offset_seconds}"

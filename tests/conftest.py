@@ -48,7 +48,7 @@ def per_run(mt, stretches) -> list[tuple[int, int, int, int]]:
     after). The stretches must tile the runs, each but the last followed by
     the rest run that resets the accumulator.
     """
-    starts = [mt.start_instant + 60 * b for b in mt._bounds]
+    starts = [mt.start + 60 * b for b in mt.bounds]
     items = []
     for n, (first, end) in enumerate(stretches):
         assert first == (stretches[n - 1][1] + 1 if n else 0) and first <= end

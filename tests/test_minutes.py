@@ -7,13 +7,16 @@ from tachocheck import minutes
 from tachocheck.minutes import (
     MinuteTrace,
     Rule51Semantics,
-    TraceTooShortError,
     label_minutes,
     label_rule52,
 )
+from tachocheck.periods import accumulate_driving, classify_rests, daily_driving_spans
+from tachocheck.profiles import builtin_profiles
+from tachocheck.rules import check_article7, check_article61, check_article82
 from tachocheck.timeline import Activity, SecondTrace, TimeGrid, parse_trace
 
 GRID = TimeGrid(0)
+SPIRIT = builtin_profiles()["spirit"]
 ALL_SEMANTICS = list(Rule51Semantics)
 
 
@@ -55,14 +58,34 @@ def test_partial_minutes_are_dropped():
     shifted = from_samples(30, samples(trace))  # starts mid-minute
     mt2 = label_rule52(shifted, GRID)
     assert len(mt2) == 2
-    assert mt2.start_minute == 1
+    assert mt2.start == 60
 
 
-def test_too_short_trace_is_an_error():
-    with pytest.raises(TraceTooShortError):
-        label_rule52(trace_of((D, 59)), GRID)
-    with pytest.raises(TraceTooShortError):
-        label_rule52(from_samples(30, b"D" * 60), GRID)
+def test_too_short_trace_labels_as_an_empty_trace():
+    for offset in range(60):
+        grid = TimeGrid(offset)
+        # 59 s, and 60 s that start one second after a grid minute
+        traces = [
+            trace_of((D, 59)),
+            trace_of((R, 20), (D, 39), start=-100),
+            trace_of((D, 30), (R, 30), start=offset + 1),
+        ]
+        for trace in traces:
+            start = grid.minute_start(grid.first_full_minute(trace.start))
+            labeled = [label_rule52(trace, grid)]
+            labeled += [label_minutes(trace, grid, semantics) for semantics in ALL_SEMANTICS]
+            for mt in labeled:
+                assert mt.activities == mt.counts == () and len(mt) == 0
+                assert mt.start == mt.end == start
+                for edge in (False, True):
+                    profile = SPIRIT.replace(trace_edge_is_rest=edge)
+                    rests = classify_rests(mt)
+                    stretches = accumulate_driving(mt, rests, profile)
+                    spans = daily_driving_spans(mt, rests, profile)
+                    assert (rests, stretches, spans) == ([], [(0, 0)], [])
+                    assert check_article7(stretches, mt, profile.id) == []
+                    assert check_article61(spans, profile) == []
+                    assert check_article82(rests, mt, profile) == []
 
 
 @pytest.mark.parametrize("semantics", ALL_SEMANTICS)
@@ -174,17 +197,16 @@ def test_minute_trace_serializes_at_minute_granularity():
 def test_minute_instants():
     trace = minutes_of((D, 3), start=120)
     mt = label_minutes(trace, GRID)
-    assert mt.start_minute == 2
-    assert mt.minute_instant(0) == 120
-    assert mt.end_instant == 300
+    assert mt.start == 120
+    assert mt.end == 300
 
 
 def test_replacing_the_columns_of_a_minute_trace_recomputes_its_prefix_sums():
     mt = label_minutes(minutes_of((D, 2), (R, 3), (D, 1)), GRID)
-    assert mt._bounds == (0, 2, 5, 6) and mt._driving == (0, 2, 2, 3)
+    assert mt.bounds == (0, 2, 5, 6) and mt.driving == (0, 2, 2, 3)
     swapped = mt.replace(activities=(R, D, D), counts=(4, 1, 2))
-    assert swapped == MinuteTrace(0, (R, D), (4, 3), GRID)
-    assert swapped._bounds == (0, 4, 7) and swapped._driving == (0, 0, 3)
+    assert swapped == MinuteTrace(0, (R, D), (4, 3))
+    assert swapped.bounds == (0, 4, 7) and swapped.driving == (0, 0, 3)
     assert len(swapped) == 7 and swapped.driving_minutes() == 3
 
 

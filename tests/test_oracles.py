@@ -24,7 +24,6 @@ from tachocheck import minutes, periods
 from tachocheck.minutes import (
     MinuteTrace,
     Rule51Semantics,
-    TraceTooShortError,
     label_minutes,
     label_rule52,
 )
@@ -123,7 +122,6 @@ def test_the_engines_limits_are_the_texts():
         rules.COMPENSATION_WINDOW_WEEKS,
         rules.NEW_REST_WINDOW_SECONDS,
         periods.BREAK_MIN_MINUTES,
-        periods.SPLIT_FIRST_MIN_MINUTES,
         periods.SPLIT_SECOND_MIN_MINUTES,
         periods.FULL_BREAK_MIN_MINUTES,
         periods.REDUCED_WEEKLY_MIN_MINUTES,
@@ -137,7 +135,6 @@ def test_the_engines_limits_are_the_texts():
         spec.EXTENSIONS_PER_WEEK,
         spec.COMPENSATION_WEEKS,
         spec.NEW_REST_WINDOW,
-        spec.SPLIT_FIRST,
         spec.SPLIT_FIRST,
         spec.SPLIT_SECOND,
         spec.BREAK,
@@ -196,7 +193,7 @@ def _totals(mt: MinuteTrace, stretches) -> list[int]:
 def _assert_labels_and_article7_match(trace: SecondTrace, grid: TimeGrid, semantics) -> None:
     mt = label_minutes(trace, grid, semantics)
     first, expected = _spec_labels(trace, grid, semantics)
-    assert mt.start_minute == first
+    assert mt.start == grid.minute_start(first)
     assert len(mt) == len(expected)
     assert labels(mt) == expected
     assert mt.segments == spec.merge((label, 1) for label in expected)
@@ -205,7 +202,7 @@ def _assert_labels_and_article7_match(trace: SecondTrace, grid: TimeGrid, semant
     stretches = accumulate_driving(mt, classify_rests(mt), SPIRIT)
     threshold = SPIRIT.daily_rest_threshold
     assert _totals(mt, stretches) == spec.accumulated(expected, threshold)
-    article7 = spec.article7(expected, mt.start_instant, threshold, "p")
+    article7 = spec.article7(expected, mt.start, threshold, "p")
     assert check_article7(stretches, mt, "p") == article7
 
 
@@ -280,17 +277,18 @@ def test_closed_form_labels_match_the_oracles_and_the_walk(monkeypatch):
         trace = _long_run_trace(rng)
         for offset in range(60):
             grid = TimeGrid(offset)
+            start = grid.minute_start(grid.first_full_minute(trace.start))
             if not _spec_labels(trace, grid, Rule51Semantics.NEIGHBOR_RULE52)[1]:
+                empty = MinuteTrace(start, (), ())
+                assert label_rule52(trace, grid) == empty
                 for semantics in Rule51Semantics:
-                    with pytest.raises(TraceTooShortError):
-                        label_minutes(trace, grid, semantics)
+                    assert label_minutes(trace, grid, semantics) == empty
                 too_short += 1
                 continue
-            first = grid.first_full_minute(trace.start)
             closed = minutes._rule52_runs(trace, grid)
-            assert closed[0] == first
-            walked = walk(trace, grid, first)
-            assert tuple(closed[1]) == tuple(walked[1]) and closed[2] == walked[2]
+            assert closed[0] == start
+            walked = walk(trace, start)
+            assert tuple(closed[1]) == tuple(walked[0]) and closed[2] == walked[1]
             for semantics in Rule51Semantics:
                 _assert_labels_and_article7_match(trace, grid, semantics)
             upgraded += (
@@ -337,7 +335,7 @@ def _random_minute_trace(rng: random.Random, grid: TimeGrid | None = None) -> Mi
         else:
             runs.append((O, rng.randint(1, 180)))
     grid = grid or TimeGrid(rng.randrange(60))
-    return MinuteTrace(rng.randint(-3000, 3000), *zip(*runs), grid)
+    return MinuteTrace(grid.minute_start(rng.randint(-3000, 3000)), *zip(*runs))
 
 
 def _report_outcome(check):
@@ -376,21 +374,22 @@ def test_stretches_spans_and_reports_match_the_per_run_code():
         stretches = accumulate_driving(mt, rests, profile)
         # the accumulator after each run
         totals = spec.accumulated(expected, threshold)
-        after = [totals[end - 1] for end in mt._bounds[1:]]
+        after = [totals[end - 1] for end in mt.bounds[1:]]
         assert [item[3] for item in per_run(mt, stretches)] == after
         violations = check_article7(stretches, mt, profile.id)
         spans = daily_driving_spans(mt, rests, profile)
-        assert spans == spec.daily_driving(expected, mt.start_instant, profile)
+        assert spans == spec.daily_driving(expected, mt.start, profile)
 
-        trace = SecondTrace.from_runs(mt.start_instant, [(a, m * 60) for a, m in mt.segments])
+        trace = SecondTrace.from_runs(mt.start, [(a, m * 60) for a, m in mt.segments])
         report = _report_outcome(lambda: check_all(trace, profile.grid(), profile, leap_table))
         got = report if isinstance(report, str) else (
             list(report.violations), report.statistics, list(report.notices)
         )
         upgraded = spec.item51(expected, list(map(operator.is_, expected, itertools.repeat(D))))
         start, end = trace.start, trace.end
+        first = profile.grid().first_full_minute(start)
         expected_report = _report_outcome(
-            lambda: spec.judge(mt.start_minute, upgraded, start, end, profile, leap_table)
+            lambda: spec.judge(first, upgraded, start, end, profile, leap_table)
         )
         assert got == expected_report, (n, profile)
         if isinstance(report, str):
@@ -511,7 +510,7 @@ def _random_weekly_rest_instance(rng: random.Random, max_weeks: int = 6):
             minutes = rng.randint(15, 60)
         runs += [(O, gap), (R, minutes)]
         t += (gap + minutes) * 60
-    mt = MinuteTrace(start, *zip(*runs), TimeGrid())
+    mt = MinuteTrace(start * 60, *zip(*runs))
     waived = frozenset(w for w in scope if rng.random() < 0.15)
     profile = SPIRIT.replace(
         id="random",
@@ -525,7 +524,7 @@ def _rests(mt: MinuteTrace) -> list[tuple[int, int]]:
     """The (start, minutes) of the rests of at least 15 minutes, as the
     specification reads them off the labels."""
     runs = spec.runs(labels(mt))
-    return [(mt.minute_instant(m), n) for a, m, n in runs if a is R and n >= 15]
+    return [(mt.start + 60 * m, n) for a, m, n in runs if a is R and n >= 15]
 
 
 def test_weekly_rest_solver_matches_the_backtracking_search():
@@ -685,7 +684,7 @@ def _weekly_layout_instance(rng: random.Random, max_weeks: int = 40):
             used += 24 * 60
         runs.append((O, week - used + 1))
     runs.append((R, rng.randint(60, 3000)))
-    mt = MinuteTrace(start, *zip(*runs), TimeGrid())
+    mt = MinuteTrace(start * 60, *zip(*runs))
     profile = SPIRIT.replace(
         id="layout",
         attached_compensation=rng.random() < 0.3,
@@ -1119,7 +1118,7 @@ def test_labels_of_column_traces_match_the_oracles_where_upgrades_merge_runs():
                 mt = label_minutes(trace, grid, semantics)
                 first, expected = _spec_labels(trace, grid, semantics)
                 # one run per minute, merged by the constructor
-                reference = MinuteTrace(first, expected, [1] * len(expected), grid)
+                reference = MinuteTrace(grid.minute_start(first), expected, [1] * len(expected))
                 assert mt == reference and hash(mt) == hash(reference)
                 assert labels(mt) == expected
                 assert mt.segments == spec.merge((label, 1) for label in expected)
@@ -1136,10 +1135,10 @@ def test_article82_matches_the_all_rests_scan_on_random_layouts():
         threshold = rng.choice([15, 45, 540, 660, 1440, rng.randint(15, 1440)])
         profile = SPIRIT.replace(daily_rest_threshold=threshold)
         violations = check_article82(classify_rests(mt), mt, profile)
-        assert violations == spec.article82(labels(mt), mt.start_instant, profile)
+        assert violations == spec.article82(labels(mt), mt.start, profile)
         judged["violated"] += len(violations)
         judged["met"] += sum(
-            mt.minute_instant(mt._bounds[i + 1]) + 86400 <= mt.end_instant
+            mt.start + 60 * mt.bounds[i + 1] + 86400 <= mt.end
             for i in classify_rests(mt)
             if mt.counts[i] >= threshold
         ) - len(violations)
@@ -1156,7 +1155,7 @@ def test_rest_indices_are_the_classified_periods():
         threshold = rng.choice([15, 44, 45, 46, 540, 1440, rng.randint(15, 1440)])
         rests = classify_rests(mt)
         periods = [(m, n) for a, m, n in spec.runs(labels(mt)) if a is R and n >= 15]
-        assert [(mt._bounds[i], mt.counts[i]) for i in rests] == periods
+        assert [(mt.bounds[i], mt.counts[i]) for i in rests] == periods
         for i in rests:
             assert mt.activities[i] is R
             minutes = mt.counts[i]

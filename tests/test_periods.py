@@ -24,7 +24,7 @@ def kinds_of(mt, profile=SPIRIT):
     """The specification's kinds of the rest runs of at least 15 minutes;
     the engine must find the same runs."""
     runs = [(m, n) for a, m, n in spec.runs(labels(mt)) if a is R and n >= 15]
-    assert [mt._bounds[i] for i in classify_rests(mt)] == [m for m, _ in runs]
+    assert [mt.bounds[i] for i in classify_rests(mt)] == [m for m, _ in runs]
     return [spec.kind(n, profile.daily_rest_threshold) for _, n in runs]
 
 
@@ -60,8 +60,8 @@ def test_daily_threshold_is_a_knob():
 def test_period_instants():
     mt = labeled((O, 10), (R, 20), (O, 10))
     assert classify_rests(mt) == [1]
-    assert mt.minute_instant(mt._bounds[1]) == 600
-    assert mt.minute_instant(mt._bounds[2]) == 1800
+    assert mt.start + 60 * mt.bounds[1] == 600
+    assert mt.start + 60 * mt.bounds[2] == 1800
     assert mt.counts[1] == 20
 
 
@@ -160,7 +160,7 @@ def test_trace_edge_counts_as_rest_when_enabled():
     with_edge = daily_driving_spans(mt, rests, SPIRIT)
     assert len(with_edge) == 1
     assert with_edge[0].driving_minutes == 60
-    assert with_edge[0].start == mt.start_instant
+    assert with_edge[0].start == mt.start
     without_edge = daily_driving_spans(mt, rests, LETTER)
     assert without_edge == []
 

@@ -59,9 +59,8 @@ RECORDS = [
     ),
     (
         MinuteTrace,
-        (5, (D,), (3,), TimeGrid(0)),
-        "MinuteTrace(start_minute=5, activities=(<Activity.DRIVING: 'DRIVING'>,), "
-        "counts=(3,), grid=TimeGrid(minute_offset_seconds=0))",
+        (300, (D,), (3,)),
+        "MinuteTrace(start=300, activities=(<Activity.DRIVING: 'DRIVING'>,), counts=(3,))",
         {"activities": (D, R)},
         (TraceError, "2 activities but 1 lengths"),
     ),

@@ -538,7 +538,7 @@ def verify_witness(
 ):
     """Check a weekly-rest witness by direct arithmetic, independently of the
     solver's own bookkeeping."""
-    runs = {mt.minute_instant(mt._bounds[i]): mt.counts[i] for i in rests}
+    runs = {mt.start + 60 * mt.bounds[i]: mt.counts[i] for i in rests}
     assignments = witness["assignments"]
     blocks = witness["compensations"]
 

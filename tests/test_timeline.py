@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import CODE, D, O, R, labels, minutes_of, samples, trace_of
+from conftest import CODE, D, O, R, minutes_of, samples, trace_of
 from tachocheck import timeline
 from tachocheck.minutes import MinuteTrace, label_minutes
 from tachocheck.timeline import (
@@ -315,14 +315,14 @@ def test_shift_grid_displaces_only_start():
 
 
 def test_shift_by_full_minute_shifts_labels_by_index():
-    from tachocheck.minutes import MinuteTrace, label_minutes
-
     trace = minutes_of((D, 3), (R, 2), (D, 1))
     grid = TimeGrid(0)
     base = label_minutes(trace, grid)
     shifted = label_minutes(shift_grid(trace, 60), grid)
-    assert labels(shifted) == labels(base)
-    assert shifted.start_minute == base.start_minute + 1
+    assert shifted == base.replace(start=base.start + 60)
+    # moving the trace and the grid together moves only the start
+    moved = label_minutes(shift_grid(trace, 27), TimeGrid(27))
+    assert moved == base.replace(start=base.start + 27)
 
 
 def test_every_second_has_one_activity_and_week():
@@ -411,11 +411,11 @@ def test_every_constructor_rejects_a_non_positive_length_between_other_activitie
         with pytest.raises(TraceError, match="positive"):
             SecondTrace.from_runs(0, ((D, 5), (R, length), (D, 5)))
         with pytest.raises(TraceError, match="positive"):
-            MinuteTrace(0, (D, R), (5, length), TimeGrid())
+            MinuteTrace(0, (D, R), (5, length))
 
 
 def test_every_constructor_rejects_columns_of_unequal_length():
     with pytest.raises(TraceError, match="2 activities but 1 lengths"):
         SecondTrace(0, (D, R), (5,))
     with pytest.raises(TraceError, match="1 activities but 2 lengths"):
-        MinuteTrace(0, (D,), (5, 5), TimeGrid())
+        MinuteTrace(0, (D,), (5, 5))
