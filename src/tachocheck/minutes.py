@@ -99,7 +99,13 @@ class MinuteTrace(Record):
         return self.driving[-1]
 
     def to_records(self) -> str:
-        """Serialize to the trace record format at 60-second granularity."""
+        """Serialize to the trace record format at 60-second granularity.
+
+        A labeling with no runs has no records: it serializes as "", which
+        is not a trace, since a trace covers at least one second.
+        """
+        if not self.counts:
+            return ""
         seconds = map(mul, self.counts, repeat(SECONDS_PER_MINUTE))
         return SecondTrace(self.start, self.activities, seconds).to_records()
 

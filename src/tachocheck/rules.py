@@ -114,6 +114,7 @@ class Report(Record):
         set_field(self, "notices", notices)
 
     def to_dict(self) -> dict:
+        """The report as plain data: the reference that `to_json` writes."""
         return {
             "trace": {
                 "digest": self.trace_digest,
@@ -128,7 +129,106 @@ class Report(Record):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """`json.dumps(self.to_dict(), indent=2, sort_keys=True)`, byte for
+        byte, written straight from the fields. With `indent`, `json.dumps`
+        runs CPython's pure-Python encoder, which takes several times the
+        time of this writer and, on a large report, several times its
+        memory."""
+        violations = ",\n".join(
+            [
+                _VIOLATION_JSON % (_json_string(a), _json_string(d), _json_string(p), e, s)
+                if (type(a), type(d), type(p), type(e), type(s)) == _PLAIN
+                else _VIOLATION_JSON % tuple(map(_json_value, (a, d, p, e, s), _INDENTS))
+                for a, d, p, e, s in map(_violation_fields, self.violations)
+            ]
+        )
+        head = _REPORT_JSON_HEAD % (
+            _json_value(self.grid_offset, "  "),
+            _json_array(self.notices, "  "),
+            _json_object(self.profile.to_dict(), "  "),
+            _json_object(self.statistics, "  "),
+            _json_value(self.trace_digest, "    "),
+            _json_value(self.trace_seconds, "    "),
+            _json_value(self.trace_start, "    "),
+        )
+        if not violations:
+            return head + "[]\n}"
+        # one copy of the violations' text, which can run to tens of MB
+        return "".join((head, "[\n", violations, "\n  ]\n}"))
+
+
+# The report's layout as `json.dumps(indent=2, sort_keys=True)` writes it:
+# keys sorted, two spaces per level, and each value's text written by the
+# `_json_*` helpers for the indent of its line. The violations come last.
+_REPORT_JSON_HEAD = """{
+  "grid_offset": %s,
+  "notices": %s,
+  "profile": %s,
+  "statistics": %s,
+  "trace": {
+    "digest": %s,
+    "duration_seconds": %s,
+    "start": %s
+  },
+  "violations": """
+# A violation's fields in the order of `_VIOLATION_JSON`, and the indent of
+# each one's line. The checks build them as `_PLAIN` types: strs go straight
+# to the C encoder and ints to `%s`, which writes their repr; a field of any
+# other type goes through `_json_value`.
+_violation_fields = operator.attrgetter(
+    "article", "detail", "profile_id", "window_end", "window_start"
+)
+_PLAIN = (str, str, str, int, int)
+_INDENTS = ("      ",) * 3 + ("        ",) * 2
+_VIOLATION_JSON = """    {
+      "article": %s,
+      "detail": %s,
+      "profile_id": %s,
+      "window": {
+        "end": %s,
+        "start": %s
+      }
+    }"""
+
+# the C function `json.dumps` calls for every string under `ensure_ascii`
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_value(value, indent: str) -> str:
+    """`value` as `json.dumps(indent=2, sort_keys=True)` writes it on a line
+    indented by `indent`. Exact types take the fast path (so a bool is never
+    written as an int); anything else goes through `json.dumps` itself."""
+    kind = type(value)
+    if kind is str:
+        return _json_string(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+def _json_array(items, indent: str) -> str:
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    lines = ",\n".join([inner + _json_value(item, inner) for item in items])
+    return f"[\n{lines}\n{indent}]"
+
+
+def _json_object(mapping: dict, indent: str) -> str:
+    if not mapping or any(type(key) is not str for key in mapping):
+        return _json_value(mapping, indent)
+    inner = indent + "  "
+    lines = ",\n".join(
+        [
+            f"{inner}{_json_string(key)}: {_json_value(value, inner)}"
+            for key, value in sorted(mapping.items())
+        ]
+    )
+    return f"{{\n{lines}\n{indent}}}"
 
 
 def check_article7(

@@ -77,6 +77,7 @@ def test_too_short_trace_labels_as_an_empty_trace():
             for mt in labeled:
                 assert mt.activities == mt.counts == () and len(mt) == 0
                 assert mt.start == mt.end == start
+                assert mt.to_records() == ""
                 for edge in (False, True):
                     profile = SPIRIT.replace(trace_edge_is_rest=edge)
                     rests = classify_rests(mt)
@@ -192,6 +193,8 @@ def test_minute_trace_serializes_at_minute_granularity():
     assert text == "0,DRIVING,120\n120,REST,180\n300,DRIVING,60\n"
     reparsed = parse_trace(text)
     assert reparsed.duration == trace.duration
+    # a valid trace that covers no grid minute labels no run, hence no record
+    assert label_minutes(parse_trace("30,DRIVING,50\n"), GRID).to_records() == ""
 
 
 def test_minute_instants():
