@@ -136,10 +136,8 @@ class Report(Record):
         memory."""
         violations = ",\n".join(
             [
-                _VIOLATION_JSON % (_json_string(a), _json_string(d), _json_string(p), e, s)
-                if (type(a), type(d), type(p), type(e), type(s)) == _PLAIN
-                else _VIOLATION_JSON % tuple(map(_json_value, (a, d, p, e, s), _INDENTS))
-                for a, d, p, e, s in map(_violation_fields, self.violations)
+                _VIOLATION_JSON % tuple(map(_json_value, fields, _INDENTS))
+                for fields in map(_violation_fields, self.violations)
             ]
         )
         head = _REPORT_JSON_HEAD % (
@@ -172,13 +170,10 @@ _REPORT_JSON_HEAD = """{
   },
   "violations": """
 # A violation's fields in the order of `_VIOLATION_JSON`, and the indent of
-# each one's line. The checks build them as `_PLAIN` types: strs go straight
-# to the C encoder and ints to `%s`, which writes their repr; a field of any
-# other type goes through `_json_value`.
+# each one's line.
 _violation_fields = operator.attrgetter(
     "article", "detail", "profile_id", "window_end", "window_start"
 )
-_PLAIN = (str, str, str, int, int)
 _INDENTS = ("      ",) * 3 + ("        ",) * 2
 _VIOLATION_JSON = """    {
       "article": %s,
@@ -196,8 +191,9 @@ _json_string = json.encoder.encode_basestring_ascii
 
 def _json_value(value, indent: str) -> str:
     """`value` as `json.dumps(indent=2, sort_keys=True)` writes it on a line
-    indented by `indent`. Exact types take the fast path (so a bool is never
-    written as an int); anything else goes through `json.dumps` itself."""
+    indented by `indent`. A str, int, bool or None of exact type is written
+    here (so a bool is never written as an int); anything else goes through
+    `json.dumps` itself."""
     kind = type(value)
     if kind is str:
         return _json_string(value)

@@ -117,7 +117,7 @@ def test_values_only_an_in_process_caller_can_pass():
         profile=profile,
         violations=(
             Violation("7", 0, 2.5, "dé\ntail", {"b": [1, {}], "a": ()}),
-            Violation("8.2", False, 7, "", "p"),
+            Violation("8.2", False, [7, {"e": None}], "", "p"),
         ),
         statistics={2: [1.5, None], 1: {"k": False}},
         notices=("n", 3, [], ["x", {"y": float("inf")}]),
