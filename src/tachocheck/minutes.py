@@ -27,6 +27,12 @@ minute to the run holding at least 31 of its seconds, the later run on a
 the minutes that straddle a boundary scanned. In the second layer only a
 one-minute run between two driving runs can upgrade, so a labeling with no
 one-minute run skips it.
+
+A trace keeps the labelings of the last grid offset it was labeled on: the
+first layer, and the minute trace of each reading labeled so far. A second
+labeling on that offset reuses them, so checks on one grid under several
+readings walk the trace once; a labeling on another offset replaces them,
+so a trace holds one offset's labels at most.
 """
 
 from __future__ import annotations
@@ -110,7 +116,7 @@ class MinuteTrace(Record):
         return SecondTrace(self.start, self.activities, seconds).to_records()
 
 
-def _rule52_runs(trace: SecondTrace, grid: TimeGrid) -> tuple[int, Sequence, Sequence[int]]:
+def _rule52_runs(trace: SecondTrace, grid: TimeGrid) -> tuple[int, tuple, tuple[int, ...]]:
     """First-layer label runs as (start instant, activities, minute counts).
 
     The runs start at the first grid minute of the trace. A trace that
@@ -118,17 +124,27 @@ def _rule52_runs(trace: SecondTrace, grid: TimeGrid) -> tuple[int, Sequence, Seq
     and the last, all last at least a minute has no grid minute that holds
     two run boundaries, and its labels have a closed form. Any other trace
     is walked run by run.
+
+    The runs are kept on the trace as `(offset, runs, {reading:
+    MinuteTrace})`, which a call on another grid offset replaces.
     """
+    offset = grid.minute_offset_seconds
+    if trace._labels is not None and trace._labels[0] == offset:
+        return trace._labels[1]
     first = grid.first_full_minute(trace.start)
-    last = (trace.end - grid.minute_offset_seconds) // SECONDS_PER_MINUTE
+    last = (trace.end - offset) // SECONDS_PER_MINUTE
     start = grid.minute_start(first)
-    if last <= first:
-        return start, (), ()
     seconds = trace.seconds
+    if last <= first:
+        activities, counts = (), ()
     # stops at the first short interior run
-    if all(map(ge, islice(seconds, 1, len(seconds) - 1), repeat(SECONDS_PER_MINUTE))):
-        return start, *_closed_form_runs(trace, grid, first, last)
-    return start, *_walk_runs(trace, start)
+    elif all(map(ge, islice(seconds, 1, len(seconds) - 1), repeat(SECONDS_PER_MINUTE))):
+        activities, counts = _closed_form_runs(trace, grid, first, last)
+    else:
+        activities, counts = _walk_runs(trace, start)
+    runs = start, tuple(activities), tuple(counts)
+    set_field(trace, "_labels", (offset, runs, {}))
+    return runs
 
 
 def _closed_form_runs(
@@ -232,18 +248,31 @@ def label_minutes(
 
     The first and last minutes never have two neighbours, so they are never
     upgraded under any semantics. A trace that covers no grid minute labels
-    as a minute trace with no runs.
+    as a minute trace with no runs. The result is kept on the trace with
+    its first layer (see `_rule52_runs`), so a repeat returns the same
+    minute trace.
     """
     start, activities, counts = _rule52_runs(trace, grid)
+    labelings = trace._labels[2]
+    # Fixpoint takes the NeighborRule52 path: see the module docstring
+    raw = semantics is Rule51Semantics.NEIGHBOR_RAW
+    mt = labelings.get(raw)
+    if mt is None:
+        mt = labelings[raw] = _upgraded(trace, start, activities, counts, raw)
+    return mt
+
+
+def _upgraded(
+    trace: SecondTrace, start: int, activities: tuple, counts: tuple[int, ...], raw: bool
+) -> MinuteTrace:
+    """The first layer with rule 51's driving upgrade applied."""
     if 1 not in counts:
         # only a one-minute run can be upgraded
         return MinuteTrace(start, activities, counts)
     # The upgrade judges first-layer labels and rewrites the list in place:
     # a candidate's neighbours are driving, so no rewrite touches another
-    # candidate's neighbours. Fixpoint takes the NeighborRule52 path: see
-    # the module docstring.
+    # candidate's neighbours.
     activities = list(activities)
-    raw = semantics is Rule51Semantics.NEIGHBOR_RAW
     driving = Activity.DRIVING
     t = start  # where run k begins
     for k in range(1, len(counts) - 1):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
+from operator import attrgetter
 from typing import Sequence
 
 from .minutes import Rule51Semantics
@@ -220,9 +221,12 @@ def diff_verdicts(
     """Run the full check under each profile and report disagreements.
 
     Profiles are evaluated independently and merged in id order, so the
-    report does not depend on the order they were supplied in. When the
-    profiles' reports carry different notices, such as one grid covering no
-    minute of the trace, each profile's notices are reported too.
+    report does not depend on the order they were supplied in. They are
+    evaluated grouped by grid offset, so the trace, which keeps the labels
+    of the last offset it was labeled on, is labeled once per offset. When
+    the profiles' reports carry different notices, such as one grid
+    covering no minute of the trace, each profile's notices are reported
+    too.
     """
     from .rules import check_all
 
@@ -236,7 +240,7 @@ def diff_verdicts(
     keys_by_profile: dict[str, set] = {}
     counts: dict[str, dict[str, int]] = {}
     notices: dict[str, tuple[str, ...]] = {}
-    for profile in ordered:
+    for profile in sorted(ordered, key=attrgetter("grid_offset")):
         report = check_all(trace, profile.grid(), profile, leap_table)
         notices[profile.id] = report.notices
         keys = {(v.article, v.window_start, v.window_end) for v in report.violations}
@@ -265,4 +269,6 @@ def diff_verdicts(
             )
     if len(set(notices.values())) == 1:
         notices = {}
+    else:
+        notices = {pid: notices[pid] for pid in ids}
     return DivergenceReport(ids, verdicts, tuple(disagreements), notices)

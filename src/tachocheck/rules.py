@@ -470,7 +470,9 @@ class WeeklyRestProblem:
             profile.daily_rest_threshold if profile.attached_compensation else 0
         )
         first, last = (scope[0], scope[-1]) if scope else (0, -1)
-        self.deadlines = {w: calendar.monday(w + COMPENSATION_WINDOW_WEEKS + 1) for w in scope}
+        # the scope weeks' Mondays through the last deadline, in one pass
+        self.mondays = calendar.mondays(first, last + COMPENSATION_WINDOW_WEEKS + 2)
+        self.deadlines = dict(zip(scope, self.mondays[COMPENSATION_WINDOW_WEEKS + 1 :]))
         n = len(self.starts)
         self.candidates: list = [()] * n
         self.candidate_runs = []  # the runs with a candidate week, then n
@@ -804,13 +806,16 @@ def check_article86(
     scope = list(weeks)
     if len(scope) < 2:
         return []
-    # the prepared rests are freed before the violations are built
-    blamed = _blamed_weeks(scope, WeeklyRestProblem(scope, mt, rests, profile, calendar))
+    problem = WeeklyRestProblem(scope, mt, rests, profile, calendar)
+    mondays = problem.mondays
+    blamed = _blamed_weeks(scope, problem)
+    del problem  # the prepared rests are freed before the violations are built
+    first = scope[0]
     return [
         Violation(
             "8.6",
-            calendar.monday(week),
-            calendar.monday(week + 1),
+            mondays[week - first],
+            mondays[week - first + 1],
             f"no weekly-rest assignment with compensation satisfies week {week}",
             profile.id,
         )

@@ -10,6 +10,7 @@ explicitly as a table of end-of-Sunday adjustments and default to none.
 from __future__ import annotations
 
 import bisect
+# OpenSSL's SHA-256 hashes about 5x faster than CPython's built-in `_sha256`
 import hashlib
 import itertools
 import json
@@ -207,8 +208,9 @@ class SecondTrace(Record):
     """
 
     _fields = ("start", "activities", "seconds")
-    # `_ends`: the instant each run ends; `_digest`: `digest()`, once computed
-    __slots__ = (*_fields, "_ends", "_digest")
+    # `_ends`: the instant each run ends; `_digest`: `digest()`, once computed;
+    # `_labels`: the labelings of the last grid offset (see `minutes`)
+    __slots__ = (*_fields, "_ends", "_digest", "_labels")
 
     def __init__(
         self, start: int, activities: Sequence[Activity], seconds: Sequence[int]
@@ -221,6 +223,7 @@ class SecondTrace(Record):
         set_field(self, "seconds", seconds)
         set_field(self, "_ends", tuple(itertools.accumulate(seconds, initial=start))[1:])
         set_field(self, "_digest", None)
+        set_field(self, "_labels", None)
 
     @classmethod
     def from_runs(cls, start: int, runs: Iterable[tuple[Activity, int]]) -> "SecondTrace":
@@ -439,6 +442,22 @@ class Calendar:
     def monday(self, week: int) -> int:
         """Instant at which the given calendar week begins (Monday 00:00)."""
         return week * SECONDS_PER_WEEK + self._shifts[bisect.bisect_left(self._sundays, week)]
+
+    def mondays(self, first: int, stop: int) -> list[int]:
+        """`monday(w)` for every week w in range(first, stop), in one pass:
+        one bisection, then one run of equal shifts per table Sunday."""
+        out: list[int] = []
+        i = bisect.bisect_left(self._sundays, first)
+        week = first
+        while week < stop:
+            # the weeks through the next table Sunday share its shift
+            upto = min(stop, self._sundays[i] + 1) if i < len(self._sundays) else stop
+            shift = self._shifts[i]
+            begin, end = week * SECONDS_PER_WEEK + shift, upto * SECONDS_PER_WEEK + shift
+            out += range(begin, end, SECONDS_PER_WEEK)
+            week = upto
+            i += 1
+        return out
 
     def week_of(self, t: int) -> int:
         """Calendar week containing instant t.

@@ -224,11 +224,15 @@ def test_one_labeling_builds_one_minute_trace(monkeypatch):
             return mt
 
     monkeypatch.setattr(minutes, "MinuteTrace", CountedMinuteTrace)
-    trace = trace_of(*[(D, 70), (R, 50), (D, 40), (O, 20)] * 20)
+    runs = [(D, 70), (R, 50), (D, 40), (O, 20)] * 20
     for semantics in ALL_SEMANTICS:
+        trace = trace_of(*runs)
         built.clear()
         mt = label_minutes(trace, GRID, semantics)
         assert len(built) == 1 and built[0] is mt
+        # the trace keeps the labeling: a repeat builds none
+        built.clear()
+        assert label_minutes(trace, GRID, semantics) is mt and not built
     built.clear()
-    mt = label_rule52(trace, GRID)
+    mt = label_rule52(trace_of(*runs), GRID)
     assert len(built) == 1 and built[0] is mt

@@ -288,7 +288,7 @@ def test_closed_form_labels_match_the_oracles_and_the_walk(monkeypatch):
             closed = minutes._rule52_runs(trace, grid)
             assert closed[0] == start
             walked = walk(trace, start)
-            assert tuple(closed[1]) == tuple(walked[0]) and closed[2] == walked[1]
+            assert closed[1:] == (tuple(walked[0]), tuple(walked[1]))
             for semantics in Rule51Semantics:
                 _assert_labels_and_article7_match(trace, grid, semantics)
             upgraded += (
@@ -296,6 +296,35 @@ def test_closed_form_labels_match_the_oracles_and_the_walk(monkeypatch):
                 - label_rule52(trace, grid).driving_minutes()
             )
     assert too_short > 100 and upgraded > 500, (too_short, upgraded)
+
+
+def test_labels_a_trace_keeps_equal_those_of_a_fresh_copy():
+    # One trace object labeled over a shuffled sequence of (offset, reading)
+    # pairs, with repeats and offsets interleaved, against a fresh copy for
+    # each labeling: what the trace kept from earlier labelings must change
+    # no label and no byte of the report.
+    rng = random.Random(2606)
+    kinds = (_random_trace, _stop_and_go_trace, _long_run_trace)
+    reused = replaced = merged = 0
+    for case in range(24):
+        trace = kinds[case % 3](rng)
+        pairs = [(o, s) for o in rng.sample(range(60), 3) for s in Rule51Semantics] * 2
+        rng.shuffle(pairs)
+        for offset, semantics in pairs:
+            grid = TimeGrid(offset)
+            fresh = SecondTrace(trace.start, trace.activities, trace.seconds)
+            kept = trace._labels is not None and trace._labels[0] == offset
+            mt = label_minutes(trace, grid, semantics)
+            first_layer = label_rule52(fresh, grid)
+            assert mt == label_minutes(fresh, grid, semantics)
+            assert label_rule52(trace, grid) == first_layer
+            profile = SPIRIT.replace(rule51=semantics, grid_offset=offset)
+            report = check_all(trace, grid, profile).to_json()
+            assert report == check_all(fresh, grid, profile).to_json()
+            reused += kept
+            replaced += not kept
+            merged += len(mt.counts) < len(first_layer.counts)
+    assert reused > 80 and replaced > 200 and merged > 100, (reused, replaced, merged)
 
 
 def test_only_a_short_interior_run_sends_labeling_to_the_walk(monkeypatch):
@@ -766,6 +795,11 @@ def test_complete_weeks_match_the_week_walk():
         leap_table = tuple(LeapSecond(i, rng.choice((-1, 1))) for i in sundays)
         letter = Calendar(leap_table, WeekPolicy.LETTER)
         spirit = letter.spirit()
+        # the one-pass list of Mondays, over a span that holds table Sundays
+        first = rng.randint(-6, 6) if case % 40 else rng.randint(-320, 0)
+        stop = first + rng.randint(-1, 20 if case % 40 else 340)
+        expected = [spec.monday(w, leap_table) for w in range(first, stop)]
+        assert letter.mondays(first, stop) == expected
         for week in weeks:
             monday = spec.monday(week, leap_table)
             assert spirit.monday(week) == letter.monday(week) == monday

@@ -1,10 +1,13 @@
+import collections
 import json
+import random
 from enum import Enum
 
 import pytest
 
 import tachocheck.timeline as timeline
 from conftest import D, HOUR, O, R, minutes_of, trace_of, week_runs
+from tachocheck import minutes, rules
 from tachocheck.minutes import Rule51Semantics
 from tachocheck.profiles import (
     ExtendedAttribution,
@@ -306,3 +309,60 @@ def test_diff_hashes_the_trace_once(monkeypatch):
     assert len(made) == 1
     check_all(trace, SPIRIT.grid(), SPIRIT)
     assert len(made) == 1
+
+
+def stop_and_go(seed: int) -> SecondTrace:
+    """A day of urban deliveries: hundreds of 3-90 s runs, so that most
+    minutes straddle run boundaries and labeling walks the runs."""
+    rng = random.Random(seed)
+    runs = [(rng.choice([D, D, R, O]), rng.randint(3, 90)) for _ in range(900)]
+    return trace_of(*runs, start=rng.randint(0, 300))
+
+
+def test_diff_labels_each_grid_offset_once(monkeypatch):
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    check = rules.check_all
+    monkeypatch.setattr(minutes, "_walk_runs", counting("walk", minutes._walk_runs))
+    monkeypatch.setattr(minutes, "MinuteTrace", counting("build", minutes.MinuteTrace))
+    monkeypatch.setattr(rules, "label_minutes", counting("label", rules.label_minutes))
+    monkeypatch.setattr(rules, "check_all", counting("check", check))
+    raw = SPIRIT.replace(id="neighbor-raw", rule51=Rule51Semantics.NEIGHBOR_RAW)
+    builtin = [*builtin_profiles().values(), raw]
+    shared = diff_verdicts(stop_and_go(41), builtin).to_json()
+    # two grid offsets walked, and one labeling per (offset, reading); still
+    # one label_minutes and one check_all per profile
+    assert calls == {"walk": 2, "build": 3, "label": 5, "check": 5}
+
+    # ids that interleave the offsets: a@27, b@0, c@27, d@0, e@27
+    interleaved = [
+        SPIRIT.replace(id="a", grid_offset=27),
+        SPIRIT.replace(id="b", grid_offset=0, rule51=Rule51Semantics.NEIGHBOR_RAW),
+        raw.replace(id="c", grid_offset=27),
+        builtin_profiles()["letter"].replace(id="d"),
+        SPIRIT.replace(id="e", grid_offset=27, daily_rest_threshold=15),
+    ]
+    calls.clear()
+    shared_interleaved = diff_verdicts(stop_and_go(41), interleaved).to_json()
+    assert calls["walk"] == 2 and calls["check"] == 5
+    # notices that differ are still listed in id order: offset 27 labels no
+    # minute of 80 s from 0, offset 0 labels one
+    assert list(diff_verdicts(trace_of((D, 80)), interleaved[:3]).notices) == ["a", "b", "c"]
+
+    # the same diffs with each profile checked on a fresh, unlabeled copy
+    def fresh_check(trace, *args):
+        return check(SecondTrace(trace.start, trace.activities, trace.seconds), *args)
+
+    monkeypatch.setattr(rules, "check_all", fresh_check)
+    calls.clear()
+    assert diff_verdicts(stop_and_go(41), builtin).to_json() == shared
+    assert diff_verdicts(stop_and_go(41), interleaved).to_json() == shared_interleaved
+    assert calls["walk"] == 10
+    assert '"divergent": true' in shared and '"divergent": true' in shared_interleaved

@@ -19,6 +19,7 @@ from tachocheck import (
     TraceError,
     Violation,
     WeekPolicy,
+    label_minutes,
 )
 from tachocheck.timeline import validate_leap_table
 
@@ -108,6 +109,10 @@ RECORDS = [
 )
 def test_record_behaviour(cls, args, text, bad, error):
     record = cls(*args)
+    if cls is SecondTrace:
+        # a trace keeps its last labels, which are no part of its value
+        label_minutes(record, TimeGrid(0))
+        assert record._labels is not None
     names = cls._fields
     assert record == cls(**dict(zip(names, args)))
     assert repr(record) == text
@@ -146,6 +151,7 @@ def test_record_behaviour(cls, args, text, bad, error):
         assert str(info.value) == message
 
     assert pickle.loads(pickle.dumps(record)) == record
+    assert repr(pickle.loads(pickle.dumps(record))) == text
 
 
 def test_leap_table_error_quotes_the_entry_repr():
