@@ -94,7 +94,7 @@ class InterpretationProfile(Record):
         return TimeGrid(self.grid_offset)
 
     def to_dict(self) -> dict:
-        values = zip(self._fields, self._values())
+        values = zip(self._fields, self._values)
         return {name: v.value if isinstance(v, Enum) else v for name, v in values}
 
 

@@ -16,7 +16,7 @@ import itertools
 import json
 import re
 from enum import Enum
-from operator import attrgetter, eq, is_, itemgetter
+from operator import attrgetter, is_, itemgetter, sub
 from typing import Iterable, Iterator, Sequence
 
 SECONDS_PER_MINUTE = 60
@@ -43,6 +43,15 @@ class Activity(Enum):
 
 
 _ACTIVITY_BY_NAME = {act.value: act for act in Activity}
+_ACTIVITY_BY_BYTES = {act.value.encode("ascii"): act for act in Activity}
+# an activity's name as bytes, looked up by its `_value_`, the plain
+# attribute behind the slower `value` property (an `Activity` key would be
+# hashed by a Python method)
+_NAME_BYTES = {act.value: act.value.encode("ascii") for act in Activity}
+_VALUE = attrgetter("_value_")
+
+# One record line as `to_records` writes it and the bulk parser reads it
+_RECORD_LINE = b"%d,%s,%d\n"
 
 
 class WeekPolicy(Enum):
@@ -67,16 +76,24 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+    # the field values in `_fields` order, read by one `attrgetter` per class
+    _values: tuple
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        if len(cls._fields) == 1:  # `get` returns the bare value, not a 1-tuple
+            cls._values = property(lambda record: (get(record),))
+        else:
+            cls._values = property(get)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values == other._values
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -90,12 +107,12 @@ class Record:
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, like `replace`
-        return self.__class__, self._values()
+        return self.__class__, self._values
 
     def replace(self, **changes):
         """A copy with the given fields changed, built and validated by
         `__init__`; an unknown field name raises TypeError."""
-        values = dict(zip(self._fields, self._values()))
+        values = dict(zip(self._fields, self._values))
         values.update(changes)
         return self.__class__(**values)
 
@@ -269,10 +286,17 @@ class SecondTrace(Record):
         kept = end - self._ends[i] + self.seconds[i]
         return SecondTrace(self.start, self.activities[: i + 1], (*self.seconds[:i], kept))
 
-    def _record_lines(self) -> Iterator[str]:
-        # `_value_` is the plain attribute behind the slower `value` property
-        for activity, seconds, end in zip(self.activities, self.seconds, self._ends):
-            yield f"{end - seconds},{activity._value_},{seconds}\n"
+    def _record_batches(self) -> Iterator[bytes]:
+        # the record text, 4096 runs at a time, each batch rendered through
+        # `_RECORD_LINE` by one formatting
+        for lo in range(0, len(self.seconds), 4096):
+            hi = lo + 4096
+            seconds = self.seconds[lo:hi]
+            fields = [None] * (3 * len(seconds))
+            fields[0::3] = map(sub, self._ends[lo:hi], seconds)
+            fields[1::3] = map(_NAME_BYTES.__getitem__, map(_VALUE, self.activities[lo:hi]))
+            fields[2::3] = seconds
+            yield (_RECORD_LINE * len(seconds)) % tuple(fields)
 
     def digest(self) -> str:
         """SHA-256 of the canonical record text that `to_records` returns.
@@ -286,22 +310,13 @@ class SecondTrace(Record):
         """
         if self._digest is None:
             h = hashlib.sha256()
-            lines = self._record_lines()
-            while batch := "".join(itertools.islice(lines, 4096)):
-                h.update(batch.encode("ascii"))
+            for batch in self._record_batches():
+                h.update(batch)
             set_field(self, "_digest", h.hexdigest())
         return self._digest
 
     def to_records(self) -> str:
-        return "".join(self._record_lines())
-
-
-# One canonical record line, as `to_records` writes it. The numbers take no
-# '+', '_', leading zero, '-0' or non-ASCII digit, all of which `int`
-# accepts, so each field is the text `to_records` writes for its value.
-_CANONICAL_LINE = re.compile(
-    r"^(?:0|-?[1-9][0-9]*),(?:DRIVING|REST|OTHER_WORK),[1-9][0-9]*(?:\n|\Z)", re.M
-)
+        return b"".join(self._record_batches()).decode("ascii")
 
 
 def parse_trace(data: bytes | str) -> SecondTrace:
@@ -311,53 +326,67 @@ def parse_trace(data: bytes | str) -> SecondTrace:
     sorted and contiguous. A line ends at LF, CR LF or a lone CR.
     Blank lines and lines starting with '#' are skipped.
 
-    A text whose lines are all canonical records, as `to_records` writes
-    them (`\n` line ends; no spaces, '+', '_', leading zeros or '-0'), is
-    parsed in bulk, and when it is exactly `to_records()` of the trace, the
-    trace's digest is the SHA-256 of the input. Any other text is parsed
-    line by line, which also words every error.
+    A text that is `to_records()` of the records it holds, up to a missing
+    final newline, is parsed in bulk, and when it is exactly `to_records()`
+    of the trace (no two records merged), the trace's digest is the SHA-256
+    of the input. Any other text is parsed line by line, which also words
+    every error.
     """
-    if isinstance(data, bytes):
+    if isinstance(data, str):
         try:
-            text = data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise TraceParseError(f"trace is not ASCII text: {exc}") from exc
+            raw = data.encode("ascii")
+        except UnicodeEncodeError:
+            return _parse_lines(data)  # not ASCII, so not canonical
     else:
-        text = data
-    trace = _parse_canonical(text)
+        raw = data
+    trace = _parse_canonical(raw)
     if trace is None:
-        return _parse_lines(text)
-    if text[-1] == "\n" and len(trace.seconds) == text.count("\n"):
+        if isinstance(data, bytes):
+            try:
+                data = data.decode("ascii")
+            except UnicodeDecodeError as exc:
+                raise TraceParseError(f"trace is not ASCII text: {exc}") from exc
+        return _parse_lines(data)
+    if raw[-1] == 10 and len(trace.seconds) == raw.count(b"\n"):
         # no two records merged, so the text is the canonical record text
-        raw = data if isinstance(data, bytes) else text.encode("ascii")
         set_field(trace, "_digest", hashlib.sha256(raw).hexdigest())
     return trace
 
 
-def _parse_canonical(text: str) -> SecondTrace | None:
-    """The trace of a text of contiguous canonical records, else None."""
+def _parse_canonical(raw: bytes) -> SecondTrace | None:
+    """The trace of a canonical record text, else None.
+
+    The text is canonical exactly when rendering the records it holds
+    through `_RECORD_LINE`, each start the sum of the first start and the
+    durations before it, gives back its bytes: that proves every number is
+    spelled as `to_records` spells it, every name exact, every line three
+    fields and the records contiguous.
+    """
     # one-character `in` scans turn the usual non-canonical texts (CRLF line
-    # ends, comments, padded fields) away before the regex
-    if not text or "\r" in text or "#" in text or " " in text or "\t" in text:
+    # ends, comments, padded fields) away before any field is split
+    if not raw or b"\r" in raw or b"#" in raw or b" " in raw or b"\t" in raw:
         return None
-    # line by line: one `fullmatch` of `(?:line)+` would keep backtracking
-    # state for every line, about twice the memory of the trace itself
-    if _CANONICAL_LINE.sub("", text):
+    fields = raw.replace(b"\n", b",").split(b",")
+    if raw[-1] == 10:
+        fields.pop()  # the empty field after the final line end
+    else:
+        raw += b"\n"  # a missing final line end is allowed
+    runs, extra = divmod(len(fields), 3)
+    if extra:
         return None
-    fields = text.replace("\n", ",").split(",")
-    if text[-1] == "\n":
-        fields.pop()
     try:
         start = int(fields[0])
-        durations = tuple(map(int, fields[2::3]))
-        expected = itertools.accumulate(durations, initial=start)
-        contiguous = all(map(eq, map(int, fields[0::3]), expected))
-    except ValueError:  # more digits than `int` converts
+        durations = list(map(int, fields[2::3]))
+        activities = tuple(map(_ACTIVITY_BY_BYTES.__getitem__, fields[1::3]))
+        if min(durations) <= 0:
+            return None  # the line parser words it
+        fields[0::3] = itertools.accumulate(durations[:-1], initial=start)
+        fields[2::3] = durations
+        if (_RECORD_LINE * runs) % tuple(fields) != raw:
+            return None
+    except (KeyError, ValueError):  # `%d`, like `int`, refuses over 4,300 digits
         return None
-    if not contiguous:
-        return None  # a gap or an overlap: the line parser words it
-    activities = tuple(map(_ACTIVITY_BY_NAME.__getitem__, fields[1::3]))
-    del fields  # the field strings outweigh the trace; free them first
+    del fields  # the field objects outweigh the trace; free them first
     return SecondTrace(start, activities, durations)
 
 

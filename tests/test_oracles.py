@@ -977,6 +977,37 @@ def _minus_zero(rng, lines, i):
     lines[i] = "-0" + lines[i][len(starts[i]) :]
 
 
+def _comma_across_line_end(rng, lines, i):
+    # the duration moves to the head of the next line, "s,N" then "d,s,N,d"
+    # (or "d" alone after the last line): the fields stay as they were
+    start, name, duration = lines[i].split(",")
+    lines[i : i + 2] = [f"{start},{name}", ",".join([duration, *lines[i + 1 : i + 2]])]
+
+
+def _whitespace_beside_a_number(rng, lines, i):
+    # `int` strips a form feed or vertical tab around a number, and neither
+    # ends a line
+    fields = lines[i].split(",")
+    k = rng.choice([0, 2])
+    space = rng.choice("\f\v")
+    fields[k] = space + fields[k] if rng.random() < 0.5 else fields[k] + space
+    lines[i] = ",".join(fields)
+
+
+def _start_at_the_digit_limit(rng, lines, i):
+    # a first start of 4,300 digits, the most `int` reads and `%d` writes;
+    # the starts after it reach 4,301 digits at a random record, or only at
+    # the end of the trace
+    records = [line.split(",") for line in lines]
+    durations = [int(duration) for _, _, duration in records]
+    limit = 10**4300
+    t = limit - rng.randint(1, sum(durations))
+    for record, duration in zip(records, durations):
+        record[0] = str(t) if t < limit else "1" + str(t - limit).zfill(4300)
+        t += duration
+    lines[:] = map(",".join, records)
+
+
 # one edit each; None keeps the text canonical
 RECORD_TEXT_EDITS = {
     "canonical": None,
@@ -992,16 +1023,28 @@ RECORD_TEXT_EDITS = {
     "gap": _shift_start(+1),
     "overlap": _shift_start(-1),
     "zero duration": _respell_duration(lambda d: "0"),
+    # on the last record, where no later start shows that the sum went back
+    "negative duration": lambda rng, lines, i: _respell_duration("-{}".format)(
+        rng, lines, len(lines) - 1
+    ),
+    "comma across line end": _comma_across_line_end,
+    "form feed or vertical tab": _whitespace_beside_a_number,
+    "4,300-digit start": _start_at_the_digit_limit,
     "CRLF": None,
+    "lone CR": None,
     "no final newline": None,
 }
+LINE_ENDS = {"CRLF": "\r\n", "lone CR": "\r"}
+ERROR_KINDS = (
+    "-0", "gap", "overlap", "zero duration", "negative duration", "comma across line end"
+)
 
 
 def _edited_record_text(rng: random.Random, kind: str) -> str | bytes:
     lines = _canonical_record_text(rng).splitlines()
     if RECORD_TEXT_EDITS[kind] is not None:
         RECORD_TEXT_EDITS[kind](rng, lines, rng.randrange(len(lines)))
-    newline = "\r\n" if kind == "CRLF" else "\n"
+    newline = LINE_ENDS.get(kind, "\n")
     # one text in ten loses its final newline on top of its edit
     final = "" if kind == "no final newline" or rng.random() < 0.1 else newline
     text = newline.join(lines) + final
@@ -1009,40 +1052,71 @@ def _edited_record_text(rng: random.Random, kind: str) -> str | bytes:
     return text.encode("ascii") if kind != "non-ASCII digit" and rng.random() < 0.5 else text
 
 
+# README "Canonical form", written as a pattern: each number as `str` writes
+# it (so at most 4,300 digits), "\n" line ends, a final one optional
+_CANONICAL_RECORD = re.compile(
+    r"(0|-?[1-9][0-9]{0,4299}),(DRIVING|REST|OTHER_WORK),([1-9][0-9]{0,4299})"
+)
+
+
+def _is_canonical(text: str) -> bool:
+    """Every line a canonical record, the records contiguous."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    records = [_CANONICAL_RECORD.fullmatch(line) for line in lines]
+    if not records or not all(records):
+        return False
+    ends = itertools.accumulate((int(m[3]) for m in records), initial=int(records[0][1]))
+    return all(int(m[1]) == end for m, end in zip(records, ends))
+
+
 def test_parse_trace_matches_the_two_loop_parser_on_canonical_texts_and_one_edit_mutants(
     monkeypatch,
 ):
-    paths = collections.Counter()
-    parse_canonical = timeline._parse_canonical
+    line_parses = 0
+    parse_lines = timeline._parse_lines
 
     def counting(text):
-        trace = parse_canonical(text)
-        paths["bulk" if trace is not None else "line by line"] += 1
-        return trace
+        nonlocal line_parses
+        line_parses += 1
+        return parse_lines(text)
 
-    monkeypatch.setattr(timeline, "_parse_canonical", counting)
+    monkeypatch.setattr(timeline, "_parse_lines", counting)
     rng = random.Random(11)
     kinds = [*RECORD_TEXT_EDITS] * 3 + ["canonical"] * 10
     outcomes = collections.Counter()
-    for _ in range(3000):
+    for _ in range(4000):
         kind = rng.choice(kinds)
         data = _edited_record_text(rng, kind)
+        text = data.decode("ascii") if isinstance(data, bytes) else data
+        before = line_parses
         outcome = _checked_parse(data)
+        # a text is parsed in bulk exactly when it is canonical
+        path = "line by line" if line_parses > before else "bulk"
+        assert (path == "bulk") == _is_canonical(text), (kind, data)
+        outcomes[kind, path] += 1
         if not isinstance(outcome, SecondTrace):
             outcomes[kind, "error"] += 1
             continue
         outcomes[kind, "trace"] += 1
         records = outcome.to_records()
-        text = data.decode("ascii") if isinstance(data, bytes) else data
         # the digest is taken from the input exactly when it is the record text
         assert (outcome._digest is not None) == (text == records), (kind, data)
         assert outcome.digest() == hashlib.sha256(records.encode("ascii")).hexdigest()
-    assert paths["bulk"] >= 0.3 * 3000 and paths["line by line"] >= 0.3 * 3000, paths
+    mixed = "4,300-digit start"  # canonical while the sums stay within the limit
     for kind in RECORD_TEXT_EDITS:
-        if kind not in ("-0", "gap", "overlap", "zero duration"):
+        if kind not in (*ERROR_KINDS, mixed):
             assert outcomes[kind, "trace"] >= 100, (kind, outcomes)
-    for kind in ("-0", "gap", "overlap", "zero duration"):
+    for kind in (*ERROR_KINDS, mixed):
         assert outcomes[kind, "error"] >= 20, (kind, outcomes)
+    assert outcomes[mixed, "bulk"] >= 20 and outcomes[mixed, "trace"] >= 50, outcomes
+    for kind in ("canonical", "no final newline"):
+        assert outcomes[kind, "line by line"] == 0, (kind, outcomes)
+    # the edits aimed at render-and-compare reach the line parser
+    aimed = ("lone CR", "negative duration", "comma across line end", "form feed or vertical tab")
+    for kind in aimed:
+        assert outcomes[kind, "line by line"] >= 100, (kind, outcomes)
 
 
 def test_coalesce_matches_groupby_on_random_run_lists():

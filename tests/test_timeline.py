@@ -137,8 +137,8 @@ def test_bulk_parse_peaks_below_twice_the_line_parser():
     runs = [(activity, rng.randint(1, 20_000)) for activity in [D, R, O, R] * 1_600]
     text = SecondTrace.from_runs(1_700_000_000, runs).to_records()
     # a trailing comment sends the same records through the line parser
-    assert timeline._parse_canonical(text) is not None
-    assert timeline._parse_canonical(text + "# end\n") is None
+    assert timeline._parse_canonical(text.encode("ascii")) is not None
+    assert timeline._parse_canonical(text.encode("ascii") + b"# end\n") is None
     peaks = []
     for data in (text, text + "# end\n"):
         tracemalloc.start()
