@@ -22,7 +22,6 @@ from .periods import (
     daily_driving_spans,
 )
 from .profiles import (
-    DivergenceReport,
     ExtendedAttribution,
     InterpretationProfile,
     ProfileError,
@@ -32,15 +31,8 @@ from .profiles import (
     load_profile,
     parse_profile,
 )
-from .rules import (
-    Report,
-    Violation,
-    check_all,
-    check_article7,
-    check_article61,
-    check_article82,
-    check_article86,
-    solve_weekly_rests,
-)
+from .report import DivergenceReport, Report, Violation
+from .rules import check_all, check_article7, check_article61, check_article82
+from .weekly import check_article86, solve_weekly_rests
 
 __version__ = "0.1.0"

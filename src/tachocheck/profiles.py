@@ -20,6 +20,7 @@ from operator import attrgetter
 from typing import Sequence
 
 from .minutes import Rule51Semantics
+from .report import DivergenceReport
 from .timeline import LeapSecond, Record, SecondTrace, TimeGrid, WeekPolicy, set_field
 
 
@@ -175,42 +176,6 @@ def builtin_profiles() -> dict[str, InterpretationProfile]:
     unix_grid = spirit.replace(id="unix-grid", grid_offset=0)
     utc_grid = spirit.replace(id="utc-grid", grid_offset=27)
     return {p.id: p for p in (letter, spirit, unix_grid, utc_grid)}
-
-
-class DivergenceReport(Record):
-    """Where profiles disagree about the same trace."""
-
-    __slots__ = _fields = ("profile_ids", "verdicts", "disagreements", "notices")
-
-    def __init__(
-        self,
-        profile_ids: tuple[str, ...],
-        verdicts: dict,  # article -> {profile id -> violation count}
-        disagreements: tuple[dict, ...],  # windows flagged by some profiles only
-        notices: dict,  # profile id -> notices; empty when every profile has the same
-    ) -> None:
-        set_field(self, "profile_ids", profile_ids)
-        set_field(self, "verdicts", verdicts)
-        set_field(self, "disagreements", disagreements)
-        set_field(self, "notices", notices)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.disagreements
-
-    def to_dict(self) -> dict:
-        out = {
-            "profiles": list(self.profile_ids),
-            "verdicts": self.verdicts,
-            "disagreements": [dict(d) for d in self.disagreements],
-            "divergent": not self.is_empty,
-        }
-        if self.notices:
-            out["notices"] = {pid: list(n) for pid, n in self.notices.items()}
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def diff_verdicts(

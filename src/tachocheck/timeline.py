@@ -16,7 +16,7 @@ import itertools
 import json
 import re
 from enum import Enum
-from operator import attrgetter, is_, itemgetter, sub
+from operator import attrgetter, is_, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 SECONDS_PER_MINUTE = 60
@@ -225,9 +225,10 @@ class SecondTrace(Record):
     """
 
     _fields = ("start", "activities", "seconds")
-    # `_ends`: the instant each run ends; `_digest`: `digest()`, once computed;
-    # `_labels`: the labelings of the last grid offset (see `minutes`)
-    __slots__ = (*_fields, "_ends", "_digest", "_labels")
+    # `_bounds`: the instant each run starts, then the trace's end; `_digest`:
+    # `digest()`, once computed; `_labels`: the labelings of the last grid
+    # offset (see `minutes`)
+    __slots__ = (*_fields, "_bounds", "_digest", "_labels")
 
     def __init__(
         self, start: int, activities: Sequence[Activity], seconds: Sequence[int]
@@ -238,7 +239,7 @@ class SecondTrace(Record):
         set_field(self, "start", start)
         set_field(self, "activities", activities)
         set_field(self, "seconds", seconds)
-        set_field(self, "_ends", tuple(itertools.accumulate(seconds, initial=start))[1:])
+        set_field(self, "_bounds", tuple(itertools.accumulate(seconds, initial=start)))
         set_field(self, "_digest", None)
         set_field(self, "_labels", None)
 
@@ -255,24 +256,22 @@ class SecondTrace(Record):
 
     @property
     def duration(self) -> int:
-        return self._ends[-1] - self.start
+        return self._bounds[-1] - self.start
 
     @property
     def end(self) -> int:
-        return self._ends[-1]
+        return self._bounds[-1]
 
     def run_at(self, t: int) -> tuple[Activity, int, int]:
         """The maximal (activity, start instant, seconds) run containing t."""
         if not self.start <= t < self.end:
             raise TraceError(f"instant {t} outside trace [{self.start}, {self.end})")
-        i = bisect.bisect_right(self._ends, t)
-        seconds = self.seconds[i]
-        return self.activities[i], self._ends[i] - seconds, seconds
+        i = bisect.bisect_right(self._bounds, t) - 1
+        return self.activities[i], self._bounds[i], self.seconds[i]
 
     def runs(self) -> Iterator[tuple[Activity, int, int]]:
-        """Yield maximal (activity, start instant, seconds) runs."""
-        for activity, seconds, end in zip(self.activities, self.seconds, self._ends):
-            yield activity, end - seconds, seconds
+        """The maximal (activity, start instant, seconds) runs, in time order."""
+        return zip(self.activities, self._bounds, self.seconds)
 
     def truncated(self, end: int) -> "SecondTrace":
         """The prefix of this trace strictly before instant `end`.
@@ -282,18 +281,19 @@ class SecondTrace(Record):
         if end <= self.start:
             raise TraceError("truncation would leave an empty trace")
         end = min(end, self.end)
-        i = bisect.bisect_left(self._ends, end)  # the run holding second end - 1
-        kept = end - self._ends[i] + self.seconds[i]
+        i = bisect.bisect_left(self._bounds, end) - 1  # the run holding second end - 1
+        kept = end - self._bounds[i]
         return SecondTrace(self.start, self.activities[: i + 1], (*self.seconds[:i], kept))
 
     def _record_batches(self) -> Iterator[bytes]:
         # the record text, 4096 runs at a time, each batch rendered through
         # `_RECORD_LINE` by one formatting
-        for lo in range(0, len(self.seconds), 4096):
-            hi = lo + 4096
+        n = len(self.seconds)
+        for lo in range(0, n, 4096):
+            hi = min(lo + 4096, n)
             seconds = self.seconds[lo:hi]
             fields = [None] * (3 * len(seconds))
-            fields[0::3] = map(sub, self._ends[lo:hi], seconds)
+            fields[0::3] = self._bounds[lo:hi]
             fields[1::3] = map(_NAME_BYTES.__getitem__, map(_VALUE, self.activities[lo:hi]))
             fields[2::3] = seconds
             yield (_RECORD_LINE * len(seconds)) % tuple(fields)

@@ -42,15 +42,10 @@ from tachocheck.profiles import (
     WeeklyGapSemantics,
     builtin_profiles,
 )
-from tachocheck.rules import (
-    Violation,
-    WeeklyRestProblem,
-    check_all,
-    check_article7,
-    check_article82,
-    check_article86,
-    solve_weekly_rests,
-)
+from tachocheck.report import Violation
+from tachocheck.rules import check_all, check_article7, check_article82
+from tachocheck import weekly
+from tachocheck.weekly import WeeklyRestProblem, check_article86, solve_weekly_rests
 from tachocheck import timeline
 from tachocheck.timeline import (
     SECONDS_PER_WEEK,
@@ -111,6 +106,35 @@ def test_the_specification_imports_only_data_types_from_the_package():
         assert issubclass(value, (timeline.Record, Enum, Exception)), name
 
 
+def _package_imports(module) -> set[str]:
+    """The package modules that `module`'s source imports, at its top or
+    inside a function."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names]
+            imported |= {path[1] for path in paths if path[0] == "tachocheck" and path[1:]}
+        elif isinstance(node, ast.ImportFrom):
+            path = (node.module or "").split(".")
+            if node.level == 0:
+                if path[0] != "tachocheck":
+                    continue
+                path = path[1:]
+            imported |= {path[0]} if path and path[0] else {alias.name for alias in node.names}
+    return imported
+
+
+def test_the_report_imports_no_stage_and_the_solver_never_imports_the_rules():
+    # the report stays data and its writers; the 8.6 solver sits below the
+    # module that composes the articles, not beside it
+    from tachocheck import report
+
+    assert "timeline" in _package_imports(report) and "report" in _package_imports(weekly)
+    assert not _package_imports(report) & {"minutes", "periods", "rules", "weekly"}
+    assert "rules" not in _package_imports(weekly)
+
+
 def test_the_engines_limits_are_the_texts():
     # a limit no random trace happens to reach still shows here: each one
     # the engine names is the one the specification restates from the text
@@ -119,7 +143,7 @@ def test_the_engines_limits_are_the_texts():
         rules.DAILY_DRIVING_LIMIT_MINUTES,
         rules.EXTENDED_DAILY_LIMIT_MINUTES,
         rules.MAX_EXTENSIONS_PER_WEEK,
-        rules.COMPENSATION_WINDOW_WEEKS,
+        weekly.COMPENSATION_WINDOW_WEEKS,
         rules.NEW_REST_WINDOW_SECONDS,
         periods.BREAK_MIN_MINUTES,
         periods.SPLIT_SECOND_MIN_MINUTES,
@@ -593,15 +617,14 @@ def test_one_prepared_problem_answers_every_waiver_like_a_fresh_solve():
         problem = WeeklyRestProblem(scope, mt, rests, profile, calendar)
         for _ in range(24):
             waived = frozenset(w for w in scope if rng.random() < rng.choice((0.1, 0.3, 0.6)))
-            solution = problem.solve(waived)
+            witness = weekly._Pass(problem, waived).witness()
             fresh = solve_weekly_rests(scope, mt, rests, profile, calendar, waived)
             expected = spec.weekly_rests_feasible(_rests(mt), scope, waived, profile, leap_table)
-            assert (solution is None) == (fresh is None) == (not expected)
-            if solution is None:
+            assert (witness is None) == (fresh is None) == (not expected)
+            if witness is None:
                 infeasible += 1
                 continue
             feasible += 1
-            witness = problem.witness(solution)
             assert witness == fresh
             verify_witness(
                 witness,
@@ -627,12 +650,12 @@ def test_a_resumed_pass_holds_a_fresh_passs_frontiers():
         problem = WeeklyRestProblem(scope, mt, classify_rests(mt), profile, Calendar(leap_table))
         n = len(problem.starts)
         for _ in range(6):
-            source = rules._Pass(problem, frozenset(w for w in scope if rng.random() < 0.15))
+            source = weekly._Pass(problem, frozenset(w for w in scope if rng.random() < 0.15))
             for _ in range(rng.randint(1, 3)):  # a chain of resumed passes
                 first = rng.choice(scope)
                 extra = range(first, min(scope[-1], first + rng.choice((0, 0, 1, 3))) + 1)
                 seen["unservable source"] += problem.unserved(source.waived)
-                resumed = rules._Pass(problem, source.waived | set(extra), source, extra)
+                resumed = weekly._Pass(problem, source.waived | set(extra), source, extra)
                 seen["source died"] += source.frontier(resumed.start) is None
                 seen["resumes at run 0"] += resumed.start == 0
                 fresh = list(problem.frontiers(resumed.waived))
@@ -641,9 +664,9 @@ def test_a_resumed_pass_holds_a_fresh_passs_frontiers():
                     expected = fresh[at][1] if at < len(fresh) else None
                     record = resumed.frontier(run)
                     assert (record and record[1]) == expected, (run, resumed.waived)
-                solution = problem.solve(resumed.waived)
-                assert resumed.feasible() == (solution is not None)
-                seen["feasible"] += solution is not None
+                witness = weekly._Pass(problem, resumed.waived).witness()
+                assert resumed.feasible() == (witness is not None)
+                seen["feasible"] += witness is not None
                 source = resumed
     assert min(seen.values()) >= 40, seen
 
@@ -724,7 +747,7 @@ def _weekly_layout_instance(rng: random.Random, max_weeks: int = 40):
 
 def _bisected_blame(scope: list[int], problem: WeeklyRestProblem) -> list[int]:
     """The weeks `check_article86` blames, found by bisections whose every
-    probe is a fresh `problem.solve` from the first run.
+    probe is a fresh pass from the first run.
 
     Waiving a week drops its pairs and its candidacy, so "waiving S leaves
     a feasible scope" is monotone in S. Let j be the least j at which
@@ -734,9 +757,9 @@ def _bisected_blame(scope: list[int], problem: WeeklyRestProblem) -> list[int]:
 
     @functools.cache
     def rescues(k: int, w: int) -> bool:
-        return problem.solve(frozenset(scope[:k] + [w])) is not None
+        return weekly._Pass(problem, frozenset(scope[:k] + [w])).feasible()
 
-    if problem.solve() is not None:
+    if weekly._Pass(problem, frozenset()).feasible():
         return []
     j = bisect.bisect_left(
         range(len(scope) - 1), True, lo=1, key=lambda j: rescues(j - 1, scope[j - 1])
@@ -750,7 +773,8 @@ def test_article86_blame_matches_the_fresh_solve_bisections():
     # two engine paths: every probe of `_bisected_blame` solves from the
     # first run; the engine's probes resume from recorded frontiers and skip
     # those whose source died. Scopes reach 40 weeks, past the sizes the
-    # specification's search can take.
+    # specification's search can take, so the blame's own claim is checked
+    # too: waiving the blamed weeks leaves a scope with a valid witness.
     rng = random.Random(1886)
     seen = collections.Counter()
     for case in range(2000):
@@ -760,9 +784,22 @@ def test_article86_blame_matches_the_fresh_solve_bisections():
         else:
             scope, mt, profile, leap_table = _weekly_layout_instance(rng, max_weeks)
         rests = classify_rests(mt)
-        problem = WeeklyRestProblem(scope, mt, rests, profile, Calendar(leap_table))
-        blamed = rules._blamed_weeks(scope, problem)
+        calendar = Calendar(leap_table)
+        problem = WeeklyRestProblem(scope, mt, rests, profile, calendar)
+        blamed = weekly._blamed_weeks(scope, problem)
         assert blamed == _bisected_blame(scope, problem), (case, scope, blamed)
+        witness = solve_weekly_rests(scope, mt, rests, profile, calendar, frozenset(blamed))
+        assert witness is not None, (case, scope, blamed)
+        verify_witness(
+            witness,
+            scope,
+            mt,
+            rests,
+            profile.daily_rest_threshold,
+            profile.attached_compensation,
+            leap_table,
+            blamed,
+        )
         seen["infeasible"] += bool(blamed)
         seen["several"] += len(blamed) >= 2
         seen["long scope"] += len(scope) >= 20 and bool(blamed)

@@ -19,7 +19,8 @@ from tachocheck.profiles import (
     builtin_profiles,
     parse_profile,
 )
-from tachocheck.rules import Report, Violation, check_all
+from tachocheck.report import Report, Violation
+from tachocheck.rules import check_all
 from tachocheck.timeline import SecondTrace, WeekPolicy, parse_trace
 
 PROFILES = builtin_profiles()

@@ -5,7 +5,7 @@ import pytest
 
 import spec
 from conftest import D, HOUR, O, R, day_cycle, minutes_of, trace_of, week_runs
-from tachocheck import rules
+from tachocheck import weekly
 from tachocheck.minutes import label_minutes
 from tachocheck.patterns import gen_compensation_chain
 from tachocheck.periods import accumulate_driving, classify_rests, daily_driving_spans
@@ -14,14 +14,8 @@ from tachocheck.profiles import (
     builtin_profiles,
     diff_verdicts,
 )
-from tachocheck.rules import (
-    check_all,
-    check_article7,
-    check_article61,
-    check_article82,
-    check_article86,
-    solve_weekly_rests,
-)
+from tachocheck.rules import check_all, check_article7, check_article61, check_article82
+from tachocheck.weekly import check_article86, solve_weekly_rests
 from tachocheck.timeline import (
     SECONDS_PER_WEEK,
     Calendar,
@@ -737,13 +731,13 @@ def count_passes(monkeypatch) -> list:
     returned list: a full solve, or a pass resumed from a recorded frontier.
     A probe whose source died before the week it waives starts none."""
     calls = []
-    frontiers = rules.WeeklyRestProblem.frontiers
+    frontiers = weekly.WeeklyRestProblem.frontiers
 
     def counting_frontiers(*args, **kwargs):
         calls.append(None)
         return frontiers(*args, **kwargs)
 
-    monkeypatch.setattr(rules.WeeklyRestProblem, "frontiers", counting_frontiers)
+    monkeypatch.setattr(weekly.WeeklyRestProblem, "frontiers", counting_frontiers)
     return calls
 
 
@@ -773,13 +767,13 @@ def test_one_check_prepares_the_rests_once(monkeypatch):
     mt, rests = pipeline(trace)
     scope = scope_of(trace)
     prepared = []
-    prepare = rules.WeeklyRestProblem.__init__
+    prepare = weekly.WeeklyRestProblem.__init__
 
     def counting_prepare(*args, **kwargs):
         prepared.append(None)
         prepare(*args, **kwargs)
 
-    monkeypatch.setattr(rules.WeeklyRestProblem, "__init__", counting_prepare)
+    monkeypatch.setattr(weekly.WeeklyRestProblem, "__init__", counting_prepare)
     calls = count_passes(monkeypatch)
     assert len(check_article86(scope, mt, rests, SPIRIT)) == 1
     assert len(calls) == 3
