@@ -80,7 +80,20 @@ class MinuteTrace(Record):
     def __init__(
         self, start: int, activities: Sequence[Activity], counts: Sequence[int]
     ) -> None:
-        activities, counts = maximal_columns(activities, counts)
+        self._set_columns(start, *maximal_columns(activities, counts))
+
+    @classmethod
+    def _of_maximal(
+        cls, start: int, activities: tuple, counts: tuple[int, ...]
+    ) -> "MinuteTrace":
+        """The minute trace of columns its caller has proven to be what
+        `__init__` builds: tuples of maximal runs, every count positive.
+        Nothing is checked."""
+        mt = cls.__new__(cls)
+        mt._set_columns(start, activities, counts)
+        return mt
+
+    def _set_columns(self, start, activities, counts) -> None:
         set_field(self, "start", start)
         set_field(self, "activities", activities)
         set_field(self, "counts", counts)
@@ -123,7 +136,8 @@ def _rule52_runs(trace: SecondTrace, grid: TimeGrid) -> tuple[int, tuple, tuple[
     covers no grid minute has no runs. A trace whose runs, but for the first
     and the last, all last at least a minute has no grid minute that holds
     two run boundaries, and its labels have a closed form. Any other trace
-    is walked run by run.
+    is walked run by run. Either way the runs are maximal and every count
+    is positive, so they need no check on their way into a `MinuteTrace`.
 
     The runs are kept on the trace as `(offset, runs, {reading:
     MinuteTrace})`, which a call on another grid offset replaces.
@@ -230,7 +244,7 @@ def label_rule52(trace: SecondTrace, grid: TimeGrid) -> MinuteTrace:
     padded with invented data to be labeled. A trace that covers no grid
     minute labels as a minute trace with no runs.
     """
-    return MinuteTrace(*_rule52_runs(trace, grid))
+    return MinuteTrace._of_maximal(*_rule52_runs(trace, grid))
 
 
 def _all_driving(trace: SecondTrace, t: int) -> bool:
@@ -266,22 +280,24 @@ def _upgraded(
     trace: SecondTrace, start: int, activities: tuple, counts: tuple[int, ...], raw: bool
 ) -> MinuteTrace:
     """The first layer with rule 51's driving upgrade applied."""
-    if 1 not in counts:
-        # only a one-minute run can be upgraded
-        return MinuteTrace(start, activities, counts)
-    # The upgrade judges first-layer labels and rewrites the list in place:
-    # a candidate's neighbours are driving, so no rewrite touches another
-    # candidate's neighbours.
-    activities = list(activities)
-    driving = Activity.DRIVING
-    t = start  # where run k begins
-    for k in range(1, len(counts) - 1):
-        t += counts[k - 1] * SECONDS_PER_MINUTE
-        if counts[k] == 1 and activities[k - 1] is driving and activities[k + 1] is driving:
-            if not raw or (
-                _all_driving(trace, t - SECONDS_PER_MINUTE)
-                and _all_driving(trace, t + SECONDS_PER_MINUTE)
-            ):
-                activities[k] = driving
+    upgraded = None  # the labels, copied at the first upgrade
+    # only a one-minute run can be upgraded
+    if 1 in counts:
+        # The upgrade judges first-layer labels; reading its own upgrades
+        # would change nothing, as a candidate's neighbours are driving.
+        driving = Activity.DRIVING
+        t = start  # where run k begins
+        for k in range(1, len(counts) - 1):
+            t += counts[k - 1] * SECONDS_PER_MINUTE
+            if counts[k] == 1 and activities[k - 1] is driving and activities[k + 1] is driving:
+                if not raw or (
+                    _all_driving(trace, t - SECONDS_PER_MINUTE)
+                    and _all_driving(trace, t + SECONDS_PER_MINUTE)
+                ):
+                    if upgraded is None:
+                        upgraded = list(activities)
+                    upgraded[k] = driving
+    if upgraded is None:
+        return MinuteTrace._of_maximal(start, activities, counts)  # the first layer's runs
     # an upgraded run merges with its two driving neighbours
-    return MinuteTrace(start, activities, counts)
+    return MinuteTrace(start, upgraded, counts)

@@ -236,10 +236,26 @@ class SecondTrace(Record):
         activities, seconds = maximal_columns(activities, seconds)
         if not seconds:
             raise TraceError("trace must cover at least one second")
+        self._set_columns(
+            start, activities, seconds, tuple(itertools.accumulate(seconds, initial=start))
+        )
+
+    @classmethod
+    def _of_maximal(
+        cls, start: int, activities: tuple, seconds: tuple[int, ...], bounds: tuple[int, ...]
+    ) -> "SecondTrace":
+        """The trace of columns its caller has proven to be what `__init__`
+        builds: non-empty tuples of maximal runs, every length positive,
+        with `bounds` their prefix sums from `start`. Nothing is checked."""
+        trace = cls.__new__(cls)
+        trace._set_columns(start, activities, seconds, bounds)
+        return trace
+
+    def _set_columns(self, start, activities, seconds, bounds) -> None:
         set_field(self, "start", start)
         set_field(self, "activities", activities)
         set_field(self, "seconds", seconds)
-        set_field(self, "_bounds", tuple(itertools.accumulate(seconds, initial=start)))
+        set_field(self, "_bounds", bounds)
         set_field(self, "_digest", None)
         set_field(self, "_labels", None)
 
@@ -376,7 +392,7 @@ def _parse_canonical(raw: bytes) -> SecondTrace | None:
         return None
     try:
         start = int(fields[0])
-        durations = list(map(int, fields[2::3]))
+        durations = tuple(map(int, fields[2::3]))
         activities = tuple(map(_ACTIVITY_BY_BYTES.__getitem__, fields[1::3]))
         if min(durations) <= 0:
             return None  # the line parser words it
@@ -386,8 +402,13 @@ def _parse_canonical(raw: bytes) -> SecondTrace | None:
             return None
     except (KeyError, ValueError):  # `%d`, like `int`, refuses over 4,300 digits
         return None
+    # the run starts just rendered, then the end: read back after the
+    # rendering, so that they add nothing to its peak
+    bounds = (*fields[0::3], fields[-3] + durations[-1])
     del fields  # the field objects outweigh the trace; free them first
-    return SecondTrace(start, activities, durations)
+    if any(map(is_, activities[1:], activities)):
+        return SecondTrace(start, activities, durations)  # merges the split records
+    return SecondTrace._of_maximal(start, activities, durations, bounds)
 
 
 # A line ends at "\n", "\r\n" or a lone "\r", never at the other characters

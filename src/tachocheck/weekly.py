@@ -94,13 +94,13 @@ class WeeklyRestProblem:
         self.candidate_runs.append(n)
         self.pairs = range(first, last)  # by first week
         self.unservable = []  # pairs no run can serve
-        self.judged_at: dict[int, list[int]] = {}  # run index -> pairs
+        self.judged_at: dict[int, set[int]] = {}  # run index -> pairs
         for pair in range(first, last):
             judge = max(last_candidate.get(pair, -1), last_candidate.get(pair + 1, -1))
             if judge == -1:
                 self.unservable.append(pair)
             else:
-                self.judged_at.setdefault(judge, []).append(pair)
+                self.judged_at.setdefault(judge, set()).add(pair)
 
     def unserved(self, waived: Container[int]) -> bool:
         """Whether a pair no run can serve is left when `waived` are waived."""
@@ -165,7 +165,7 @@ class WeeklyRestProblem:
                 run_start = self.starts[i]
                 judged = self.judged_at.get(i, ())
                 if judged and waived:  # a pair is left when neither of its weeks is waived
-                    judged = [p for p in judged if p not in waived and p + 1 not in waived]
+                    judged = {p for p in judged if p not in waived and p + 1 not in waived}
                 step: dict = {}
                 for state, _ in frontier:
                     debts, tallies = state
@@ -180,10 +180,13 @@ class WeeklyRestProblem:
                         )
                     else:
                         uncounted = counted = _NOTHING_HOSTED
-                    current = dict(tallies)
-                    # one run adds at most one count to a pair
-                    if judged and not all(pair in current for pair in judged):
-                        continue
+                    current = None  # the tallies as a dict, built once an option needs it
+                    if judged:
+                        current = dict(tallies)
+                        # one run adds at most one count to a pair, so a
+                        # judged pair with no count yet stays unmet
+                        if not current.keys() >= judged:
+                            continue
                     for week in (None, *weeks):
                         if week is None:
                             hostings, touched = uncounted, ()
@@ -203,20 +206,23 @@ class WeeklyRestProblem:
                                     debt = (week, REGULAR_WEEKLY_MIN_MINUTES - minutes + total)
                                     kept = tuple(sorted(kept + (debt,)))
                             if touched or judged:
+                                if current is None:
+                                    current = dict(tallies)
                                 pair_tallies = current.copy()
                                 for pair in touched:
                                     count, was_regular = pair_tallies.get(pair, (0, False))
                                     pair_tallies[pair] = (min(2, count + 1), was_regular or regular)
-                                # stops at the first unmet pair: the option is dropped then
-                                if judged and not all(
-                                    pair_tallies.pop(pair) == (2, True) for pair in judged
-                                ):
-                                    continue
-                                tallies_after = tuple(sorted(pair_tallies.items()))
+                                # an option that leaves a judged pair unmet is dropped
+                                for pair in judged:
+                                    if pair_tallies.pop(pair) != (2, True):
+                                        break
+                                else:
+                                    tallies_after = tuple(sorted(pair_tallies.items()))
+                                    step.setdefault((kept, tallies_after), (state, week, hosted))
                             else:
-                                tallies_after = tallies
-                            step.setdefault((kept, tallies_after), (state, week, hosted))
-                frontier = _undominated(step.items())
+                                step.setdefault((kept, tallies), (state, week, hosted))
+                # one state dominates no other
+                frontier = list(step.items()) if len(step) == 1 else _undominated(step.items())
                 if not frontier:
                     return
                 smallest_debt = min(
@@ -256,7 +262,10 @@ def _undominated(pairs) -> list:
     survivors: list = []
     for pair in pairs:
         state = pair[0]
-        if not any(_dominates(other, state) for other, _ in survivors):
+        for other, _ in survivors:
+            if _dominates(other, state):
+                break
+        else:
             survivors = [kept for kept in survivors if not _dominates(state, kept[0])]
             survivors.append(pair)
     return survivors
@@ -266,13 +275,16 @@ def _dominates(a: tuple, b: tuple) -> bool:
     """Whether state a completes whenever state b does."""
     if a[0]:
         remaining = iter(b[0])
-        if not all(debt in remaining for debt in a[0]):  # sorted: a sub-multiset
-            return False
-    tallies = dict(a[1])
-    return all(
-        pair in tallies and tallies[pair][0] >= count and tallies[pair][1] >= regular
-        for pair, (count, regular) in b[1]
-    )
+        for debt in a[0]:
+            if debt not in remaining:  # sorted: a sub-multiset
+                return False
+    if b[1]:
+        tallies = dict(a[1])
+        for pair, (count, regular) in b[1]:
+            mine = tallies.get(pair)
+            if mine is None or mine[0] < count or mine[1] < regular:
+                return False
+    return True
 
 
 class _Pass:

@@ -365,6 +365,43 @@ def test_only_a_short_interior_run_sends_labeling_to_the_walk(monkeypatch):
     assert walked == [short, short]
 
 
+def _assert_maximal(mt: MinuteTrace) -> None:
+    """`mt`'s columns are what the validating constructor builds from them."""
+    activities, counts = mt.activities, mt.counts
+    assert type(activities) is tuple and type(counts) is tuple
+    assert not any(map(operator.is_, activities[1:], activities)), activities
+    assert all(count > 0 for count in counts), counts
+    columns = maximal_columns(activities, counts)
+    assert columns[0] is activities and columns[1] is counts
+    rebuilt = MinuteTrace(mt.start, activities, counts)
+    assert (rebuilt.bounds, rebuilt.driving) == (mt.bounds, mt.driving)
+
+
+def test_first_layers_and_unupgraded_labelings_hold_maximal_columns():
+    # The first layer and a labeling rule 51 leaves alone skip the
+    # constructor's checks: on every path their columns must pass them
+    # unchanged.
+    rng = random.Random(2900)
+    kinds = (_random_trace, _stop_and_go_trace, _long_run_trace)
+    seen = collections.Counter()
+    for case in range(150):
+        trace = kinds[case % 3](rng)
+        closed = all(seconds >= 60 for seconds in trace.seconds[1:-1])
+        for offset in (0, 27):
+            grid = TimeGrid(offset)
+            first = label_rule52(trace, grid)
+            _assert_maximal(first)
+            seen["closed form" if closed else "walk", 1 in first.counts] += 1
+            for semantics in Rule51Semantics:
+                mt = label_minutes(trace, grid, semantics)
+                _assert_maximal(mt)
+                seen["unupgraded" if mt == first else "upgraded"] += 1
+    for path in ("closed form", "walk"):
+        for one_minute_run in (False, True):
+            assert seen[path, one_minute_run] >= 10, seen
+    assert seen["unupgraded"] >= 300 and seen["upgraded"] >= 300, seen
+
+
 def _random_minute_trace(rng: random.Random, grid: TimeGrid | None = None) -> MinuteTrace:
     """Label runs on either side of every length that decides a rest's kind
     or an accumulator reset: rests of 1-14, 15-29, 30-44 and 45-539
@@ -1215,6 +1252,7 @@ def test_column_traces_match_the_pair_construction_on_random_run_lists(monkeypat
 
     monkeypatch.setattr(timeline, "_parse_canonical", counting)
     rng = random.Random(12)
+    instants = random.Random(27)  # apart from `rng`, which draws the runs
     merged = 0
     for _ in range(400):
         start = rng.choice([0, rng.randint(-10**6, -1), rng.randint(1, 10**9)])
@@ -1227,6 +1265,12 @@ def test_column_traces_match_the_pair_construction_on_random_run_lists(monkeypat
             assert trace.segments == segments, path
             assert (trace.activities, trace.seconds) == tuple(zip(*segments)), path
             assert trace == reference and hash(trace) == hash(reference), path
+            # a bulk parse of maximal records builds no trace through the
+            # constructor's checks: what they derive must still agree
+            assert (trace._bounds, trace.end) == (reference._bounds, reference.end), path
+            t = instants.randrange(start, reference.end)
+            assert trace.run_at(t) == reference.run_at(t), path
+            assert trace.truncated(t + 1) == reference.truncated(t + 1), path
             starts = itertools.accumulate((n for _, n in segments), initial=start)
             assert list(trace.runs()) == [(a, t, n) for (a, n), t in zip(segments, starts)], path
             assert trace.to_records() == records, path

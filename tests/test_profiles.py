@@ -331,7 +331,14 @@ def test_diff_labels_each_grid_offset_once(monkeypatch):
 
     check = rules.check_all
     monkeypatch.setattr(minutes, "_walk_runs", counting("walk", minutes._walk_runs))
-    monkeypatch.setattr(minutes, "MinuteTrace", counting("build", minutes.MinuteTrace))
+
+    class CountedMinuteTrace(minutes.MinuteTrace):
+        # counts every minute trace built, through `__init__` or `_of_maximal`
+        def __new__(cls, *args, **kwargs):
+            calls["build"] += 1
+            return super().__new__(cls)
+
+    monkeypatch.setattr(minutes, "MinuteTrace", CountedMinuteTrace)
     monkeypatch.setattr(rules, "label_minutes", counting("label", rules.label_minutes))
     monkeypatch.setattr(rules, "check_all", counting("check", check))
     raw = SPIRIT.replace(id="neighbor-raw", rule51=Rule51Semantics.NEIGHBOR_RAW)

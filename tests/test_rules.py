@@ -621,6 +621,64 @@ def test_solver_witnesses_verify_independently():
         verify_witness(witness, scope, mt, rests)
 
 
+W = SECONDS_PER_WEEK
+REG, RED = "regular", "reduced"
+
+
+@pytest.mark.parametrize(
+    "trace, assignments, compensations",
+    [
+        pytest.param(
+            gen_compensation_chain(2),
+            # (week, run_start, run_minutes, counted_minutes, role)
+            [(0, 0, 1440, 1440, RED), (1, W, 2700, 2700, REG), (2, 2 * W, 3960, 2700, REG),
+             (3, 3 * W, 2700, 2700, REG), (4, 4 * W, 2700, 2700, REG)],
+            # (week, minutes, debtor_start, donor_start, deadline)
+            [(0, 1260, 0, 2 * W, 4 * W)],
+            id="compensation-chain-2",
+        ),
+        pytest.param(
+            gen_compensation_chain(3),
+            [(0, 0, 1440, 1440, RED), (1, W, 2700, 2700, REG), (2, 2 * W, 2700, 2700, REG),
+             (3, 3 * W, 3960, 2700, REG), (4, 4 * W, 2700, 2700, REG),
+             (5, 5 * W, 2700, 2700, REG)],
+            [(0, 1260, 0, 3 * W, 4 * W)],
+            id="compensation-chain-3",
+        ),
+        pytest.param(
+            gen_compensation_chain(4),
+            # week 4's spare is past week 0's deadline: week 3 pays and is reduced
+            [(0, 0, 1440, 1440, RED), (1, W, 2700, 2700, REG), (2, 2 * W, 2700, 2700, REG),
+             (3, 3 * W, 2700, 1440, RED), (4, 4 * W, 3960, 2700, REG),
+             (5, 5 * W, 2700, 2700, REG), (6, 6 * W, 2700, 2700, REG)],
+            [(0, 1260, 0, 3 * W, 4 * W), (3, 1260, 3 * W, 4 * W, 7 * W)],
+            id="compensation-chain-4",
+        ),
+        pytest.param(
+            chain_weeks(45, 24, 66, 45, 24, 66),
+            [(0, 0, 2700, 2700, REG), (1, W, 1440, 1440, RED), (2, 2 * W, 3960, 2700, REG),
+             (3, 3 * W, 2700, 2700, REG), (4, 4 * W, 1440, 1440, RED),
+             (5, 5 * W, 3960, 2700, REG)],
+            [(1, 1260, W, 2 * W, 5 * W), (4, 1260, 4 * W, 5 * W, 8 * W)],
+            id="rotation-45-24-66",
+        ),
+    ],
+)
+def test_witnesses_are_pinned(trace, assignments, compensations):
+    # Of the many witnesses of a feasible scope, the pass reads back the one
+    # its frontier order leads to: a change to that order shows here.
+    mt, rests = pipeline(trace)
+    scope = scope_of(trace)
+    witness = solve_weekly_rests(scope, mt, rests, SPIRIT)
+    assignment_keys = ("week", "run_start", "run_minutes", "counted_minutes", "role")
+    compensation_keys = ("week", "minutes", "debtor_start", "donor_start", "deadline")
+    assert witness == {
+        "assignments": [dict(zip(assignment_keys, row)) for row in assignments],
+        "compensations": [dict(zip(compensation_keys, row)) for row in compensations],
+    }
+    verify_witness(witness, scope, mt, rests)
+
+
 def test_spare_rest_before_the_reduction_does_not_compensate():
     # week 0 has 21 h of spare rest, but compensation follows the reduction:
     # week 1's debt cannot reach backwards, and pushing it forward only
