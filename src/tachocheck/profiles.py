@@ -202,38 +202,34 @@ def diff_verdicts(
     if len(set(ids)) != len(ids):
         raise ProfileError("profile ids must be unique")
 
-    keys_by_profile: dict[str, set] = {}
+    bits = {pid: 1 << i for i, pid in enumerate(ids)}
     counts: dict[str, dict[str, int]] = {}
+    flagged: dict[tuple, int] = {}  # (article, start, end) -> bits of the profiles flagging it
     notices: dict[str, tuple[str, ...]] = {}
     for profile in sorted(ordered, key=attrgetter("grid_offset")):
         report = check_all(trace, profile.grid(), profile, leap_table)
         notices[profile.id] = report.notices
-        keys = {(v.article, v.window_start, v.window_end) for v in report.violations}
-        keys_by_profile[profile.id] = keys
-        for violation in report.violations:
-            per_article = counts.setdefault(violation.article, {})
-            per_article[violation.profile_id] = per_article.get(violation.profile_id, 0) + 1
+        for v in report.violations:
+            per_article = counts.setdefault(v.article, {})
+            per_article[profile.id] = per_article.get(profile.id, 0) + 1
+            key = (v.article, v.window_start, v.window_end)
+            flagged[key] = flagged.get(key, 0) | bits[profile.id]
 
     verdicts = {
         article: {pid: per.get(pid, 0) for pid in ids}
         for article, per in sorted(counts.items())
     }
-
-    all_keys = sorted(set().union(*keys_by_profile.values()))
-    disagreements = []
-    for key in all_keys:
-        flagging = [pid for pid in ids if key in keys_by_profile[pid]]
-        if 0 < len(flagging) < len(ids):
-            article, start, end = key
-            disagreements.append(
-                {
-                    "article": article,
-                    "window": {"start": start, "end": end},
-                    "profiles": flagging,
-                }
-            )
+    disagreements = tuple(
+        {
+            "article": article,
+            "window": {"start": start, "end": end},
+            "profiles": [pid for pid in ids if flags & bits[pid]],
+        }
+        for (article, start, end), flags in sorted(flagged.items())
+        if flags.bit_count() < len(ids)
+    )
     if len(set(notices.values())) == 1:
         notices = {}
     else:
         notices = {pid: notices[pid] for pid in ids}
-    return DivergenceReport(ids, verdicts, tuple(disagreements), notices)
+    return DivergenceReport(ids, verdicts, disagreements, notices)

@@ -1,6 +1,7 @@
-"""What the checks report: `Violation`, the `Report` of one check with its
-fixed JSON layout, and the `DivergenceReport` of `diff`. Data and writers
-only: no stage of the pipeline is imported here."""
+"""What the checks report: `Violation`, the `Report` of one check and the
+`DivergenceReport` of `diff`, each laid out once as plain data, and the one
+JSON writer of both. Data and writers only: no stage of the pipeline is
+imported here."""
 
 from __future__ import annotations
 
@@ -70,8 +71,10 @@ class Report(Record):
         set_field(self, "statistics", statistics)
         set_field(self, "notices", notices)
 
-    def to_dict(self) -> dict:
-        """The report as plain data: the reference that `to_json` writes."""
+    def _head(self) -> dict:
+        """Every section of the report but its violations, which sort after
+        them all: the one statement of the layout, which `to_dict` and
+        `to_json` both read."""
         return {
             "trace": {
                 "digest": self.trace_digest,
@@ -80,52 +83,36 @@ class Report(Record):
             },
             "grid_offset": self.grid_offset,
             "profile": self.profile.to_dict(),
-            "violations": [v.to_dict() for v in self.violations],
             "statistics": dict(self.statistics),
             "notices": list(self.notices),
         }
 
+    def to_dict(self) -> dict:
+        """The report as plain data: the reference that `to_json` writes."""
+        out = self._head()
+        out["violations"] = [v.to_dict() for v in self.violations]
+        return out
+
     def to_json(self) -> str:
         """`json.dumps(self.to_dict(), indent=2, sort_keys=True)`, byte for
-        byte, written straight from the fields. With `indent`, `json.dumps`
-        runs CPython's pure-Python encoder, which takes several times the
-        time of this writer and, on a large report, several times its
-        memory."""
+        byte: the head by `_json_value`, then each violation through
+        `_VIOLATION_JSON`. With `indent`, `json.dumps` runs CPython's
+        pure-Python encoder, which takes several times the time of this
+        writer and, on a large report, several times its memory."""
+        # the head without its closing "\n}": "violations" sorts after its keys
+        head = _json_value(self._head(), "")[:-2]
+        if not self.violations:
+            return head + ',\n  "violations": []\n}'
         violations = ",\n".join(
             [
                 _VIOLATION_JSON % tuple(map(_json_value, fields, _INDENTS))
                 for fields in map(_violation_fields, self.violations)
             ]
         )
-        head = _REPORT_JSON_HEAD % (
-            _json_value(self.grid_offset, "  "),
-            _json_array(self.notices, "  "),
-            _json_object(self.profile.to_dict(), "  "),
-            _json_object(self.statistics, "  "),
-            _json_value(self.trace_digest, "    "),
-            _json_value(self.trace_seconds, "    "),
-            _json_value(self.trace_start, "    "),
-        )
-        if not violations:
-            return head + "[]\n}"
         # one copy of the violations' text, which can run to tens of MB
-        return "".join((head, "[\n", violations, "\n  ]\n}"))
+        return "".join((head, ',\n  "violations": [\n', violations, "\n  ]\n}"))
 
 
-# The report's layout as `json.dumps(indent=2, sort_keys=True)` writes it:
-# keys sorted, two spaces per level, and each value's text written by the
-# `_json_*` helpers for the indent of its line. The violations come last.
-_REPORT_JSON_HEAD = """{
-  "grid_offset": %s,
-  "notices": %s,
-  "profile": %s,
-  "statistics": %s,
-  "trace": {
-    "digest": %s,
-    "duration_seconds": %s,
-    "start": %s
-  },
-  "violations": """
 # A violation's fields in the order of `_VIOLATION_JSON`, and the indent of
 # each one's line.
 _violation_fields = operator.attrgetter(
@@ -148,9 +135,10 @@ _json_string = json.encoder.encode_basestring_ascii
 
 def _json_value(value, indent: str) -> str:
     """`value` as `json.dumps(indent=2, sort_keys=True)` writes it on a line
-    indented by `indent`. A str, int, bool or None of exact type is written
-    here (so a bool is never written as an int); anything else goes through
-    `json.dumps` itself."""
+    indented by `indent`: keys sorted, two spaces per level. A str, int,
+    bool, None, list, tuple, or dict with str keys, of exact type, is
+    written here (so a bool is never written as an int); anything else goes
+    through `json.dumps` itself."""
     kind = type(value)
     if kind is str:
         return _json_string(value)
@@ -160,6 +148,10 @@ def _json_value(value, indent: str) -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
+    if kind is dict and all(type(key) is str for key in value):
+        return _json_object(value, indent)
+    if kind is list or kind is tuple:
+        return _json_array(value, indent)
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
@@ -172,8 +164,8 @@ def _json_array(items, indent: str) -> str:
 
 
 def _json_object(mapping: dict, indent: str) -> str:
-    if not mapping or any(type(key) is not str for key in mapping):
-        return _json_value(mapping, indent)
+    if not mapping:
+        return "{}"
     inner = indent + "  "
     lines = ",\n".join(
         [
@@ -206,10 +198,15 @@ class DivergenceReport(Record):
         return not self.disagreements
 
     def to_dict(self) -> dict:
+        """The report as plain data, in containers of its own: the reference
+        that `to_json` writes."""
         out = {
             "profiles": list(self.profile_ids),
-            "verdicts": self.verdicts,
-            "disagreements": [dict(d) for d in self.disagreements],
+            "verdicts": {article: dict(counts) for article, counts in self.verdicts.items()},
+            "disagreements": [
+                {**d, "window": dict(d["window"]), "profiles": list(d["profiles"])}
+                for d in self.disagreements
+            ],
             "divergent": not self.is_empty,
         }
         if self.notices:
@@ -217,4 +214,5 @@ class DivergenceReport(Record):
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """`json.dumps(self.to_dict(), indent=2, sort_keys=True)`, byte for byte."""
+        return _json_value(self.to_dict(), "")

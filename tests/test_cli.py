@@ -418,6 +418,71 @@ def test_leap_table_naming_a_sunday_twice_exits_two(tmp_path, all_rest_file, cap
     assert "that Sunday is already listed" in err
 
 
+# Each documented input error exits 2 with one `error:` line and no report.
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        (
+            {"leap.json": "[{"},
+            ["check", "{trace}", "--profile", "spirit", "--leap-table", "leap.json"],
+            "leap table is not valid JSON",
+        ),
+        (
+            {"leap.json": '{"sunday_index": 0, "delta": 1}'},
+            ["check", "{trace}", "--profile", "spirit", "--leap-table", "leap.json"],
+            "leap table must be a JSON list",
+        ),
+        (
+            {"p.json": '{"id": "p",'},
+            ["check", "{trace}", "--profile", "p.json"],
+            "profile is not valid JSON",
+        ),
+        (
+            {"p.json": '[{"id": "p"}]'},
+            ["check", "{trace}", "--profile", "p.json"],
+            "profile must be a JSON object",
+        ),
+        (
+            {"p.json": '{"id": 7}'},
+            ["check", "{trace}", "--profile", "p.json"],
+            "profile id must be a string",
+        ),
+        (
+            {"p.json": '{"id": ""}'},
+            ["check", "{trace}", "--profile", "p.json"],
+            "profile id must be non-empty",
+        ),
+        (
+            {},
+            ["check", "{trace}", "--profile", "no-such-name"],
+            "profile 'no-such-name' is neither a file nor a builtin name",
+        ),
+        (
+            {},
+            ["diff", "{trace}", "--profiles", "spirit"],
+            "divergence needs at least two profiles",
+        ),
+        (
+            {},
+            ["diff", "{trace}", "--profiles", "spirit", "spirit"],
+            "profile ids must be unique",
+        ),
+    ],
+)
+def test_documented_input_errors_exit_two_with_one_error_line(
+    tmp_path, all_rest_file, capsys, monkeypatch, files, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    status = main([arg.replace("{trace}", str(all_rest_file)) for arg in argv])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
 # The demo modules load only under their own commands; `dataclasses` and
 # `inspect` cost a `check` or `diff` process about 10 ms of start-up.
 @pytest.mark.parametrize(

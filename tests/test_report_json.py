@@ -1,32 +1,39 @@
-"""`Report.to_json` writes exactly the bytes of its reference,
-`json.dumps(report.to_dict(), indent=2, sort_keys=True)`.
+"""`Report.to_json` and `DivergenceReport.to_json` write exactly the bytes
+of their reference, `json.dumps(report.to_dict(), indent=2, sort_keys=True)`.
 
 Criterion 10 and `tests/golden/` pin those bytes for a few reports; these
 tests compare the writer with the reference on random traces, on every
 builtin profile and a profile that sets every knob, on ids that need
-escaping, and on values that only an in-process caller can pass.
+escaping, and on values that only an in-process caller can pass. A diff's
+`to_dict` hands out containers of its own, so editing them leaves the
+report as it was.
 """
 
 import json
 import random
 
+import pytest
+
 from conftest import HOUR, D, O, R, trace_of, week_runs
+from tachocheck import patterns
+from tachocheck.cli import _DEMOS
 from tachocheck.minutes import Rule51Semantics
 from tachocheck.profiles import (
     ExtendedAttribution,
     InterpretationProfile,
     WeeklyGapSemantics,
     builtin_profiles,
+    diff_verdicts,
     parse_profile,
 )
-from tachocheck.report import Report, Violation
+from tachocheck.report import DivergenceReport, Report, Violation
 from tachocheck.rules import check_all
 from tachocheck.timeline import SecondTrace, WeekPolicy, parse_trace
 
 PROFILES = builtin_profiles()
 
 
-def reference(report: Report) -> str:
+def reference(report: Report | DivergenceReport) -> str:
     return json.dumps(report.to_dict(), indent=2, sort_keys=True)
 
 
@@ -126,3 +133,59 @@ def test_values_only_an_in_process_caller_can_pass():
     assert report.to_json() == reference(report)
     report = report.replace(statistics={}, notices=())
     assert report.to_json() == reference(report)
+
+
+# every builtin, and the readings of rule 51 and of Article 6.1 that no
+# builtin takes
+DIFF_PROFILES = [
+    *PROFILES.values(),
+    InterpretationProfile("neighbor-raw", rule51=Rule51Semantics.NEIGHBOR_RAW),
+    InterpretationProfile(
+        "minimize", extended_attribution=ExtendedAttribution.MINIMIZE_VIOLATIONS
+    ),
+]
+
+
+def diffed(trace: SecondTrace, profiles=DIFF_PROFILES) -> DivergenceReport:
+    report = diff_verdicts(trace, profiles)
+    assert report.to_json() == reference(report)
+    return report
+
+
+def test_random_diffs():
+    rng = random.Random(30)
+    reports = [diffed(_random_trace(rng)) for _ in range(30)]
+    assert {d["article"] for r in reports for d in r.disagreements} >= {"7", "6.1", "8.2"}
+
+
+@pytest.mark.parametrize("name", sorted(_DEMOS))
+def test_the_diff_of_every_demo(name):
+    build, _ = _DEMOS[name]
+    diffed(build(patterns, 2))
+
+
+def test_a_diff_whose_profiles_carry_different_notices():
+    report = diffed(parse_trace("0,DRIVING,80\n"), [PROFILES["unix-grid"], PROFILES["utc-grid"]])
+    assert report.notices and report.notices["unix-grid"] != report.notices["utc-grid"]
+
+
+def _edit_every_level(value) -> None:
+    """Change every container in `value`, innermost first."""
+    if isinstance(value, dict):
+        for item in value.values():
+            _edit_every_level(item)
+        value["edited"] = True
+    elif isinstance(value, list):
+        for item in value:
+            _edit_every_level(item)
+        value.append("edited")
+
+
+@pytest.mark.parametrize("records", ["0,DRIVING,18000\n", "0,DRIVING,80\n"])
+def test_editing_a_diffs_dict_leaves_the_diff_as_it_was(records):
+    # 5 h of driving: verdicts and a disagreement; 80 s: notices
+    report = diff_verdicts(parse_trace(records), [PROFILES["unix-grid"], PROFILES["utc-grid"]])
+    assert (report.verdicts and report.disagreements) or report.notices
+    before, text = report.to_dict(), report.to_json()
+    _edit_every_level(report.to_dict())
+    assert report.to_dict() == before and report.to_json() == text == reference(report)

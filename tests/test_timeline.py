@@ -336,6 +336,15 @@ def test_every_second_has_one_activity_and_week():
     assert seen == trace.duration
 
 
+def test_run_at_refuses_an_instant_outside_the_trace():
+    trace = trace_of((D, 30), (R, 30), start=-10)
+    assert trace.run_at(-10) == (Activity.DRIVING, -10, 30)
+    assert trace.run_at(49) == (Activity.REST, 20, 30)
+    for t in (-11, 50, 10**12):
+        with pytest.raises(TraceError, match=rf"instant {t} outside trace \[-10, 50\)"):
+            trace.run_at(t)
+
+
 def test_truncated():
     trace = minutes_of((D, 3), (R, 2))
     cut = trace.truncated(60)
