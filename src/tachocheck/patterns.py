@@ -139,8 +139,9 @@ def find_shift_divergent(
     return trace
 
 
-def _workday_runs() -> list[tuple[Activity, int]]:
-    # 23-hour cycle: 8 h driving split by a full break, padding work, 9 h rest.
+def workday_runs() -> list[tuple[Activity, int]]:
+    """A 23-hour block that satisfies every rule: 8 h of driving split by a
+    full break, padding work, then a 9 h daily rest."""
     return [
         (Activity.DRIVING, 4 * _HOUR),
         (Activity.REST, 1 * _HOUR),
@@ -150,16 +151,26 @@ def _workday_runs() -> list[tuple[Activity, int]]:
     ]
 
 
-def _week_runs(weekly_rest_hours: int) -> list[tuple[Activity, int]]:
-    runs: list[tuple[Activity, int]] = [(Activity.REST, weekly_rest_hours * _HOUR)]
-    gap = SECONDS_PER_WEEK - weekly_rest_hours * _HOUR
-    cycle = 23 * _HOUR
-    cycles, remainder = divmod(gap, cycle)
-    for _ in range(cycles):
-        runs.extend(_workday_runs())
+def week_runs(weekly_rest_hours: int) -> list[tuple[Activity, int]]:
+    """One full calendar week: a leading weekly rest, then `fill_week`."""
+    return fill_week([(Activity.REST, weekly_rest_hours * _HOUR)])
+
+
+def fill_week(runs: list[tuple[Activity, int]]) -> list[tuple[Activity, int]]:
+    """`runs`, then workdays and other work up to the end of one calendar
+    week from their start."""
+    gap = SECONDS_PER_WEEK - sum(seconds for _, seconds in runs)
+    cycles, remainder = divmod(gap, 23 * _HOUR)
+    runs = [*runs, *workday_runs() * cycles]
     if remainder:
         runs.append((Activity.OTHER_WORK, remainder))
     return runs
+
+
+def gen_weeks(rest_hours) -> SecondTrace:
+    """Full calendar weeks from the epoch, week i leading with a weekly rest
+    of `rest_hours[i]` hours."""
+    return SecondTrace.from_runs(0, [run for hours in rest_hours for run in week_runs(hours)])
 
 
 def gen_compensation_chain(k: int) -> SecondTrace:
@@ -177,13 +188,4 @@ def gen_compensation_chain(k: int) -> SecondTrace:
         raise ValueError(f"chain depth must be at least 2, got {k}")
     if k > MAX_CHAIN_DEPTH:
         raise ValueError(f"chain depth {k} exceeds the trace-size limit of {MAX_CHAIN_DEPTH}")
-    runs: list[tuple[Activity, int]] = []
-    for week in range(k + 3):
-        if week == 0:
-            rest_hours = 24
-        elif week == k:
-            rest_hours = 66
-        else:
-            rest_hours = 45
-        runs.extend(_week_runs(rest_hours))
-    return SecondTrace.from_runs(0, runs)
+    return gen_weeks([24, *[45] * (k - 1), 66, 45, 45])

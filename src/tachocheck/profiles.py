@@ -7,9 +7,9 @@ are data (JSON), not code.
 
 A knob is one entry of `_KNOB_DEFAULTS` and nothing else: the fields of
 `InterpretationProfile`, its `__init__`, `to_dict` and `parse_profile` all
-walk that table, and the type of a knob's default fixes how its JSON value
-is read (an Enum by its value, a bool or an int only as exactly that JSON
-type).
+walk that table. A knob's value has exactly the type of its default, however
+the profile is built; JSON spells an Enum knob by its value, and a bool or
+an int only as exactly that JSON type.
 """
 
 from __future__ import annotations
@@ -82,7 +82,12 @@ class InterpretationProfile(Record):
             raise ProfileError("profile id must be non-empty")
         set_field(self, "id", id)
         for name, default in _KNOB_DEFAULTS.items():
-            set_field(self, name, knobs.get(name, default))
+            value = knobs.get(name, default)
+            kind = type(default)
+            if type(value) is not kind:  # bool subclasses int, so no isinstance
+                expected = _TYPE_NAMES.get(kind) or f"a {kind.__name__} member"
+                raise ProfileError(f"knob {name!r}: expected {expected}, got {value!r}")
+            set_field(self, name, value)
         if not 15 <= self.daily_rest_threshold <= 1440:
             raise ProfileError(
                 f"daily_rest_threshold must be in [15, 1440] minutes, "
@@ -104,18 +109,18 @@ _TYPE_NAMES = {bool: "a boolean", int: "an integer"}
 
 
 def _knob_value(name: str, value):
+    """The knob value a JSON value spells: an Enum member by its value, any
+    other value as it is, for `InterpretationProfile` to check."""
     kind = _KNOB_TYPES[name]
-    if issubclass(kind, Enum):
-        try:
-            return kind(value)
-        except ValueError:
-            choices = ", ".join(member.value for member in kind)
-            problem = f"invalid value {value!r}; expected one of: {choices}"
-    elif type(value) is kind:  # bool subclasses int, so no isinstance
+    if not issubclass(kind, Enum):
         return value
-    else:
-        problem = f"expected {_TYPE_NAMES[kind]}, got {value!r}"
-    raise ProfileError(f"knob {name!r}: {problem}")
+    try:
+        return kind(value)
+    except ValueError:
+        choices = ", ".join(member.value for member in kind)
+        raise ProfileError(
+            f"knob {name!r}: invalid value {value!r}; expected one of: {choices}"
+        ) from None
 
 
 def parse_profile(text: str, default_id: str | None = None) -> InterpretationProfile:

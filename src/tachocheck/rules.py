@@ -26,7 +26,7 @@ from .periods import (
     classify_rests,
     daily_driving_spans,
 )
-from .profiles import ExtendedAttribution, InterpretationProfile
+from .profiles import ExtendedAttribution, InterpretationProfile, ProfileError
 from .report import Report, Violation
 from .timeline import (
     SECONDS_PER_DAY,
@@ -230,8 +230,14 @@ def check_all(
 
     A trace that covers no complete minute on the grid is judged on no
     minutes: the report has no violations and says so in a notice. A leap
-    table that names a Sunday twice raises TraceError.
+    table that names a Sunday twice raises TraceError, and a grid whose
+    offset is not the profile's `grid_offset` raises ProfileError.
     """
+    if grid.minute_offset_seconds != profile.grid_offset:
+        raise ProfileError(
+            f"grid offset {grid.minute_offset_seconds} is not the profile's "
+            f"grid_offset {profile.grid_offset}"
+        )
     calendar = Calendar(leap_table, profile.leap_week_policy)
     notices = []
     mt = label_minutes(trace, grid, profile.rule51)

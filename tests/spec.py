@@ -93,13 +93,18 @@ def merge(pairs) -> tuple:
     return tuple((a, sum(n for _, n in group)) for a, group in groups)
 
 
+def codes(trace) -> bytes:
+    """The trace's activity code (`ACTIVITY`'s key) for each of its seconds."""
+    return b"".join(a.value[:1].encode() * n for a, n in zip(trace.activities, trace.seconds))
+
+
 def minute_labels(trace, offset: int, rule51: Rule51Semantics) -> tuple[int, tuple]:
     """Reg. (EU) 2016/799 Annex IC items (51), (52): the first grid minute, and
     a label for each grid minute (m * 60 + offset on) the trace covers."""
-    codes = b"".join(a.value[:1].encode() * n for a, n in zip(trace.activities, trace.seconds))
+    seconds = codes(trace)
     first = -((offset - trace.start) // MINUTE)
-    starts = range(first * MINUTE + offset - trace.start, len(codes) - MINUTE + 1, MINUTE)
-    windows = [codes[s : s + MINUTE] for s in starts]
+    starts = range(first * MINUTE + offset - trace.start, len(seconds) - MINUTE + 1, MINUTE)
+    windows = [seconds[s : s + MINUTE] for s in starts]
     labels = [item52(w) for w in windows]
     if rule51 is Rule51Semantics.NEIGHBOR_RAW:
         return first, item51(labels, [w == b"D" * MINUTE for w in windows])
@@ -136,6 +141,12 @@ def runs(labels) -> list[tuple[Activity, int, int]]:
     lengths = [(a, len(list(group))) for a, group in itertools.groupby(labels)]
     starts = itertools.accumulate((n for _, n in lengths), initial=0)
     return [(a, m, n) for (a, n), m in zip(lengths, starts)]
+
+
+def rest_runs(labels) -> list[tuple[int, int]]:
+    """The (first minute, minutes) of the rest runs of 15 minutes or more,
+    the shortest rest that any article counts."""
+    return [(m, n) for a, m, n in runs(labels) if a is R and n >= SPLIT_FIRST]
 
 
 def kind(minutes: int, threshold: int) -> str | None:
@@ -382,6 +393,75 @@ def article86(rests, scope, profile, leap_table=()) -> list[Violation]:
     ]
 
 
+def verify_witness(
+    witness, scope, mt, rests, daily_threshold=540, attached=False, leap_table=(), waived=()
+) -> None:
+    """Art. 8(6), 8(9): assert that a weekly-rest witness meets the text, by
+    direct arithmetic on the minute trace `mt` and its rest run indices
+    `rests`, independently of the solver's own bookkeeping."""
+    run_length = {mt.start + 60 * mt.bounds[i]: mt.counts[i] for i in rests}
+    assignments = witness["assignments"]
+    blocks = witness["compensations"]
+
+    # each rest run is counted in at most one week it overlaps, within its
+    # own length
+    starts = [entry["run_start"] for entry in assignments]
+    assert len(starts) == len(set(starts))
+    for entry in assignments:
+        assert entry["run_minutes"] == run_length[entry["run_start"]]
+        assert 1440 <= entry["counted_minutes"] <= min(2700, entry["run_minutes"])
+        assert entry["role"] == (
+            "regular" if entry["counted_minutes"] == 2700 else "reduced"
+        )
+        week = entry["week"]
+        assert week in scope and week not in waived
+        run_end = entry["run_start"] + entry["run_minutes"] * 60
+        assert entry["run_start"] < monday(week + 1, leap_table)
+        assert run_end > monday(week, leap_table)
+
+    # every consecutive pair of non-waived weeks sees two regular rests or
+    # one of each
+    for w1, w2 in zip(scope, scope[1:]):
+        if w1 in waived or w2 in waived:
+            continue
+        roles = [e["role"] for e in assignments if e["week"] in (w1, w2)]
+        regular = roles.count("regular")
+        reduced = roles.count("reduced")
+        assert regular >= 2 or (regular >= 1 and reduced >= 1), (w1, w2, roles)
+
+    # each reduction is covered by exactly one block of exactly its size,
+    # in a later run and inside its deadline; reductions are keyed by their
+    # run, since one week may count two reduced rests
+    debts = {
+        entry["run_start"]: (entry["week"], 2700 - entry["counted_minutes"])
+        for entry in assignments
+        if entry["role"] == "reduced"
+    }
+    assert sorted(block["debtor_start"] for block in blocks) == sorted(debts)
+    for block in blocks:
+        week, minutes = debts[block["debtor_start"]]
+        assert (block["week"], block["minutes"]) == (week, minutes)
+        assert block["deadline"] == monday(week + 4, leap_table)
+        assert block["donor_start"] > block["debtor_start"]
+
+    # donors: counted part plus blocks fit, and blocks meet their deadlines
+    # even when tiled from the run start in deadline order
+    counted_by_run = {e["run_start"]: e["counted_minutes"] for e in assignments}
+    donors = {}
+    for block in blocks:
+        donors.setdefault(block["donor_start"], []).append(block)
+    for donor_start, donor_blocks in donors.items():
+        total = sum(b["minutes"] for b in donor_blocks)
+        leftover = run_length[donor_start] - total - counted_by_run.get(donor_start, 0)
+        assert leftover >= 0
+        t = donor_start
+        for block in sorted(donor_blocks, key=lambda b: b["deadline"]):
+            t += block["minutes"] * 60
+            assert t <= block["deadline"]
+        if attached and donor_start not in counted_by_run:
+            assert run_length[donor_start] - total >= daily_threshold
+
+
 def judge(first: int, labels, start: int, end: int, profile, leap_table=()):
     """The sorted violations, the statistics and the notices of the labels,
     from grid minute `first` on, of the trace [start, end). Article 8.6 judges
@@ -399,8 +479,7 @@ def judge(first: int, labels, start: int, end: int, profile, leap_table=()):
     if len(scope) < 2:
         notices.append("article 8.6 skipped: trace covers fewer than two complete weeks")
     else:
-        rests = [(m, n) for a, m, n in runs(labels) if a is R and n >= SPLIT_FIRST]
-        rests = [(origin + m * MINUTE, n) for m, n in rests]
+        rests = [(origin + m * MINUTE, n) for m, n in rest_runs(labels)]
         violations += article86(rests, scope, profile, leap_table)
     statistics = {
         "total_driving_minutes": labels.count(D),

@@ -9,7 +9,6 @@ import json
 import random
 import time
 
-from conftest import D, R, per_minute
 from tachocheck.machines import FuelExhausted, Halted, Program, run
 from tachocheck.minutes import label_minutes
 from tachocheck.partition import Patrimony, brute_force_split, count_distributions, optimal_split
@@ -20,13 +19,10 @@ from tachocheck.patterns import (
     gen_weekly_sandwich,
 )
 from tachocheck.periods import accumulate_driving, classify_rests
-from tachocheck.profiles import builtin_profiles
 from tachocheck.proplogic import find_falsifying, is_tautology, parse_formula
 from tachocheck.rules import check_all
 from tachocheck.timeline import Calendar, TimeGrid
-
-GRID = TimeGrid(0)
-PROFILES = builtin_profiles()
+from traces import BUILTINS, GRID, LETTER, SPIRIT, per_minute
 
 # 2^1000 as printed in full, line-wrapped in the original typesetting.
 TWO_TO_1000 = (
@@ -48,7 +44,7 @@ def _report(number: int, description: str, ok: bool) -> None:
 def test_criterion_01_one_minute_stop_yields_121_driving_minutes():
     start = time.perf_counter()
     trace = gen_pattern(1, 3600, 60)
-    report = check_all(trace, GRID, PROFILES["spirit"])
+    report = check_all(trace, GRID, SPIRIT)
     elapsed = time.perf_counter() - start
     ok = report.statistics["total_driving_minutes"] == 121 and elapsed < 1.0
     _report(1, "60m drive / 1m stop / 60m drive labels as 121 driving minutes", ok)
@@ -58,9 +54,9 @@ def test_criterion_02_interleaved_micro_rests_stay_exactly_legal():
     start = time.perf_counter()
     trace = gen_pattern(135, 60, 120)
     mt = label_minutes(trace, GRID)
-    stream = per_minute(mt, accumulate_driving(mt, classify_rests(mt), PROFILES["spirit"]))
+    stream = per_minute(mt, accumulate_driving(mt, classify_rests(mt), SPIRIT))
     peak = max(acc for _, acc in stream)
-    report = check_all(trace, GRID, PROFILES["spirit"])
+    report = check_all(trace, GRID, SPIRIT)
     article7 = [v for v in report.violations if v.article == "7"]
     elapsed = time.perf_counter() - start
     ok = (
@@ -75,8 +71,8 @@ def test_criterion_02_interleaved_micro_rests_stay_exactly_legal():
 def test_criterion_03_weekly_sandwich_splits_strict_and_spirit():
     start = time.perf_counter()
     trace = gen_weekly_sandwich()
-    strict = check_all(trace, GRID, PROFILES["letter"])
-    spirit = check_all(trace, GRID, PROFILES["spirit"])
+    strict = check_all(trace, GRID, LETTER)
+    spirit = check_all(trace, GRID, SPIRIT)
     elapsed = time.perf_counter() - start
     strict_61 = [v for v in strict.violations if v.article == "6.1"]
     spirit_61 = [v for v in spirit.violations if v.article == "6.1"]
@@ -92,8 +88,8 @@ def test_criterion_03_weekly_sandwich_splits_strict_and_spirit():
 def test_criterion_04_grid_shift_flips_the_break_verdict():
     start = time.perf_counter()
     trace = find_shift_divergent(offsets=(0, 27), max_minutes=300)
-    unix = check_all(trace, TimeGrid(0), PROFILES["unix-grid"])
-    utc = check_all(trace, TimeGrid(27), PROFILES["utc-grid"])
+    unix = check_all(trace, TimeGrid(0), BUILTINS["unix-grid"])
+    utc = check_all(trace, TimeGrid(27), BUILTINS["utc-grid"])
     elapsed = time.perf_counter() - start
     verdict_pair = (len(unix.violations) == 0, len(utc.violations) == 0)
     flagged = unix.violations or utc.violations
@@ -110,8 +106,8 @@ def test_criterion_05_week0_verdict_depends_on_week_k():
     for k in (2, 3, 5):
         start = time.perf_counter()
         trace = gen_compensation_chain(k)
-        full = check_all(trace, GRID, PROFILES["spirit"])
-        cut = check_all(trace.truncated(Calendar().monday(k)), GRID, PROFILES["spirit"])
+        full = check_all(trace, GRID, SPIRIT)
+        cut = check_all(trace.truncated(Calendar().monday(k)), GRID, SPIRIT)
         elapsed = time.perf_counter() - start
         full_week0 = [
             v for v in full.violations if v.article == "8.6" and v.window_start == 0
@@ -188,7 +184,7 @@ def test_criterion_09_listed_tautologies_and_the_falsifiable_rule():
 
 def test_criterion_10_reports_are_byte_identical_across_runs():
     trace = gen_weekly_sandwich()
-    first = check_all(trace, GRID, PROFILES["spirit"]).to_json()
-    second = check_all(trace, GRID, PROFILES["spirit"]).to_json()
+    first = check_all(trace, GRID, SPIRIT).to_json()
+    second = check_all(trace, GRID, SPIRIT).to_json()
     ok = first == second and json.loads(first) == json.loads(second)
     _report(10, "identical inputs produce byte-identical report JSON", ok)

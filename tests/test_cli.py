@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 import tachocheck
-from conftest import D, HOUR, week_runs
 from tachocheck.cli import main, run
-from tachocheck.patterns import gen_weekly_sandwich
+from tachocheck.patterns import gen_weekly_sandwich, gen_weeks, week_runs
 from tachocheck.profiles import builtin_profiles
 from tachocheck.timeline import SecondTrace
+from traces import HOUR, D
 
 
 @pytest.fixture
@@ -50,7 +50,7 @@ def test_check_two_year_compliant_trace_exits_zero(tmp_path, capsys):
     # 104 weeks, 1,144 rest runs: the weekly-rest check must not recurse
     # once per rest run
     path = tmp_path / "two_years.trace"
-    path.write_text(SecondTrace.from_runs(0, week_runs(45) * 104).to_records())
+    path.write_text(gen_weeks([45] * 104).to_records())
     status = main(["check", str(path), "--profile", "spirit"])
     report = json.loads(capsys.readouterr().out)
     assert status == 0

@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import week_runs
 from tachocheck.cli import main
-from tachocheck.timeline import SecondTrace, parse_trace
+from tachocheck.patterns import gen_weeks
+from tachocheck.timeline import parse_trace
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -31,7 +31,7 @@ GOLDEN = Path(__file__).parent / "golden"
             "6f245629615194c69b94de4e4c5f88c975b0ddd70180ce4e237d910f3cf43746",
         ),
         (  # two weeks: many runs
-            lambda: SecondTrace.from_runs(0, week_runs(45) + week_runs(24)),
+            lambda: gen_weeks([45, 24]),
             "7dd959e0684e5c2811ce93992f22fe54c0b4ec23fb388fd17a8932385c10111b",
         ),
     ],

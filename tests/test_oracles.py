@@ -6,11 +6,13 @@ walk, a resumed Article 8.6 pass and a fresh one)."""
 import ast
 import bisect
 import collections
+import copy
 import functools
 import hashlib
 import itertools
 import operator
 import pathlib
+import pickle
 import random
 import re
 from enum import Enum
@@ -19,34 +21,19 @@ import pytest
 
 import spec
 import tachocheck
-from conftest import D, O, R, labels, per_minute, per_run
-from tachocheck import minutes, periods
-from tachocheck.minutes import (
-    MinuteTrace,
-    Rule51Semantics,
-    label_minutes,
-    label_rule52,
-)
-from tachocheck import rules
+from tachocheck import minutes, periods, rules, timeline, weekly
+from tachocheck.minutes import MinuteTrace, Rule51Semantics, label_minutes, label_rule52
 from tachocheck.periods import (
     FULL_BREAK_MIN_MINUTES,
     REDUCED_WEEKLY_MIN_MINUTES,
     REGULAR_WEEKLY_MIN_MINUTES,
-    DailyDrivingSpan,
     accumulate_driving,
     classify_rests,
     daily_driving_spans,
 )
-from tachocheck.profiles import (
-    ExtendedAttribution,
-    WeeklyGapSemantics,
-    builtin_profiles,
-)
+from tachocheck.profiles import ExtendedAttribution, WeeklyGapSemantics
 from tachocheck.report import Violation
 from tachocheck.rules import check_all, check_article7, check_article82
-from tachocheck import weekly
-from tachocheck.weekly import WeeklyRestProblem, check_article86, solve_weekly_rests
-from tachocheck import timeline
 from tachocheck.timeline import (
     SECONDS_PER_WEEK,
     Calendar,
@@ -58,18 +45,35 @@ from tachocheck.timeline import (
     WeekUndefinedError,
     maximal_columns,
     parse_trace,
+    shift_grid,
 )
-from test_rules import verify_witness
+from tachocheck.weekly import WeeklyRestProblem, check_article86, solve_weekly_rests
+from traces import (
+    MIXED_LEAP_TABLE,
+    PROFILES,
+    RECORD_TEXT_EDITS,
+    SPIRIT,
+    D,
+    O,
+    R,
+    article61_instance,
+    edited_record_text,
+    labels,
+    long_run_trace,
+    per_minute,
+    per_run,
+    random_minute_trace,
+    random_record_text,
+    random_run_list,
+    random_trace,
+    record_text,
+    split_runs,
+    stop_and_go_trace,
+    traces_of_runs,
+    weekly_layout_instance,
+    weekly_rest_instance,
+)
 
-SPIRIT = builtin_profiles()["spirit"]
-# every builtin profile, and the readings no builtin takes
-PROFILES = [
-    *builtin_profiles().values(),
-    SPIRIT.replace(id="minimize", extended_attribution=ExtendedAttribution.MINIMIZE_VIOLATIONS),
-    SPIRIT.replace(id="neighbor-raw", rule51=Rule51Semantics.NEIGHBOR_RAW),
-]
-# the Sunday before week 0 ends a second late, and week 0's a second early
-MIXED_LEAP_TABLE = (LeapSecond(-1, 1), LeapSecond(0, -1))
 # the data types the specification may import from the package
 SPEC_MAY_IMPORT = {
     "Activity",
@@ -169,42 +173,6 @@ def test_the_engines_limits_are_the_texts():
     )
 
 
-def _random_trace(rng: random.Random) -> SecondTrace:
-    """Runs from single seconds to hours, so that minutes straddle one, two
-    or many boundaries and accumulations pass the Article 7 limit."""
-    runs = []
-    for _ in range(rng.randint(3, 20)):
-        kind = rng.random()
-        if kind < 0.5:
-            seconds = rng.randint(1, 70)
-        elif kind < 0.8:
-            seconds = rng.randint(60, 1800)
-        else:
-            seconds = rng.randint(1800, 4 * 3600)
-        runs.append((rng.choices([D, R, O], weights=[5, 4, 1])[0], seconds))
-    runs.append((D, rng.randint(60, 300)))
-    return SecondTrace.from_runs(rng.randint(0, 300), runs)
-
-
-def _stop_and_go_trace(rng: random.Random) -> SecondTrace:
-    """Hundreds of 3-90 s runs, like a day of urban deliveries, so that most
-    minutes straddle boundaries and many label runs merge as they are
-    appended; an occasional long stop or drive and a stretch of the 31 s
-    rest / 29 s driving alternation mix whole minutes and ties in."""
-    runs = []
-    for _ in range(rng.randint(200, 600)):
-        kind = rng.random()
-        if kind < 0.03:
-            runs.append((rng.choice([R, O]), rng.randint(15 * 60, 50 * 60)))
-        elif kind < 0.06:
-            runs.append((D, rng.randint(5 * 60, 30 * 60)))
-        elif kind < 0.08:
-            runs.extend([(R, 31), (D, 29)] * rng.randint(2, 20))
-        else:
-            runs.append((rng.choices([D, R, O], weights=[6, 5, 1])[0], rng.randint(3, 90)))
-    return SecondTrace.from_runs(rng.randint(0, 300), runs)
-
-
 def _spec_labels(trace: SecondTrace, grid: TimeGrid, semantics) -> tuple:
     return spec.minute_labels(trace, grid.minute_offset_seconds, semantics)
 
@@ -234,7 +202,7 @@ def test_labels_and_article7_match_the_oracles_on_every_offset_and_reading():
     rng = random.Random(2016)
     compared = 0
     for _ in range(12):
-        trace = _random_trace(rng)
+        trace = random_trace(rng)
         for offset in range(60):
             for semantics in Rule51Semantics:
                 _assert_labels_and_article7_match(trace, TimeGrid(offset), semantics)
@@ -246,7 +214,7 @@ def test_labels_and_article7_match_the_oracles_on_stop_and_go_traces():
     rng = random.Random(799)
     upgraded = 0
     for _ in range(10):
-        trace = _stop_and_go_trace(rng)
+        trace = stop_and_go_trace(rng)
         for offset in rng.sample(range(60), 6):
             grid = TimeGrid(offset)
             for semantics in Rule51Semantics:
@@ -263,31 +231,6 @@ def test_labels_and_article7_match_the_oracles_on_stop_and_go_traces():
     assert upgraded > 1000
 
 
-def _long_run_trace(rng: random.Random) -> SecondTrace:
-    """Interior runs of at least a minute, so that no grid minute holds two
-    run boundaries: runs of exactly 60 s, 61-119 s runs that label one
-    minute at most offsets, and longer ones, driving-heavy so that rule 51
-    upgrades; often a first or last run shorter than a minute; starts on
-    both sides of 0. Every boundary lands 30 s into a minute at one offset,
-    so every trace ties; one in seven has no interior run and covers no
-    complete minute at many offsets."""
-    runs = []
-    if rng.random() < 0.7:
-        runs.append((rng.choice([D, R, O]), rng.randint(1, 59)))
-    for _ in range(0 if rng.random() < 0.15 else rng.randint(1, 14)):
-        kind = rng.random()
-        if kind < 0.2:
-            seconds = 60
-        elif kind < 0.7:
-            seconds = rng.randint(61, 119)
-        else:
-            seconds = rng.randint(120, 1800)
-        runs.append((rng.choices([D, R, O], weights=[6, 3, 1])[0], seconds))
-    if rng.random() < 0.7 or not runs:
-        runs.append((rng.choice([D, R, O]), rng.randint(1, 59)))
-    return SecondTrace.from_runs(rng.randint(-400, 400), runs)
-
-
 def test_closed_form_labels_match_the_oracles_and_the_walk(monkeypatch):
     walk = minutes._walk_runs
 
@@ -298,7 +241,7 @@ def test_closed_form_labels_match_the_oracles_and_the_walk(monkeypatch):
     rng = random.Random(5260)
     too_short = upgraded = 0
     for _ in range(60):
-        trace = _long_run_trace(rng)
+        trace = long_run_trace(rng)
         for offset in range(60):
             grid = TimeGrid(offset)
             start = grid.minute_start(grid.first_full_minute(trace.start))
@@ -328,7 +271,7 @@ def test_labels_a_trace_keeps_equal_those_of_a_fresh_copy():
     # each labeling: what the trace kept from earlier labelings must change
     # no label and no byte of the report.
     rng = random.Random(2606)
-    kinds = (_random_trace, _stop_and_go_trace, _long_run_trace)
+    kinds = (random_trace, stop_and_go_trace, long_run_trace)
     reused = replaced = merged = 0
     for case in range(24):
         trace = kinds[case % 3](rng)
@@ -349,6 +292,37 @@ def test_labels_a_trace_keeps_equal_those_of_a_fresh_copy():
             replaced += not kept
             merged += len(mt.counts) < len(first_layer.counts)
     assert reused > 80 and replaced > 200 and merged > 100, (reused, replaced, merged)
+
+
+def test_traces_derived_from_a_labeled_trace_keep_no_labels():
+    # Each way to derive a trace builds a new one: none may carry the labels
+    # its source kept, so each labels and checks like a trace built afresh.
+    rng = random.Random(2207)
+    derivations = {
+        "truncated": lambda t: t.truncated(t.start + rng.randint(1, t.duration)),
+        "shift_grid": lambda t: shift_grid(t, rng.randint(1, 59)),
+        "replace": lambda t: t.replace(),
+        "copy": copy.copy,
+        "pickle": lambda t: pickle.loads(pickle.dumps(t)),
+        "split": lambda t: SecondTrace.from_runs(t.start, split_runs(rng, t)),
+    }
+    kinds = (random_trace, stop_and_go_trace, long_run_trace)
+    for case in range(12):
+        source = kinds[case % 3](rng)
+        profile = SPIRIT.replace(grid_offset=rng.randrange(60))
+        grid = profile.grid()
+        for semantics in Rule51Semantics:
+            label_minutes(source, grid, semantics)
+        assert source._labels is not None
+        for name, derive in derivations.items():
+            derived = derive(source)
+            assert derived._labels is None, name
+            fresh = SecondTrace(derived.start, derived.activities, derived.seconds)
+            for semantics in Rule51Semantics:
+                mt = label_minutes(derived, grid, semantics)
+                assert mt == label_minutes(fresh, grid, semantics), (name, semantics)
+            report = check_all(derived, grid, profile).to_json()
+            assert report == check_all(fresh, grid, profile).to_json(), name
 
 
 def test_only_a_short_interior_run_sends_labeling_to_the_walk(monkeypatch):
@@ -382,7 +356,7 @@ def test_first_layers_and_unupgraded_labelings_hold_maximal_columns():
     # constructor's checks: on every path their columns must pass them
     # unchanged.
     rng = random.Random(2900)
-    kinds = (_random_trace, _stop_and_go_trace, _long_run_trace)
+    kinds = (random_trace, stop_and_go_trace, long_run_trace)
     seen = collections.Counter()
     for case in range(150):
         trace = kinds[case % 3](rng)
@@ -400,32 +374,6 @@ def test_first_layers_and_unupgraded_labelings_hold_maximal_columns():
         for one_minute_run in (False, True):
             assert seen[path, one_minute_run] >= 10, seen
     assert seen["unupgraded"] >= 300 and seen["upgraded"] >= 300, seen
-
-
-def _random_minute_trace(rng: random.Random, grid: TimeGrid | None = None) -> MinuteTrace:
-    """Label runs on either side of every length that decides a rest's kind
-    or an accumulator reset: rests of 1-14, 15-29, 30-44 and 45-539
-    minutes, daily, reduced and regular weekly rests, and driving runs that
-    pass the Article 7 limit alone or together. A trace spans minutes to a
-    few weeks, on any grid, from minutes before and after 0."""
-    short = [(1, 14)] * 3 + [(15, 15), (15, 29), (15, 29), (30, 30), (30, 44), (30, 44)]
-    rests = short + [(45, 45), (45, 539), (540, 1439), (540, 1439), (1440, 2699), (2700, 3600)]
-    # one trace in fifteen spans weeks, so that Article 8.6 is judged too
-    weeks = rng.random() < 0.07
-    runs = []
-    for _ in range(rng.randint(100, 160) if weeks else rng.randint(1, 40)):
-        roll = rng.random()
-        if roll < 0.4:
-            lo, hi = rng.choice(((1, 5), (1, 120), (100, 300)))
-            runs.append((D, rng.randint(lo, hi)))
-        elif roll < 0.85:
-            lo, hi = rng.choice(rests[len(short) :] if weeks and roll < 0.5 else rests)
-            # one rest in five lasts exactly a bound of its range
-            runs.append((R, rng.choice((lo, hi)) if rng.random() < 0.2 else rng.randint(lo, hi)))
-        else:
-            runs.append((O, rng.randint(1, 180)))
-    grid = grid or TimeGrid(rng.randrange(60))
-    return MinuteTrace(grid.minute_start(rng.randint(-3000, 3000)), *zip(*runs))
 
 
 def _report_outcome(check):
@@ -457,7 +405,7 @@ def test_stretches_spans_and_reports_match_the_per_run_code():
     for n in range(1300):
         profile = profiles[n % len(profiles)]
         leap_table = MIXED_LEAP_TABLE if n % 3 == 0 else ()
-        mt = _random_minute_trace(rng, profile.grid())
+        mt = random_minute_trace(rng, profile.grid())
         expected, threshold = labels(mt), profile.daily_rest_threshold
         rests = classify_rests(mt)
 
@@ -502,48 +450,11 @@ def test_stretches_spans_and_reports_match_the_per_run_code():
     assert min(seen.values()) > 100 and judged > 50 and refused, (seen, judged, refused)
 
 
-def _random_article61_instance(rng: random.Random):
-    """Disjoint, time-ordered daily spans over 1-12 weeks and a random leap
-    table. Each week holds 0-3 days inside it, and most weeks end in a day
-    that crosses Sunday 24:00, at most 10 of them extensions; some crossing
-    days start or end a second or two from the (leap-shifted) boundary, and
-    some cross two boundaries. Most days are extensions, so weeks fill up."""
-    first = rng.randint(-2, 2)
-    weeks = range(first, first + rng.randint(1, 12))
-    # distinct Sundays, as a Calendar requires: a Sunday drawn again keeps
-    # its first delta
-    deltas = {}
-    for _ in range(rng.choice((0, 0, 1, 2))):
-        deltas.setdefault(rng.randint(first - 1, weeks[-1]), rng.choice((-1, 1)))
-    leap_table = tuple(LeapSecond(sunday, delta) for sunday, delta in deltas.items())
-    driving_minutes = [480, 540, 541, 570, 600, 600, 601]
-    spans, crossing = [], 0
-    at = spec.monday(first, leap_table)
-    for week in weeks:
-        boundary = spec.monday(week + 1, leap_table)
-        for _ in range(rng.randint(0, 3)):
-            start = at + rng.randint(1, 30000)
-            end = start + rng.randint(3600, 50000)
-            if end > boundary - 40000:
-                break
-            spans.append(DailyDrivingSpan(start, end, rng.choice(driving_minutes)))
-            at = end
-        if at >= boundary - 2 or crossing == 10 or rng.random() < 0.15:
-            continue
-        start = max(at, boundary - rng.choice((1, 2, rng.randint(1, 40000))))
-        end = boundary + rng.choice((0, 1, 2, rng.randint(1, 40000), SECONDS_PER_WEEK + 1))
-        driving = rng.choice(driving_minutes[2:])
-        spans.append(DailyDrivingSpan(start, end, driving))
-        crossing += 540 < driving <= 600
-        at = end
-    return spans, leap_table
-
-
 def test_article61_matches_the_regrouping_oracle():
     rng = random.Random(61)
     seen = collections.Counter()
     for _ in range(1000):
-        spans, leap_table = _random_article61_instance(rng)
+        spans, leap_table = article61_instance(rng)
         for policy in WeekPolicy:
             found = {}
             for attribution in ExtendedAttribution:
@@ -571,72 +482,26 @@ def test_article61_matches_the_regrouping_oracle():
     assert all(count > 100 for count in seen.values()), seen
 
 
-def _random_weekly_rest_instance(rng: random.Random, max_weeks: int = 6):
-    """2 to `max_weeks` weeks of a minute trace: breaks, daily rests and
-    24-75 h rests, with 1-15 h of other work between them, and random
-    waived weeks, leap seconds and compensation knobs."""
-    first = rng.randint(0, 3)
-    scope = list(range(first, first + rng.randint(2, max_weeks)))
-    # distinct Sundays, as check_all requires: a Sunday drawn again keeps its
-    # first delta
-    deltas = {}
-    for _ in range(rng.randint(0, 2)):
-        deltas.setdefault(rng.randint(first - 1, scope[-1] + 1), rng.choice((-1, 1)))
-    leap_table = timeline.validate_leap_table(
-        [LeapSecond(sunday, deltas[sunday]) for sunday in sorted(deltas)]
-    )
-    long_share = rng.uniform(0.03, 0.4)
-    runs = []
-    start = spec.monday(first) // 60 + rng.randint(-2000, 600)
-    t = start * 60
-    while t < spec.monday(scope[-1] + 1, leap_table) + 3 * 86400:
-        gap = rng.randint(60, 900)
-        roll = rng.random()
-        if roll < long_share:
-            minutes = rng.randint(1440, 4500)
-        elif roll < 0.6:
-            minutes = rng.randint(540, 1439)
-        else:
-            minutes = rng.randint(15, 60)
-        runs += [(O, gap), (R, minutes)]
-        t += (gap + minutes) * 60
-    mt = MinuteTrace(start * 60, *zip(*runs))
-    waived = frozenset(w for w in scope if rng.random() < 0.15)
-    profile = SPIRIT.replace(
-        id="random",
-        attached_compensation=rng.random() < 0.4,
-        daily_rest_threshold=rng.choice((15, 540, 660, 1440, rng.randint(15, 1440))),
-    )
-    return scope, mt, profile, leap_table, waived
-
-
 def _rests(mt: MinuteTrace) -> list[tuple[int, int]]:
     """The (start, minutes) of the rests of at least 15 minutes, as the
     specification reads them off the labels."""
-    runs = spec.runs(labels(mt))
-    return [(mt.start + 60 * m, n) for a, m, n in runs if a is R and n >= 15]
+    return [(mt.start + 60 * m, n) for m, n in spec.rest_runs(labels(mt))]
 
 
 def test_weekly_rest_solver_matches_the_backtracking_search():
     rng = random.Random(86)
     feasible = 0
     for _ in range(300):
-        scope, mt, profile, leap_table, waived = _random_weekly_rest_instance(rng)
+        scope, mt, profile, leap_table, waived = weekly_rest_instance(rng)
         rests = classify_rests(mt)
         witness = solve_weekly_rests(scope, mt, rests, profile, Calendar(leap_table), waived)
         expected = spec.weekly_rests_feasible(_rests(mt), scope, waived, profile, leap_table)
         assert (witness is not None) == expected
         if witness is not None:
             feasible += 1
-            verify_witness(
-                witness,
-                scope,
-                mt,
-                rests,
-                profile.daily_rest_threshold,
-                profile.attached_compensation,
-                leap_table,
-                waived,
+            spec.verify_witness(
+                witness, scope, mt, rests, profile.daily_rest_threshold,
+                profile.attached_compensation, leap_table, waived
             )
     assert 60 <= feasible <= 240  # both verdicts are well represented
 
@@ -648,7 +513,7 @@ def test_one_prepared_problem_answers_every_waiver_like_a_fresh_solve():
     rng = random.Random(8686)
     feasible = infeasible = 0
     for _ in range(20):
-        scope, mt, profile, leap_table, _ = _random_weekly_rest_instance(rng)
+        scope, mt, profile, leap_table, _ = weekly_rest_instance(rng)
         rests = classify_rests(mt)
         calendar = Calendar(leap_table)
         problem = WeeklyRestProblem(scope, mt, rests, profile, calendar)
@@ -663,15 +528,9 @@ def test_one_prepared_problem_answers_every_waiver_like_a_fresh_solve():
                 continue
             feasible += 1
             assert witness == fresh
-            verify_witness(
-                witness,
-                scope,
-                mt,
-                rests,
-                profile.daily_rest_threshold,
-                profile.attached_compensation,
-                leap_table,
-                waived,
+            spec.verify_witness(
+                witness, scope, mt, rests, profile.daily_rest_threshold,
+                profile.attached_compensation, leap_table, waived
             )
     assert feasible >= 100 and infeasible >= 100  # both verdicts are well represented
 
@@ -683,7 +542,7 @@ def test_a_resumed_pass_holds_a_fresh_passs_frontiers():
     rng = random.Random(1887)
     seen = collections.Counter()
     for _ in range(150):
-        scope, mt, profile, leap_table, _ = _random_weekly_rest_instance(rng, max_weeks=10)
+        scope, mt, profile, leap_table, _ = weekly_rest_instance(rng, max_weeks=10)
         problem = WeeklyRestProblem(scope, mt, classify_rests(mt), profile, Calendar(leap_table))
         n = len(problem.starts)
         for _ in range(6):
@@ -716,70 +575,14 @@ def test_article86_blame_matches_the_waiver_rounds():
     multi = 0
     for case in range(300):
         if case % 4:
-            scope, mt, profile, leap_table = _weekly_layout_instance(rng, max_weeks=6)
+            scope, mt, profile, leap_table = weekly_layout_instance(rng, max_weeks=6)
         else:
-            scope, mt, profile, leap_table, _ = _random_weekly_rest_instance(rng, max_weeks=4)
+            scope, mt, profile, leap_table, _ = weekly_rest_instance(rng, max_weeks=4)
         rests = classify_rests(mt)
         violations = check_article86(scope, mt, rests, profile, Calendar(leap_table))
         assert violations == spec.article86(_rests(mt), scope, profile, leap_table)
         multi += len(violations) >= 2
     assert multi >= 50  # blames of several weeks are well represented
-
-
-def _weekly_layout_instance(rng: random.Random, max_weeks: int = 40):
-    """2 to `max_weeks` weeks whose rests sit near each week's start, in one
-    of four layouts: an early obstruction (reduced weeks, maybe a long one)
-    with a long regular tail, one rest spanning weeks, a 45/24/66-like
-    rotation, or weeks drawn from a menu of rest lengths. Day cycles fill
-    each week; knobs and leap seconds are random."""
-    first = rng.randint(0, 3)
-    n = rng.randint(2, max_weeks)
-    layout = rng.choice(("tail", "long", "rotation", "menu"))
-    if layout == "tail":
-        reduced = rng.randint(1, min(8, n))
-        hours = [rng.randint(24, 40) for _ in range(reduced)]
-        if rng.random() < 0.6:
-            hours.append(rng.randint(55, 80))
-        hours += [rng.randint(45, 50)] * (n - len(hours))
-    elif layout == "long":
-        hours = [rng.choice((24, 45, 45, 66)) for _ in range(n)]
-        at = rng.randrange(n)
-        hours[at] = rng.randint(1, min(4, n - at)) * 168 - rng.randint(20, 60)
-    elif layout == "rotation":
-        cycle = [rng.choice((24, 30, 45, 50, 66, 70)) for _ in range(rng.randint(2, 4))]
-        hours = [cycle[w % len(cycle)] for w in range(n)]
-    else:
-        hours = [rng.choice((0, 24, 30, 36, 45, 45, 45, 66, 80)) for _ in range(n)]
-    leap_table = tuple(
-        LeapSecond(i, rng.choice((-1, 1)))
-        for i in sorted(rng.sample(range(first - 1, first + n + 1), rng.randint(0, 2)))
-    )
-    week = 7 * 24 * 60
-    start = spec.monday(first, leap_table) // 60 - rng.randint(0, 600)
-    runs = [(R, rng.randint(1, 600))]
-    skip = 0  # weeks a long rest already covers
-    for h in hours:
-        if skip:
-            skip -= 1
-            continue
-        lead = rng.randint(0, 1800)
-        rest = h * 60 + rng.randint(-30, 30) if h else 0
-        runs += [(O, lead + 1), (R, max(rest, 1))]
-        used = lead + 1 + max(rest, 1)
-        skip = used // week
-        used %= week
-        while used + 24 * 60 <= week:
-            runs += [(O, 13 * 60), (R, 11 * 60)]
-            used += 24 * 60
-        runs.append((O, week - used + 1))
-    runs.append((R, rng.randint(60, 3000)))
-    mt = MinuteTrace(start * 60, *zip(*runs))
-    profile = SPIRIT.replace(
-        id="layout",
-        attached_compensation=rng.random() < 0.3,
-        daily_rest_threshold=rng.choice((15, 540, 660, 1440)),
-    )
-    return list(range(first, first + n)), mt, profile, leap_table
 
 
 def _bisected_blame(scope: list[int], problem: WeeklyRestProblem) -> list[int]:
@@ -817,9 +620,9 @@ def test_article86_blame_matches_the_fresh_solve_bisections():
     for case in range(2000):
         max_weeks = rng.choice((8, 16, 40))
         if case % 2:
-            scope, mt, profile, leap_table, _ = _random_weekly_rest_instance(rng, max_weeks)
+            scope, mt, profile, leap_table, _ = weekly_rest_instance(rng, max_weeks)
         else:
-            scope, mt, profile, leap_table = _weekly_layout_instance(rng, max_weeks)
+            scope, mt, profile, leap_table = weekly_layout_instance(rng, max_weeks)
         rests = classify_rests(mt)
         calendar = Calendar(leap_table)
         problem = WeeklyRestProblem(scope, mt, rests, profile, calendar)
@@ -827,15 +630,9 @@ def test_article86_blame_matches_the_fresh_solve_bisections():
         assert blamed == _bisected_blame(scope, problem), (case, scope, blamed)
         witness = solve_weekly_rests(scope, mt, rests, profile, calendar, frozenset(blamed))
         assert witness is not None, (case, scope, blamed)
-        verify_witness(
-            witness,
-            scope,
-            mt,
-            rests,
-            profile.daily_rest_threshold,
-            profile.attached_compensation,
-            leap_table,
-            blamed,
+        spec.verify_witness(
+            witness, scope, mt, rests, profile.daily_rest_threshold,
+            profile.attached_compensation, leap_table, blamed
         )
         seen["infeasible"] += bool(blamed)
         seen["several"] += len(blamed) >= 2
@@ -910,53 +707,6 @@ def test_complete_weeks_match_the_week_walk():
     assert min(seen.values()) >= 100, seen
 
 
-# blank, whitespace-only and comment lines, one of them not ASCII
-SKIPPED_LINES = ["", "  ", "\t", "# note", "  #0,DRIVING,60", "#a,b,c", "# é"]
-NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
-
-
-def _random_record_text(rng: random.Random, fault_rate: float) -> str | bytes:
-    """Record text in every spelling the format allows, with faults of each
-    kind planted at `fault_rate` per record, so a text may hold several."""
-    lines = []
-    t = rng.randint(0, 10**6)
-    for _ in range(rng.randint(0, 30)):
-        if rng.random() < 0.1:
-            lines.append(rng.choice(SKIPPED_LINES))
-            continue
-        start, duration = t, rng.randint(1, 5000)
-        name = rng.choice(["DRIVING", "REST", "OTHER_WORK"])
-        fields = None
-        if rng.random() < fault_rate:
-            fault = rng.randrange(6)
-            if fault == 0:
-                start += rng.randint(1, 100)  # gap
-            elif fault == 1:
-                start -= rng.randint(1, 100)  # overlap
-            elif fault == 2:
-                name = rng.choice(["NAPPING", "driving", "", "DRIVING REST"])
-            elif fault == 3:
-                duration = rng.choice([0, -1, -60])
-            elif fault == 4:
-                fields = rng.choice([[str(start)], [str(start), name], [str(start), name, "", ""]])
-            else:
-                fields = [str(start), name, rng.choice(["1.5", "0x10", "", "ten", "1__0"])]
-        t = start + duration
-        if fields is None:
-            spell = rng.choice([str, "+{}".format, "{:_}".format, " {} ".format])
-            pad = rng.choice(["", " ", "\t"])
-            fields = [spell(start), pad + name + pad, spell(duration)]
-        line = rng.choice(["", " ", "\t"]) + ",".join(fields) + rng.choice(["", " "])
-        if rng.random() < 0.05:
-            # a character that ends a line for `str.splitlines` but not here
-            at = rng.randint(0, len(line))
-            line = line[:at] + rng.choice(NOT_LINE_ENDS) + line[at:]
-        lines.append(line)
-    newline = rng.choice(["\n", "\r\n", "\r"])
-    text = newline.join(lines) + rng.choice(["", newline])
-    return text.encode("utf-8") if rng.random() < 0.5 else text
-
-
 def _parse_outcome(parse, data):
     try:
         return parse(data)
@@ -992,7 +742,7 @@ def test_parse_trace_matches_the_two_loop_parser_on_random_texts():
     rng = random.Random(1_000)
     kinds = collections.Counter()
     for _ in range(3000):
-        data = _random_record_text(rng, rng.choice([0.0, 0.02, 0.1, 0.3]))
+        data = random_record_text(rng, rng.choice([0.0, 0.02, 0.1, 0.3]))
         outcome = _checked_parse(data)
         if isinstance(outcome, SecondTrace):
             kinds["trace"] += 1
@@ -1010,120 +760,9 @@ def test_parse_trace_matches_the_two_loop_parser_on_random_texts():
     assert len(kinds) == len(PARSE_ERRORS) + 2 and min(kinds.values()) >= 20, kinds
 
 
-def _canonical_record_text(rng: random.Random) -> str:
-    """`to_records` of a random trace of maximal runs, from a start that may
-    be zero or negative."""
-    start = rng.choice([0, rng.randint(-10**6, -1), rng.randint(1, 10**9)])
-    count = rng.choice([1, rng.randint(2, 40)])
-    runs = [
-        (rng.choice([D, R, O]), rng.choice([1, 60, rng.randint(2, 10**5)])) for _ in range(count)
-    ]
-    return SecondTrace.from_runs(start, runs).to_records()
-
-
-def _respell_duration(spell):
-    def edit(rng, lines, i):
-        start, name, duration = lines[i].split(",")
-        lines[i] = f"{start},{name},{spell(duration)}"
-    return edit
-
-
-def _split_record(rng, lines, i):
-    # the longest record, which has two seconds unless every record has one
-    i = max(range(len(lines)), key=lambda k: int(lines[k].split(",")[2]))
-    start, name, duration = lines[i].split(",")
-    head = rng.randint(1, int(duration) - 1) if int(duration) > 1 else 0
-    tail = f"{int(start) + head},{name},{int(duration) - head}"
-    lines[i : i + 1] = [f"{start},{name},{head}", tail]
-
-
-def _shift_start(sign):
-    def edit(rng, lines, i):
-        start, rest = lines[i].split(",", 1)
-        lines[i] = f"{int(start) + sign * rng.randint(1, 100)},{rest}"
-    return edit
-
-
-def _minus_zero(rng, lines, i):
-    # on the record that starts at 0 if there is one, else a disorder
-    starts = [line.split(",")[0] for line in lines]
-    i = starts.index("0") if "0" in starts else i
-    lines[i] = "-0" + lines[i][len(starts[i]) :]
-
-
-def _comma_across_line_end(rng, lines, i):
-    # the duration moves to the head of the next line, "s,N" then "d,s,N,d"
-    # (or "d" alone after the last line): the fields stay as they were
-    start, name, duration = lines[i].split(",")
-    lines[i : i + 2] = [f"{start},{name}", ",".join([duration, *lines[i + 1 : i + 2]])]
-
-
-def _whitespace_beside_a_number(rng, lines, i):
-    # `int` strips a form feed or vertical tab around a number, and neither
-    # ends a line
-    fields = lines[i].split(",")
-    k = rng.choice([0, 2])
-    space = rng.choice("\f\v")
-    fields[k] = space + fields[k] if rng.random() < 0.5 else fields[k] + space
-    lines[i] = ",".join(fields)
-
-
-def _start_at_the_digit_limit(rng, lines, i):
-    # a first start of 4,300 digits, the most `int` reads and `%d` writes;
-    # the starts after it reach 4,301 digits at a random record, or only at
-    # the end of the trace
-    records = [line.split(",") for line in lines]
-    durations = [int(duration) for _, _, duration in records]
-    limit = 10**4300
-    t = limit - rng.randint(1, sum(durations))
-    for record, duration in zip(records, durations):
-        record[0] = str(t) if t < limit else "1" + str(t - limit).zfill(4300)
-        t += duration
-    lines[:] = map(",".join, records)
-
-
-# one edit each; None keeps the text canonical
-RECORD_TEXT_EDITS = {
-    "canonical": None,
-    "-0": _minus_zero,
-    "+5": _respell_duration("+{}".format),
-    "1_000": _respell_duration(lambda d: f"{d[0]}_{d[1:]}" if len(d) > 1 else f"0_{d}"),
-    "05": _respell_duration("0{}".format),
-    "non-ASCII digit": _respell_duration(lambda d: d[:-1] + chr(0xFF10 + int(d[-1]))),
-    "trailing space": _respell_duration("{} ".format),
-    "comment": lambda rng, lines, i: lines.insert(i, "# note"),
-    "blank line": lambda rng, lines, i: lines.insert(i, ""),
-    "split record": _split_record,
-    "gap": _shift_start(+1),
-    "overlap": _shift_start(-1),
-    "zero duration": _respell_duration(lambda d: "0"),
-    # on the last record, where no later start shows that the sum went back
-    "negative duration": lambda rng, lines, i: _respell_duration("-{}".format)(
-        rng, lines, len(lines) - 1
-    ),
-    "comma across line end": _comma_across_line_end,
-    "form feed or vertical tab": _whitespace_beside_a_number,
-    "4,300-digit start": _start_at_the_digit_limit,
-    "CRLF": None,
-    "lone CR": None,
-    "no final newline": None,
-}
-LINE_ENDS = {"CRLF": "\r\n", "lone CR": "\r"}
 ERROR_KINDS = (
     "-0", "gap", "overlap", "zero duration", "negative duration", "comma across line end"
 )
-
-
-def _edited_record_text(rng: random.Random, kind: str) -> str | bytes:
-    lines = _canonical_record_text(rng).splitlines()
-    if RECORD_TEXT_EDITS[kind] is not None:
-        RECORD_TEXT_EDITS[kind](rng, lines, rng.randrange(len(lines)))
-    newline = LINE_ENDS.get(kind, "\n")
-    # one text in ten loses its final newline on top of its edit
-    final = "" if kind == "no final newline" or rng.random() < 0.1 else newline
-    text = newline.join(lines) + final
-    # a non-ASCII digit is only a question for `str` input
-    return text.encode("ascii") if kind != "non-ASCII digit" and rng.random() < 0.5 else text
 
 
 # README "Canonical form", written as a pattern: each number as `str` writes
@@ -1162,7 +801,7 @@ def test_parse_trace_matches_the_two_loop_parser_on_canonical_texts_and_one_edit
     outcomes = collections.Counter()
     for _ in range(4000):
         kind = rng.choice(kinds)
-        data = _edited_record_text(rng, kind)
+        data = edited_record_text(rng, kind)
         text = data.decode("ascii") if isinstance(data, bytes) else data
         before = line_parses
         outcome = _checked_parse(data)
@@ -1213,34 +852,6 @@ def test_coalesce_matches_groupby_on_random_run_lists():
         assert SecondTrace.from_runs(0, [list(run) for run in runs]).segments == expected
 
 
-def _random_run_list(rng: random.Random) -> list:
-    """Runs from one second to a day whose neighbours often share an
-    activity, and in two lists of five already maximal."""
-    kinds = rng.sample([D, R, O], rng.randint(1, 3))
-    runs = [
-        (rng.choice(kinds), rng.choice([1, 59, 60, 61, rng.randint(1, 10**5)]))
-        for _ in range(rng.randint(1, 40))
-    ]
-    return list(spec.merge(runs)) if rng.random() < 0.4 else runs
-
-
-def _record_text(start: int, runs) -> str:
-    """One record line per (activity, seconds) pair, neighbours left unmerged."""
-    starts = itertools.accumulate((n for _, n in runs), initial=start)
-    return "".join(f"{t},{a.value},{n}\n" for (a, n), t in zip(runs, starts))
-
-
-def _traces_of_runs(start: int, runs: list) -> dict[str, SecondTrace]:
-    """The trace of `runs` by the constructor, `from_runs` and both parsers."""
-    text = _record_text(start, runs)  # a record per run, merged or not
-    return {
-        "bulk parse": parse_trace(text),
-        "line parse": parse_trace(text.replace("\n", "\r\n")),
-        "from_runs": SecondTrace.from_runs(start, runs),
-        "columns": SecondTrace(start, *zip(*runs)),
-    }
-
-
 def test_column_traces_match_the_pair_construction_on_random_run_lists(monkeypatch):
     paths = collections.Counter()
     parse_canonical = timeline._parse_canonical
@@ -1256,12 +867,12 @@ def test_column_traces_match_the_pair_construction_on_random_run_lists(monkeypat
     merged = 0
     for _ in range(400):
         start = rng.choice([0, rng.randint(-10**6, -1), rng.randint(1, 10**9)])
-        runs = _random_run_list(rng)
+        runs = random_run_list(rng)
         segments = spec.merge(runs)
         merged += len(segments) < len(runs)
-        records = _record_text(start, segments)
+        records = record_text(start, segments)
         reference = SecondTrace(start, *zip(*segments))
-        for path, trace in _traces_of_runs(start, runs).items():
+        for path, trace in traces_of_runs(start, runs).items():
             assert trace.segments == segments, path
             assert (trace.activities, trace.seconds) == tuple(zip(*segments)), path
             assert trace == reference and hash(trace) == hash(reference), path
@@ -1279,26 +890,14 @@ def test_column_traces_match_the_pair_construction_on_random_run_lists(monkeypat
     assert 100 <= merged <= 300, merged
 
 
-def _split_runs(rng: random.Random, trace: SecondTrace) -> list:
-    """The runs of `trace`, some cut in two, so that neighbours share an activity."""
-    runs = []
-    for activity, seconds in trace.segments:
-        if seconds > 1 and rng.random() < 0.3:
-            head = rng.randint(1, seconds - 1)
-            runs += [(activity, head), (activity, seconds - head)]
-        else:
-            runs.append((activity, seconds))
-    return runs
-
-
 def test_labels_of_column_traces_match_the_oracles_where_upgrades_merge_runs():
     rng = random.Random(51)
     merges = 0
     for _ in range(6):
-        trace = _stop_and_go_trace(rng)
-        runs = _split_runs(rng, trace)
+        trace = stop_and_go_trace(rng)
+        runs = split_runs(rng, trace)
         assert len(runs) > len(trace.segments)
-        for built in _traces_of_runs(trace.start, runs).values():
+        for built in traces_of_runs(trace.start, runs).values():
             assert built == trace
         for offset in rng.sample(range(60), 3):
             grid = TimeGrid(offset)
@@ -1320,7 +919,7 @@ def test_article82_matches_the_all_rests_scan_on_random_layouts():
     rng = random.Random(82)
     judged = collections.Counter()
     for _ in range(1500):
-        mt = _random_minute_trace(rng)
+        mt = random_minute_trace(rng)
         threshold = rng.choice([15, 45, 540, 660, 1440, rng.randint(15, 1440)])
         profile = SPIRIT.replace(daily_rest_threshold=threshold)
         violations = check_article82(classify_rests(mt), mt, profile)
@@ -1340,10 +939,10 @@ def test_rest_indices_are_the_classified_periods():
     rng = random.Random(1516)
     kinds = collections.Counter()
     for _ in range(1000):
-        mt = _random_minute_trace(rng)
+        mt = random_minute_trace(rng)
         threshold = rng.choice([15, 44, 45, 46, 540, 1440, rng.randint(15, 1440)])
         rests = classify_rests(mt)
-        periods = [(m, n) for a, m, n in spec.runs(labels(mt)) if a is R and n >= 15]
+        periods = spec.rest_runs(labels(mt))
         assert [(mt.bounds[i], mt.counts[i]) for i in rests] == periods
         for i in rests:
             assert mt.activities[i] is R

@@ -2,7 +2,6 @@ import time
 
 import pytest
 
-from conftest import D, R, labels
 from tachocheck.minutes import label_minutes
 from tachocheck.patterns import (
     PatternNotFoundError,
@@ -12,7 +11,6 @@ from tachocheck.patterns import (
     gen_weekly_sandwich,
     is_shift_divergent,
 )
-from tachocheck.profiles import builtin_profiles
 from tachocheck.rules import check_all
 from tachocheck.timeline import (
     SECONDS_PER_WEEK,
@@ -22,10 +20,7 @@ from tachocheck.timeline import (
     TimeGrid,
     parse_trace,
 )
-
-GRID = TimeGrid(0)
-SPIRIT = builtin_profiles()["spirit"]
-LETTER = builtin_profiles()["letter"]
+from traces import BUILTINS, GRID, LETTER, SPIRIT, D, R, labels
 
 
 def test_gen_pattern_shapes():
@@ -101,8 +96,8 @@ def test_find_shift_divergent_is_a_genuine_witness():
     assert elapsed < 10
     assert trace.duration <= 300 * 60
     assert is_shift_divergent(trace)
-    unix = check_all(trace, TimeGrid(0), builtin_profiles()["unix-grid"])
-    utc = check_all(trace, TimeGrid(27), builtin_profiles()["utc-grid"])
+    unix = check_all(trace, TimeGrid(0), BUILTINS["unix-grid"])
+    utc = check_all(trace, TimeGrid(27), BUILTINS["utc-grid"])
     verdicts = {len(unix.violations) == 0, len(utc.violations) == 0}
     assert verdicts == {True, False}
     flagged = unix.violations or utc.violations

@@ -1,19 +1,14 @@
 import random
 
 import spec
-from conftest import D, HOUR, O, R, labels, minutes_of, per_minute, trace_of
 from tachocheck.minutes import label_minutes
+from tachocheck.patterns import gen_weekly_sandwich
 from tachocheck.periods import (
     accumulate_driving,
     classify_rests,
     daily_driving_spans,
 )
-from tachocheck.profiles import builtin_profiles
-from tachocheck.timeline import TimeGrid
-
-GRID = TimeGrid(0)
-SPIRIT = builtin_profiles()["spirit"]
-LETTER = builtin_profiles()["letter"]
+from traces import GRID, LETTER, SPIRIT, D, O, R, labels, minutes_of, per_minute, random_runs
 
 
 def labeled(*runs, start=0):
@@ -23,7 +18,7 @@ def labeled(*runs, start=0):
 def kinds_of(mt, profile=SPIRIT):
     """The specification's kinds of the rest runs of at least 15 minutes;
     the engine must find the same runs."""
-    runs = [(m, n) for a, m, n in spec.runs(labels(mt)) if a is R and n >= 15]
+    runs = spec.rest_runs(labels(mt))
     assert [mt.bounds[i] for i in classify_rests(mt)] == [m for m, _ in runs]
     return [spec.kind(n, profile.daily_rest_threshold) for _, n in runs]
 
@@ -123,10 +118,7 @@ def test_other_work_neither_accumulates_nor_breaks():
 def test_accumulator_never_decreases_between_resets():
     rng = random.Random(11)
     for _ in range(30):
-        runs = [
-            (rng.choice([D, R, O]), rng.randint(1, 90))
-            for _ in range(rng.randint(3, 20))
-        ]
+        runs = random_runs(rng, (3, 20), (1, 90))
         mt = labeled(*runs)
         stream = _stream(mt)
         prev = 0
@@ -136,15 +128,7 @@ def test_accumulator_never_decreases_between_resets():
 
 
 def test_sandwich_spans_strict_vs_spirit():
-    trace = trace_of(
-        (R, 45 * HOUR),
-        (D, 16200),
-        (R, 2700),
-        (D, 16200),
-        (R, 2700),
-        (D, 16200),
-        (R, 45 * HOUR),
-    )
+    trace = gen_weekly_sandwich()
     mt = label_minutes(trace, GRID)
     rests = classify_rests(mt)
     strict = daily_driving_spans(mt, rests, LETTER)
@@ -181,10 +165,7 @@ def test_weekly_to_daily_stretch_still_counts_under_strict():
 def test_span_driving_sums_to_total_under_spirit_with_edges():
     rng = random.Random(23)
     for _ in range(30):
-        runs = [
-            (rng.choice([D, R, O]), rng.randint(1, 200))
-            for _ in range(rng.randint(3, 15))
-        ]
+        runs = random_runs(rng, (3, 15), (1, 200))
         mt = labeled(*runs)
         rests = classify_rests(mt)
         spans = daily_driving_spans(mt, rests, SPIRIT)
@@ -194,10 +175,7 @@ def test_span_driving_sums_to_total_under_spirit_with_edges():
 def test_periods_are_disjoint_and_ordered():
     rng = random.Random(37)
     for _ in range(30):
-        runs = [
-            (rng.choice([D, R, O]), rng.randint(1, 300))
-            for _ in range(rng.randint(3, 15))
-        ]
+        runs = random_runs(rng, (3, 15), (1, 300))
         mt = labeled(*runs)
         rests = classify_rests(mt)
         assert rests == [

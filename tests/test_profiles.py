@@ -6,9 +6,9 @@ from enum import Enum
 import pytest
 
 import tachocheck.timeline as timeline
-from conftest import D, HOUR, O, R, minutes_of, trace_of, week_runs
 from tachocheck import minutes, rules
 from tachocheck.minutes import Rule51Semantics
+from tachocheck.patterns import find_shift_divergent, gen_weekly_sandwich, week_runs
 from tachocheck.profiles import (
     ExtendedAttribution,
     InterpretationProfile,
@@ -19,15 +19,20 @@ from tachocheck.profiles import (
     parse_profile,
 )
 from tachocheck.rules import check_all
-from tachocheck.timeline import (
-    SECONDS_PER_WEEK,
-    LeapSecond,
-    SecondTrace,
-    WeekPolicy,
-    WeekUndefinedError,
+from tachocheck.timeline import LeapSecond, SecondTrace, WeekPolicy, WeekUndefinedError
+from traces import (
+    HOUR,
+    SPIRIT,
+    D,
+    O,
+    R,
+    compensated_reduction_trace,
+    crossing_week_trace,
+    ext_day,
+    minutes_of,
+    stop_and_go_trace,
+    trace_of,
 )
-
-SPIRIT = builtin_profiles()["spirit"]
 
 
 def test_builtin_profiles_exist_with_expected_knobs():
@@ -104,11 +109,32 @@ def test_knobs_bind_positionally_in_field_order():
         ("daily_rest_threshold", True),
         ("grid_offset", 27.0),
         ("rule51", None),
+        ("grid_offset", True),
+        ("daily_rest_threshold", 540.0),
+        # an Enum knob's value: JSON spells the member so, a caller in
+        # process must pass the member
+        ("leap_week_policy", "Letter"),
+        ("rule51", "NeighborRaw"),
+        ("weekly_gap", "Strict"),
+        ("extended_attribution", "StartWeek"),
     ],
 )
 def test_knob_values_of_the_wrong_type_are_rejected(key, value):
-    with pytest.raises(ProfileError, match=f"knob '{key}'"):
-        parse_profile(json.dumps({"id": "x", key: value}))
+    # however the profile is built, so that no report states one reading
+    # while the engine applies another
+    for build in (
+        lambda: InterpretationProfile("x", **{key: value}),
+        lambda: SPIRIT.replace(**{key: value}),
+    ):
+        with pytest.raises(ProfileError, match=f"knob '{key}': expected "):
+            build()
+    text = json.dumps({"id": "x", key: value})
+    if not isinstance(value, str):
+        with pytest.raises(ProfileError, match=f"knob '{key}'"):
+            parse_profile(text)
+    else:
+        member = type(getattr(SPIRIT, key))(value)
+        assert parse_profile(text) == InterpretationProfile("x", **{key: member})
 
 
 def test_threshold_and_offset_bounds():
@@ -125,18 +151,6 @@ def test_missing_id_uses_default():
         parse_profile("{}")
 
 
-def sandwich():
-    return trace_of(
-        (R, 45 * HOUR),
-        (D, 16200),
-        (R, 2700),
-        (D, 16200),
-        (R, 2700),
-        (D, 16200),
-        (R, 45 * HOUR),
-    )
-
-
 def test_all_rest_trace_has_empty_divergence():
     trace = trace_of((R, 2 * HOUR))
     report = diff_verdicts(trace, list(builtin_profiles().values()))
@@ -145,7 +159,7 @@ def test_all_rest_trace_has_empty_divergence():
 
 def test_sandwich_diverges_between_letter_and_spirit():
     profiles = builtin_profiles()
-    report = diff_verdicts(sandwich(), [profiles["letter"], profiles["spirit"]])
+    report = diff_verdicts(gen_weekly_sandwich(), [profiles["letter"], profiles["spirit"]])
     assert not report.is_empty
     assert any(d["article"] == "6.1" for d in report.disagreements)
     assert report.verdicts["6.1"]["spirit"] == 1
@@ -153,8 +167,6 @@ def test_sandwich_diverges_between_letter_and_spirit():
 
 
 def test_shift_pattern_diverges_between_grids():
-    from tachocheck.patterns import find_shift_divergent
-
     profiles = builtin_profiles()
     trace = find_shift_divergent()
     report = diff_verdicts(trace, [profiles["unix-grid"], profiles["utc-grid"]])
@@ -165,20 +177,20 @@ def test_shift_pattern_diverges_between_grids():
 def test_diff_is_symmetric_in_profile_order():
     profiles = builtin_profiles()
     pair = [profiles["letter"], profiles["spirit"]]
-    a = diff_verdicts(sandwich(), pair).to_json()
-    b = diff_verdicts(sandwich(), list(reversed(pair))).to_json()
+    a = diff_verdicts(gen_weekly_sandwich(), pair).to_json()
+    b = diff_verdicts(gen_weekly_sandwich(), list(reversed(pair))).to_json()
     assert a == b
 
 
 def test_identical_knobs_never_diverge():
     clone = SPIRIT.replace(id="spirit-clone")
-    report = diff_verdicts(sandwich(), [SPIRIT, clone])
+    report = diff_verdicts(gen_weekly_sandwich(), [SPIRIT, clone])
     assert report.is_empty
 
 
 def test_duplicate_ids_are_rejected():
     with pytest.raises(ProfileError):
-        diff_verdicts(sandwich(), [SPIRIT, SPIRIT])
+        diff_verdicts(gen_weekly_sandwich(), [SPIRIT, SPIRIT])
 
 
 # --- one witness per knob: flipping only that knob changes an observable ---
@@ -193,11 +205,7 @@ def run(trace, profile, leap_table=()):
 
 
 def test_knob_leap_week_policy():
-    trace = SecondTrace.from_runs(
-        0,
-        [(R, 9 * HOUR), (D, 270 * 60), (R, 45 * 60), (D, 270 * 60), (R, 45 * 60),
-         (D, 60 * 60), (R, 9 * HOUR)],
-    )
+    trace = trace_of((R, 9 * HOUR), *ext_day(60), (R, 9 * HOUR))
     table = (LeapSecond(sunday_index=0, delta=-1),)
     run(trace, SPIRIT, table)  # Spirit tolerates the missing instant
     with pytest.raises(WeekUndefinedError):
@@ -229,8 +237,8 @@ def test_knob_rule51_fixpoint_has_no_witness():
 
 
 def test_knob_weekly_gap():
-    strict = run(sandwich(), flip(weekly_gap=WeeklyGapSemantics.STRICT))
-    spirit = run(sandwich(), SPIRIT)
+    strict = run(gen_weekly_sandwich(), flip(weekly_gap=WeeklyGapSemantics.STRICT))
+    spirit = run(gen_weekly_sandwich(), SPIRIT)
     assert [v.article for v in spirit.violations] == ["6.1"]
     assert strict.violations == ()
 
@@ -244,9 +252,7 @@ def test_knob_trace_edge_is_rest():
 
 
 def test_knob_extended_attribution():
-    from test_rules import _crossing_week_trace
-
-    trace = _crossing_week_trace()
+    trace = crossing_week_trace()
     start_week = run(trace, flip(extended_attribution=ExtendedAttribution.START_WEEK))
     end_week = run(trace, SPIRIT)  # spirit default is EndWeek
     assert [v.article for v in start_week.violations] == ["6.1"]
@@ -262,19 +268,7 @@ def test_knob_daily_rest_threshold():
 
 
 def test_knob_attached_compensation():
-    from conftest import day_cycle
-
-    runs = week_runs(45)
-    runs += week_runs(24)
-    runs += [(R, 45 * HOUR), (O, HOUR), (R, 21 * HOUR)]
-    gap = SECONDS_PER_WEEK - 67 * HOUR
-    cycles, rem = divmod(gap, 23 * HOUR)
-    for _ in range(cycles):
-        runs.extend(day_cycle())
-    if rem:
-        runs.append((O, rem))
-    runs += week_runs(45)
-    trace = SecondTrace.from_runs(0, runs)
+    trace = compensated_reduction_trace()
     default = run(trace, SPIRIT)
     attached = run(trace, flip(attached_compensation=True))
     assert default.violations == ()
@@ -282,8 +276,6 @@ def test_knob_attached_compensation():
 
 
 def test_knob_grid_offset():
-    from tachocheck.patterns import find_shift_divergent
-
     trace = find_shift_divergent()
     base = run(trace, SPIRIT)
     shifted = run(trace, flip(grid_offset=27))
@@ -311,14 +303,6 @@ def test_diff_hashes_the_trace_once(monkeypatch):
     assert len(made) == 1
 
 
-def stop_and_go(seed: int) -> SecondTrace:
-    """A day of urban deliveries: hundreds of 3-90 s runs, so that most
-    minutes straddle run boundaries and labeling walks the runs."""
-    rng = random.Random(seed)
-    runs = [(rng.choice([D, D, R, O]), rng.randint(3, 90)) for _ in range(900)]
-    return trace_of(*runs, start=rng.randint(0, 300))
-
-
 def test_diff_labels_each_grid_offset_once(monkeypatch):
     calls = collections.Counter()
 
@@ -343,11 +327,6 @@ def test_diff_labels_each_grid_offset_once(monkeypatch):
     monkeypatch.setattr(rules, "check_all", counting("check", check))
     raw = SPIRIT.replace(id="neighbor-raw", rule51=Rule51Semantics.NEIGHBOR_RAW)
     builtin = [*builtin_profiles().values(), raw]
-    shared = diff_verdicts(stop_and_go(41), builtin).to_json()
-    # two grid offsets walked, and one labeling per (offset, reading); still
-    # one label_minutes and one check_all per profile
-    assert calls == {"walk": 2, "build": 3, "label": 5, "check": 5}
-
     # ids that interleave the offsets: a@27, b@0, c@27, d@0, e@27
     interleaved = [
         SPIRIT.replace(id="a", grid_offset=27),
@@ -356,20 +335,39 @@ def test_diff_labels_each_grid_offset_once(monkeypatch):
         builtin_profiles()["letter"].replace(id="d"),
         SPIRIT.replace(id="e", grid_offset=27, daily_rest_threshold=15),
     ]
-    calls.clear()
-    shared_interleaved = diff_verdicts(stop_and_go(41), interleaved).to_json()
-    assert calls["walk"] == 2 and calls["check"] == 5
+
+    def unlabeled(trace):
+        return SecondTrace(trace.start, trace.activities, trace.seconds)
+
+    rng = random.Random(41)
+    traces = [stop_and_go_trace(rng) for _ in range(3)]
+    shared = []
+    for trace in traces:
+        calls.clear()
+        shared.append(diff_verdicts(unlabeled(trace), builtin).to_json())
+        # two grid offsets walked, and one labeling per (offset, reading);
+        # still one label_minutes and one check_all per profile
+        assert calls == {"walk": 2, "build": 3, "label": 5, "check": 5}
+        calls.clear()
+        shared.append(diff_verdicts(unlabeled(trace), interleaved).to_json())
+        assert calls["walk"] == 2 and calls["check"] == 5
     # notices that differ are still listed in id order: offset 27 labels no
     # minute of 80 s from 0, offset 0 labels one
     assert list(diff_verdicts(trace_of((D, 80)), interleaved[:3]).notices) == ["a", "b", "c"]
 
     # the same diffs with each profile checked on a fresh, unlabeled copy
     def fresh_check(trace, *args):
-        return check(SecondTrace(trace.start, trace.activities, trace.seconds), *args)
+        return check(unlabeled(trace), *args)
 
     monkeypatch.setattr(rules, "check_all", fresh_check)
     calls.clear()
-    assert diff_verdicts(stop_and_go(41), builtin).to_json() == shared
-    assert diff_verdicts(stop_and_go(41), interleaved).to_json() == shared_interleaved
-    assert calls["walk"] == 10
-    assert '"divergent": true' in shared and '"divergent": true' in shared_interleaved
+    fresh = [
+        diff_verdicts(trace, profiles).to_json()
+        for trace in traces
+        for profiles in (builtin, interleaved)
+    ]
+    assert fresh == shared
+    assert calls["walk"] == 10 * len(traces)
+    # some trace divides the profiles of both diffs
+    divided = ['"divergent": true' in report for report in shared]
+    assert any(a and b for a, b in zip(divided[0::2], divided[1::2])), divided

@@ -5,7 +5,6 @@ import pickle
 
 import pytest
 
-from conftest import D, R
 from tachocheck import (
     DailyDrivingSpan,
     DivergenceReport,
@@ -22,6 +21,7 @@ from tachocheck import (
     label_minutes,
 )
 from tachocheck.timeline import validate_leap_table
+from traces import D, R
 
 PROFILE_REPR = (
     "InterpretationProfile(id='p', leap_week_policy=<WeekPolicy.LETTER: 'Letter'>, "

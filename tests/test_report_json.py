@@ -14,23 +14,21 @@ import random
 
 import pytest
 
-from conftest import HOUR, D, O, R, trace_of, week_runs
 from tachocheck import patterns
 from tachocheck.cli import _DEMOS
 from tachocheck.minutes import Rule51Semantics
 from tachocheck.profiles import (
     ExtendedAttribution,
     InterpretationProfile,
+    ProfileError,
     WeeklyGapSemantics,
-    builtin_profiles,
     diff_verdicts,
     parse_profile,
 )
 from tachocheck.report import DivergenceReport, Report, Violation
 from tachocheck.rules import check_all
 from tachocheck.timeline import SecondTrace, WeekPolicy, parse_trace
-
-PROFILES = builtin_profiles()
+from traces import BUILTINS, HOUR, PROFILES, D, O, R, random_weeks_trace, trace_of
 
 
 def reference(report: Report | DivergenceReport) -> str:
@@ -43,28 +41,12 @@ def checked(trace: SecondTrace, profile: InterpretationProfile) -> Report:
     return report
 
 
-def _random_trace(rng: random.Random) -> SecondTrace:
-    """Up to five weeks of runs from seconds to two days, so that reports
-    range from none to many violations of every article."""
-    runs = []
-    for _ in range(rng.randint(1, 120)):
-        kind = rng.random()
-        if kind < 0.4:
-            seconds = rng.randint(1, 600)
-        elif kind < 0.9:
-            seconds = rng.randint(600, 12 * HOUR)
-        else:
-            seconds = rng.randint(12 * HOUR, 48 * HOUR)
-        runs.append((rng.choices([D, R, O], weights=[5, 4, 1])[0], seconds))
-    return SecondTrace.from_runs(rng.randint(-HOUR, HOUR), runs)
-
-
 def test_random_reports_under_every_builtin_profile():
     rng = random.Random(25)
     articles = set()
     for _ in range(60):
-        trace = _random_trace(rng)
-        for profile in PROFILES.values():
+        trace = random_weeks_trace(rng)
+        for profile in BUILTINS.values():
             articles |= {v.article for v in checked(trace, profile).violations}
     assert articles == {"7", "6.1", "8.2", "8.6"}
 
@@ -85,7 +67,7 @@ def test_a_profile_that_sets_every_knob():
     assert all(getattr(profile, knob) != getattr(default, knob) for knob in profile._fields[1:])
     rng = random.Random(2501)
     for _ in range(10):
-        checked(_random_trace(rng), profile)
+        checked(random_weeks_trace(rng), profile)
 
 
 def test_an_id_that_needs_escaping():
@@ -98,7 +80,7 @@ def test_an_id_that_needs_escaping():
 
 
 def test_no_violations_both_notices_and_all_four_articles():
-    spirit = PROFILES["spirit"]
+    spirit = BUILTINS["spirit"]
     report = checked(trace_of((R, 2 * HOUR)), spirit)
     assert report.violations == () and len(report.notices) == 1
     report = checked(parse_trace("30,DRIVING,50\n"), spirit)
@@ -108,14 +90,15 @@ def test_no_violations_both_notices_and_all_four_articles():
     runs += [(R, 24 * HOUR), (O, 144 * HOUR)] * 4
     report = checked(trace_of(*runs), spirit)
     assert {v.article for v in report.violations} == {"7", "6.1", "8.2", "8.6"}
-    checked(SecondTrace.from_runs(0, week_runs(45) + week_runs(24) + week_runs(45)), spirit)
+    checked(patterns.gen_weeks([45, 24, 45]), spirit)
 
 
 def test_values_only_an_in_process_caller_can_pass():
-    # a float threshold: json.dumps writes it, as it would inside the dict
-    profile = InterpretationProfile("x", daily_rest_threshold=540.0)
-    report = checked(trace_of((D, 5 * HOUR), (R, 10 * HOUR), (D, 5 * HOUR)), profile)
-    assert '"daily_rest_threshold": 540.0,' in report.to_json()
+    # a float threshold is refused, as JSON's is; the report below writes
+    # floats as json.dumps does inside the dict
+    with pytest.raises(ProfileError, match="knob 'daily_rest_threshold': expected an integer"):
+        InterpretationProfile("x", daily_rest_threshold=540.0)
+    profile = InterpretationProfile("x")
     # any value the record accepts, nested or with keys that are not strings
     report = Report(
         trace_digest="d",
@@ -135,18 +118,7 @@ def test_values_only_an_in_process_caller_can_pass():
     assert report.to_json() == reference(report)
 
 
-# every builtin, and the readings of rule 51 and of Article 6.1 that no
-# builtin takes
-DIFF_PROFILES = [
-    *PROFILES.values(),
-    InterpretationProfile("neighbor-raw", rule51=Rule51Semantics.NEIGHBOR_RAW),
-    InterpretationProfile(
-        "minimize", extended_attribution=ExtendedAttribution.MINIMIZE_VIOLATIONS
-    ),
-]
-
-
-def diffed(trace: SecondTrace, profiles=DIFF_PROFILES) -> DivergenceReport:
+def diffed(trace: SecondTrace, profiles=PROFILES) -> DivergenceReport:
     report = diff_verdicts(trace, profiles)
     assert report.to_json() == reference(report)
     return report
@@ -154,7 +126,7 @@ def diffed(trace: SecondTrace, profiles=DIFF_PROFILES) -> DivergenceReport:
 
 def test_random_diffs():
     rng = random.Random(30)
-    reports = [diffed(_random_trace(rng)) for _ in range(30)]
+    reports = [diffed(random_weeks_trace(rng)) for _ in range(30)]
     assert {d["article"] for r in reports for d in r.disagreements} >= {"7", "6.1", "8.2"}
 
 
@@ -165,7 +137,7 @@ def test_the_diff_of_every_demo(name):
 
 
 def test_a_diff_whose_profiles_carry_different_notices():
-    report = diffed(parse_trace("0,DRIVING,80\n"), [PROFILES["unix-grid"], PROFILES["utc-grid"]])
+    report = diffed(parse_trace("0,DRIVING,80\n"), [BUILTINS["unix-grid"], BUILTINS["utc-grid"]])
     assert report.notices and report.notices["unix-grid"] != report.notices["utc-grid"]
 
 
@@ -184,7 +156,7 @@ def _edit_every_level(value) -> None:
 @pytest.mark.parametrize("records", ["0,DRIVING,18000\n", "0,DRIVING,80\n"])
 def test_editing_a_diffs_dict_leaves_the_diff_as_it_was(records):
     # 5 h of driving: verdicts and a disagreement; 80 s: notices
-    report = diff_verdicts(parse_trace(records), [PROFILES["unix-grid"], PROFILES["utc-grid"]])
+    report = diff_verdicts(parse_trace(records), [BUILTINS["unix-grid"], BUILTINS["utc-grid"]])
     assert (report.verdicts and report.disagreements) or report.notices
     before, text = report.to_dict(), report.to_json()
     _edit_every_level(report.to_dict())

@@ -4,16 +4,11 @@ import time
 import pytest
 
 import spec
-from conftest import D, HOUR, O, R, day_cycle, minutes_of, trace_of, week_runs
 from tachocheck import weekly
 from tachocheck.minutes import label_minutes
-from tachocheck.patterns import gen_compensation_chain
+from tachocheck.patterns import fill_week, gen_compensation_chain, gen_weeks, week_runs
 from tachocheck.periods import accumulate_driving, classify_rests, daily_driving_spans
-from tachocheck.profiles import (
-    ExtendedAttribution,
-    builtin_profiles,
-    diff_verdicts,
-)
+from tachocheck.profiles import ExtendedAttribution, ProfileError, diff_verdicts
 from tachocheck.rules import check_all, check_article7, check_article61, check_article82
 from tachocheck.weekly import check_article86, solve_weekly_rests
 from tachocheck.timeline import (
@@ -27,10 +22,23 @@ from tachocheck.timeline import (
     parse_trace,
     validate_leap_table,
 )
+from traces import (
+    GRID,
+    HOUR,
+    LETTER,
+    RESTLESS_WEEK,
+    SPIRIT,
+    D,
+    O,
+    R,
+    compensated_reduction_trace,
+    crossing_week_trace,
+    ext_day,
+    minutes_of,
+    random_runs,
+    trace_of,
+)
 
-GRID = TimeGrid(0)
-SPIRIT = builtin_profiles()["spirit"]
-LETTER = builtin_profiles()["letter"]
 CALENDAR = Calendar()
 
 
@@ -122,10 +130,7 @@ def test_article7_trace_ending_over_the_limit():
 def test_article7_monotone_under_added_rest():
     rng = random.Random(5)
     for _ in range(25):
-        runs = [
-            (rng.choice([D, R, O]), rng.randint(1, 120))
-            for _ in range(rng.randint(3, 14))
-        ]
+        runs = random_runs(rng, (3, 14), (1, 120))
         trace = minutes_of(*runs)
         mt, rests = pipeline(trace)
         before = len(check_article7(accumulate_driving(mt, rests, SPIRIT), mt))
@@ -139,17 +144,6 @@ def test_article7_monotone_under_added_rest():
 
 
 # --- article 6.1 ---
-
-
-def ext_day(last_drive_minutes):
-    """Driving block with compliant breaks totalling 540 + last_drive_minutes."""
-    return [
-        (D, 270 * 60),
-        (R, 45 * 60),
-        (D, 270 * 60),
-        (R, 45 * 60),
-        (D, last_drive_minutes * 60),
-    ]
 
 
 def test_three_extensions_in_one_week_flag_the_third():
@@ -185,26 +179,8 @@ def test_driving_over_600_minutes_always_flags():
     assert "extension cap" in violations[0].detail
 
 
-def _crossing_week_trace():
-    """Two extensions inside week 0 plus one extension crossing into week 1."""
-    runs = [(R, 9 * HOUR)]
-    runs += ext_day(60) + [(R, 9 * HOUR)]
-    runs += ext_day(60) + [(R, 9 * HOUR)]
-    used = sum(s for _, s in runs)
-    # keep the daily-rest rhythm, then start the last 10 h day at 162 h so
-    # it straddles the Sunday 24:00 boundary at 168 h
-    while used + 23 * HOUR + 9 * HOUR <= 162 * HOUR:
-        for run in day_cycle():
-            runs.append(run)
-            used += run[1]
-    runs.append((O, 153 * HOUR - used))
-    runs.append((R, 9 * HOUR))
-    runs += ext_day(60) + [(R, 9 * HOUR)]
-    return SecondTrace.from_runs(0, runs)
-
-
 def test_extension_attribution_knob_changes_the_verdict():
-    trace = _crossing_week_trace()
+    trace = crossing_week_trace()
     mt, rests = pipeline(trace)
     spans = daily_driving_spans(mt, rests, SPIRIT)
     crossing = [s for s in spans if s.start < SECONDS_PER_WEEK < s.end]
@@ -222,7 +198,7 @@ def test_extension_attribution_knob_changes_the_verdict():
 def test_minimize_violations_cannot_fix_two_full_weeks():
     # two 10 h days inside each adjacent week and a crossing 10 h day:
     # every attribution leaves some week with three extensions
-    base = _crossing_week_trace()
+    base = crossing_week_trace()
     runs = [(activity, seconds) for activity, _, seconds in base.runs()]
     runs += ext_day(60) + [(R, 9 * HOUR)]
     runs += ext_day(60) + [(R, 9 * HOUR)]
@@ -321,7 +297,7 @@ def test_article86_reads_spirit_weeks_under_letter():
 def test_check_all_refuses_a_leap_table_naming_a_sunday_twice():
     # two +1 entries would make week 0 two seconds longer, and a +1 and a -1
     # would cancel while Letter still refused week 0's 24:00
-    trace = chain_weeks(45, 45, 45)
+    trace = gen_weeks([45, 45, 45])
     for delta in (1, -1):
         table = (LeapSecond(0, 1), LeapSecond(0, delta))
         with pytest.raises(TraceError, match="that Sunday is already listed"):
@@ -381,15 +357,8 @@ def test_interleaved_driving_between_close_daily_rests():
 # --- article 8.6 / 8.9 ---
 
 
-def chain_weeks(*rest_hours):
-    runs = []
-    for hours in rest_hours:
-        runs.extend(week_runs(hours))
-    return SecondTrace.from_runs(0, runs)
-
-
 def test_full_weekly_rests_every_week_pass():
-    trace = chain_weeks(45, 45, 45)
+    trace = gen_weeks([45, 45, 45])
     mt, rests = pipeline(trace)
     assert check_article86(scope_of(trace), mt, rests, SPIRIT) == []
 
@@ -397,7 +366,7 @@ def test_full_weekly_rests_every_week_pass():
 def test_scope_must_be_consecutive_weeks():
     # judging the pair (0, 1) on the scope [0, 2] would blame week 0 of a
     # compliant trace
-    trace = chain_weeks(45, 45, 45, 45)
+    trace = gen_weeks([45, 45, 45, 45])
     mt, rests = pipeline(trace)
     with pytest.raises(ValueError, match=r"consecutive weeks, got \[0, 2\]"):
         check_article86([0, 2], mt, rests, SPIRIT)
@@ -408,42 +377,27 @@ def test_scope_must_be_consecutive_weeks():
 
 
 def test_reduced_rest_needs_compensation():
-    trace = chain_weeks(45, 24, 45, 45)
+    trace = gen_weeks([45, 24, 45, 45])
     mt, rests = pipeline(trace)
     violations = check_article86(scope_of(trace), mt, rests, SPIRIT)
     assert [v.window_start // SECONDS_PER_WEEK for v in violations] == [1]
 
 
 def test_compensated_reduction_passes():
-    runs = week_runs(45)
-    runs += week_runs(24)
-    # week 2 carries its own regular rest plus a separate 21 h block that
-    # completes well before the end of week 4
-    runs += [(R, 45 * HOUR), (O, HOUR), (R, 21 * HOUR)]
-    gap = SECONDS_PER_WEEK - 67 * HOUR
-    cycles, rem = divmod(gap, 23 * HOUR)
-    for _ in range(cycles):
-        runs.extend(day_cycle())
-    if rem:
-        runs.append((O, rem))
-    runs += week_runs(45)
-    trace = SecondTrace.from_runs(0, runs)
+    trace = compensated_reduction_trace()
     mt, rests = pipeline(trace)
     assert check_article86(scope_of(trace), mt, rests, SPIRIT) == []
 
 
 def test_two_consecutive_reduced_rests_fail():
-    trace = chain_weeks(45, 24, 24, 45)
+    trace = gen_weeks([45, 24, 24, 45])
     mt, rests = pipeline(trace)
     violations = check_article86(scope_of(trace), mt, rests, SPIRIT)
     assert violations != []
 
 
 def test_week_without_weekly_rest_fails():
-    runs = week_runs(45)
-    runs += [(O, 14 * HOUR), (R, 9 * HOUR)] * 7 + [(O, SECONDS_PER_WEEK - 7 * 23 * HOUR)]
-    runs += week_runs(45)
-    trace = SecondTrace.from_runs(0, runs)
+    trace = SecondTrace.from_runs(0, week_runs(45) + RESTLESS_WEEK + week_runs(45))
     mt, rests = pipeline(trace)
     violations = check_article86(scope_of(trace), mt, rests, SPIRIT)
     assert [v.window_start // SECONDS_PER_WEEK for v in violations] == [1]
@@ -452,21 +406,14 @@ def test_week_without_weekly_rest_fails():
 def test_restless_week_can_be_carried_by_a_neighbour_with_two_rests():
     # the pair requirement literally asks for two weekly rests "in any two
     # consecutive weeks"; both may sit in the same week
-    runs = [(R, 45 * HOUR), (O, 2 * HOUR), (R, 45 * HOUR)]
-    used = 92 * HOUR
-    cycles, rem = divmod(SECONDS_PER_WEEK - used, 23 * HOUR)
-    for _ in range(cycles):
-        runs.extend(day_cycle())
-    if rem:
-        runs.append((O, rem))
-    runs += [(O, 14 * HOUR), (R, 9 * HOUR)] * 7 + [(O, SECONDS_PER_WEEK - 7 * 23 * HOUR)]
+    runs = fill_week([(R, 45 * HOUR), (O, 2 * HOUR), (R, 45 * HOUR)]) + RESTLESS_WEEK
     trace = SecondTrace.from_runs(0, runs)
     mt, rests = pipeline(trace)
     scope = scope_of(trace)
     assert check_article86(scope, mt, rests, SPIRIT) == []
     witness = solve_weekly_rests(scope, mt, rests, SPIRIT)
     assert len(witness["assignments"]) == 2
-    verify_witness(witness, scope, mt, rests)
+    spec.verify_witness(witness, scope, mt, rests)
 
 
 def test_rest_ending_at_monday_midnight_is_not_a_candidate_for_that_week():
@@ -491,7 +438,7 @@ def test_rest_ending_at_monday_midnight_is_not_a_candidate_for_that_week():
         witness = solve_weekly_rests([1, 2, 3], mt, rests, SPIRIT)
         assert (witness is not None) == feasible
         if feasible:
-            verify_witness(witness, [1, 2, 3], mt, rests)
+            spec.verify_witness(witness, [1, 2, 3], mt, rests)
 
 
 def test_a_compensation_block_may_end_exactly_at_its_deadline():
@@ -516,109 +463,34 @@ def test_a_compensation_block_may_end_exactly_at_its_deadline():
         witness = solve_weekly_rests([1, 2], mt, rests, SPIRIT)
         assert (witness is not None) == feasible
         if feasible:
-            verify_witness(witness, [1, 2], mt, rests)
+            spec.verify_witness(witness, [1, 2], mt, rests)
             assert witness["compensations"][0]["donor_start"] == host
 
 
-def verify_witness(
-    witness,
-    scope,
-    mt,
-    rests,
-    daily_threshold=540,
-    attached=False,
-    leap_table=(),
-    waived=frozenset(),
-):
-    """Check a weekly-rest witness by direct arithmetic, independently of the
-    solver's own bookkeeping."""
-    runs = {mt.start + 60 * mt.bounds[i]: mt.counts[i] for i in rests}
-    assignments = witness["assignments"]
-    blocks = witness["compensations"]
-
-    # each rest run is counted in at most one week it overlaps, within its
-    # own length
-    starts = [entry["run_start"] for entry in assignments]
-    assert len(starts) == len(set(starts))
-    for entry in assignments:
-        assert entry["run_minutes"] == runs[entry["run_start"]]
-        assert 1440 <= entry["counted_minutes"] <= min(2700, entry["run_minutes"])
-        assert entry["role"] == (
-            "regular" if entry["counted_minutes"] == 2700 else "reduced"
-        )
-        week = entry["week"]
-        assert week in scope and week not in waived
-        run_end = entry["run_start"] + entry["run_minutes"] * 60
-        assert entry["run_start"] < spec.monday(week + 1, leap_table)
-        assert run_end > spec.monday(week, leap_table)
-
-    # every consecutive pair of non-waived weeks sees two regular rests or
-    # one of each
-    for w1, w2 in zip(scope, scope[1:]):
-        if w1 in waived or w2 in waived:
-            continue
-        roles = [e["role"] for e in assignments if e["week"] in (w1, w2)]
-        regular = roles.count("regular")
-        reduced = roles.count("reduced")
-        assert regular >= 2 or (regular >= 1 and reduced >= 1), (w1, w2, roles)
-
-    # each reduction is covered by exactly one block of exactly its size,
-    # in a later run and inside its deadline; reductions are keyed by their
-    # run, since one week may count two reduced rests
-    debts = {
-        entry["run_start"]: (entry["week"], 2700 - entry["counted_minutes"])
-        for entry in assignments
-        if entry["role"] == "reduced"
-    }
-    assert sorted(block["debtor_start"] for block in blocks) == sorted(debts)
-    for block in blocks:
-        week, minutes = debts[block["debtor_start"]]
-        assert (block["week"], block["minutes"]) == (week, minutes)
-        assert block["deadline"] == spec.monday(week + 4, leap_table)
-        assert block["donor_start"] > block["debtor_start"]
-
-    # donors: counted part plus blocks fit, and blocks meet their deadlines
-    # even when tiled from the run start in deadline order
-    counted_by_run = {e["run_start"]: e["counted_minutes"] for e in assignments}
-    donors = {}
-    for block in blocks:
-        donors.setdefault(block["donor_start"], []).append(block)
-    for donor_start, donor_blocks in donors.items():
-        total = sum(b["minutes"] for b in donor_blocks)
-        leftover = runs[donor_start] - total - counted_by_run.get(donor_start, 0)
-        assert leftover >= 0
-        t = donor_start
-        for block in sorted(donor_blocks, key=lambda b: b["deadline"]):
-            t += block["minutes"] * 60
-            assert t <= block["deadline"]
-        if attached and donor_start not in counted_by_run:
-            assert runs[donor_start] - total >= daily_threshold
-
-
 def test_solver_witness_counts_each_rest_once():
-    trace = chain_weeks(45, 24, 66, 45)
+    trace = gen_weeks([45, 24, 66, 45])
     mt, rests = pipeline(trace)
     scope = scope_of(trace)
     witness = solve_weekly_rests(scope, mt, rests, SPIRIT)
     assert witness is not None
     assert {entry["week"] for entry in witness["assignments"]} == set(scope)
-    verify_witness(witness, scope, mt, rests)
+    spec.verify_witness(witness, scope, mt, rests)
 
 
 def test_solver_witnesses_verify_independently():
     cases = [
-        chain_weeks(45, 45, 45),
-        chain_weeks(45, 24, 66, 45),
-        chain_weeks(45, 30, 60, 45, 45),
-        chain_weeks(45, 24, 45, 66, 45),
-        chain_weeks(45, 24, 45, 45, 45, 66, 45),
+        gen_weeks([45, 45, 45]),
+        gen_weeks([45, 24, 66, 45]),
+        gen_weeks([45, 30, 60, 45, 45]),
+        gen_weeks([45, 24, 45, 66, 45]),
+        gen_weeks([45, 24, 45, 45, 45, 66, 45]),
     ]
     for trace in cases:
         mt, rests = pipeline(trace)
         scope = scope_of(trace)
         witness = solve_weekly_rests(scope, mt, rests, SPIRIT)
         assert witness is not None, "expected a satisfiable layout"
-        verify_witness(witness, scope, mt, rests)
+        spec.verify_witness(witness, scope, mt, rests)
 
 
 W = SECONDS_PER_WEEK
@@ -655,7 +527,7 @@ REG, RED = "regular", "reduced"
             id="compensation-chain-4",
         ),
         pytest.param(
-            chain_weeks(45, 24, 66, 45, 24, 66),
+            gen_weeks([45, 24, 66, 45, 24, 66]),
             [(0, 0, 2700, 2700, REG), (1, W, 1440, 1440, RED), (2, 2 * W, 3960, 2700, REG),
              (3, 3 * W, 2700, 2700, REG), (4, 4 * W, 1440, 1440, RED),
              (5, 5 * W, 3960, 2700, REG)],
@@ -676,14 +548,14 @@ def test_witnesses_are_pinned(trace, assignments, compensations):
         "assignments": [dict(zip(assignment_keys, row)) for row in assignments],
         "compensations": [dict(zip(compensation_keys, row)) for row in compensations],
     }
-    verify_witness(witness, scope, mt, rests)
+    spec.verify_witness(witness, scope, mt, rests)
 
 
 def test_spare_rest_before_the_reduction_does_not_compensate():
     # week 0 has 21 h of spare rest, but compensation follows the reduction:
     # week 1's debt cannot reach backwards, and pushing it forward only
     # produces adjacent reduced weeks
-    trace = chain_weeks(66, 24, 45, 45)
+    trace = gen_weeks([66, 24, 45, 45])
     mt, rests = pipeline(trace)
     violations = check_article86(scope_of(trace), mt, rests, SPIRIT)
     assert [v.window_start // SECONDS_PER_WEEK for v in violations] == [1]
@@ -693,7 +565,7 @@ def test_deadline_forces_a_cascade_instead_of_direct_donation():
     # spare capacity only exists in week 5's long rest, out of reach of week
     # 1's end-of-week-4 deadline; the solver must route the compensation
     # through an intermediate week, reducing that week's own rest in turn
-    trace = chain_weeks(45, 24, 45, 45, 45, 66, 45)
+    trace = gen_weeks([45, 24, 45, 45, 45, 66, 45])
     mt, rests = pipeline(trace)
     scope = scope_of(trace)
     assert check_article86(scope, mt, rests, SPIRIT) == []
@@ -724,23 +596,13 @@ def test_counted_host_keeps_a_reduced_weekly_rest():
         witness = solve_weekly_rests([0, 1, 2, 3], mt, rests, SPIRIT)
         assert (witness is not None) == feasible
         if feasible:
-            verify_witness(witness, [0, 1, 2, 3], mt, rests)
+            spec.verify_witness(witness, [0, 1, 2, 3], mt, rests)
 
 
 def test_attached_compensation_knob():
     # the 21 h donor block stands alone: allowed by default, rejected when
     # compensation must attach to another rest period
-    runs = week_runs(45)
-    runs += week_runs(24)
-    runs += [(R, 45 * HOUR), (O, HOUR), (R, 21 * HOUR)]
-    gap = SECONDS_PER_WEEK - 67 * HOUR
-    cycles, rem = divmod(gap, 23 * HOUR)
-    for _ in range(cycles):
-        runs.extend(day_cycle())
-    if rem:
-        runs.append((O, rem))
-    runs += week_runs(45)
-    trace = SecondTrace.from_runs(0, runs)
+    trace = compensated_reduction_trace()
     mt, rests = pipeline(trace)
     scope = scope_of(trace)
     assert check_article86(scope, mt, rests, SPIRIT) == []
@@ -751,7 +613,7 @@ def test_attached_compensation_knob():
 def test_solver_stays_fast_on_long_infeasible_traces():
     import time
 
-    trace = chain_weeks(*[45 if i != 8 else 24 for i in range(16)])
+    trace = gen_weeks([45 if i != 8 else 24 for i in range(16)])
     mt, rests = pipeline(trace)
     start = time.perf_counter()
     violations = check_article86(scope_of(trace), mt, rests, SPIRIT)
@@ -761,7 +623,7 @@ def test_solver_stays_fast_on_long_infeasible_traces():
 
 
 def test_solver_attribution_is_deterministic_on_messy_traces():
-    trace = chain_weeks(*[24 if i % 2 == 0 else 45 for i in range(10)])
+    trace = gen_weeks([24 if i % 2 == 0 else 45 for i in range(10)])
     mt, rests = pipeline(trace)
     first = check_article86(scope_of(trace), mt, rests, SPIRIT)
     second = check_article86(scope_of(trace), mt, rests, SPIRIT)
@@ -808,7 +670,7 @@ def test_long_reduced_rest_rotation_checks_quickly(monkeypatch):
     # week 24 alone rescues: its probe resumes near the end of the first
     # pass.
     calls = count_passes(monkeypatch)
-    trace = chain_weeks(*[(45, 24, 66)[w % 3] for w in range(26)])
+    trace = gen_weeks([(45, 24, 66)[w % 3] for w in range(26)])
     started = time.perf_counter()
     report = check_all(trace, GRID, SPIRIT)
     elapsed = time.perf_counter() - started
@@ -821,7 +683,7 @@ def test_long_reduced_rest_rotation_checks_quickly(monkeypatch):
 
 def test_one_check_prepares_the_rests_once(monkeypatch):
     # the rotation makes 3 passes over one prepared problem
-    trace = chain_weeks(*[(45, 24, 66)[w % 3] for w in range(26)])
+    trace = gen_weeks([(45, 24, 66)[w % 3] for w in range(26)])
     mt, rests = pipeline(trace)
     scope = scope_of(trace)
     prepared = []
@@ -844,7 +706,7 @@ def test_early_obstruction_with_a_long_tail_checks_quickly(monkeypatch):
     # its infeasible passes die early too; each probe of the tail resumes
     # from a prefix's pass, and those past where it died start no pass
     calls = count_passes(monkeypatch)
-    trace = chain_weeks(*[24] * 10, 66, *[45] * 300)
+    trace = gen_weeks([*[24] * 10, 66, *[45] * 300])
     started = time.perf_counter()
     report = check_all(trace, GRID, SPIRIT)
     elapsed = time.perf_counter() - started
@@ -885,7 +747,7 @@ def test_long_infeasible_traces_blame_the_same_weeks_quickly(
 
 
 def test_short_trace_skips_86_with_notice():
-    trace = chain_weeks(45)
+    trace = gen_weeks([45])
     report = check_all(trace, GRID, SPIRIT)
     assert any("8.6" in n for n in report.notices)
     assert all(v.article != "8.6" for v in report.violations)
@@ -907,8 +769,18 @@ def test_check_all_statistics():
     assert report.statistics["total_driving_minutes"] == 121
 
 
+def test_check_all_refuses_a_grid_that_is_not_the_profiles():
+    # the report would state one grid offset beside a profile stating another
+    trace = minutes_of((D, 300))
+    with pytest.raises(ProfileError, match="grid offset 27 is not the profile's grid_offset 0"):
+        check_all(trace, TimeGrid(27), SPIRIT)
+    shifted = SPIRIT.replace(grid_offset=27)
+    report = check_all(trace, TimeGrid(27), shifted)
+    assert report.grid_offset == report.profile.grid_offset == 27
+
+
 def test_check_all_is_deterministic():
-    trace = chain_weeks(45, 24, 45, 45)
+    trace = gen_weeks([45, 24, 45, 45])
     first = check_all(trace, GRID, SPIRIT).to_json()
     second = check_all(trace, GRID, SPIRIT).to_json()
     assert first == second
@@ -945,10 +817,7 @@ def test_a_rest_of_the_threshold_is_a_rest_period_and_one_minute_less_is_not(thr
 def test_violation_windows_lie_within_trace():
     rng = random.Random(77)
     for _ in range(10):
-        runs = [
-            (rng.choice([D, R, O]), rng.randint(60, 4 * HOUR))
-            for _ in range(rng.randint(4, 16))
-        ]
+        runs = random_runs(rng, (4, 16), (60, 4 * HOUR))
         trace = SecondTrace.from_runs(0, runs)
         report = check_all(trace, GRID, SPIRIT)
         for violation in report.violations:

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import CODE, D, O, R, minutes_of, samples, trace_of
+import spec
 from tachocheck import timeline
 from tachocheck.minutes import MinuteTrace, label_minutes
 from tachocheck.timeline import (
@@ -25,13 +25,14 @@ from tachocheck.timeline import (
     parse_trace,
     shift_grid,
 )
+from traces import D, O, R, minutes_of, random_runs, trace_of
 
 
 def test_parse_single_record():
     trace = parse_trace("0,DRIVING,60")
     assert trace.start == 0
     assert trace.duration == 60
-    assert samples(trace) == bytes([CODE[Activity.DRIVING]]) * 60
+    assert spec.codes(trace) == b"D" * 60
 
 
 def test_parse_two_records_contiguous():
@@ -105,10 +106,7 @@ def test_parse_nonpositive_duration():
 def test_roundtrip_records():
     rng = random.Random(7)
     for _ in range(25):
-        runs = [
-            (rng.choice([D, R, O]), rng.randint(1, 500))
-            for _ in range(rng.randint(1, 12))
-        ]
+        runs = random_runs(rng, (1, 12), (1, 500))
         trace = SecondTrace.from_runs(rng.randint(0, 10_000), runs)
         assert parse_trace(trace.to_records()) == trace
 
@@ -311,7 +309,7 @@ def test_shift_grid_displaces_only_start():
     trace = minutes_of((D, 3), (R, 2))
     shifted = shift_grid(trace, 27)
     assert shifted.start == 27
-    assert samples(shifted) == samples(trace)
+    assert spec.codes(shifted) == spec.codes(trace)
 
 
 def test_shift_by_full_minute_shifts_labels_by_index():
@@ -358,12 +356,12 @@ def test_truncated():
 def test_truncated_keeps_the_seconds_before_the_cut():
     rng = random.Random(7)
     for _ in range(300):
-        runs = [(rng.choice([D, R, O]), rng.randint(1, 90)) for _ in range(rng.randint(1, 12))]
+        runs = random_runs(rng, (1, 12), (1, 90))
         trace = trace_of(*runs, start=rng.randint(-100, 100))
         # cuts inside, at the edges of and beyond the runs
         end = trace.start + rng.randint(1, trace.duration + 10)
         cut = trace.truncated(end)
-        assert samples(cut) == samples(trace)[: end - trace.start]
+        assert spec.codes(cut) == spec.codes(trace)[: end - trace.start]
         assert cut.start == trace.start and cut.digest() == _sha256_of_records(cut)
 
 
