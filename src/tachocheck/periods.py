@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .minutes import MinuteTrace
 from .profiles import InterpretationProfile, WeeklyGapSemantics
-from .timeline import SECONDS_PER_MINUTE, Activity, Record, set_field
+from .timeline import SECONDS_PER_MINUTE, Activity, Record
 
 BREAK_MIN_MINUTES = 15
 SPLIT_SECOND_MIN_MINUTES = 30
@@ -31,11 +31,6 @@ class DailyDrivingSpan(Record):
     """A driving accumulation between two bounding rests (or trace edges)."""
 
     __slots__ = _fields = ("start", "end", "driving_minutes")
-
-    def __init__(self, start: int, end: int, driving_minutes: int) -> None:
-        set_field(self, "start", start)
-        set_field(self, "end", end)
-        set_field(self, "driving_minutes", driving_minutes)
 
 
 def classify_rests(mt: MinuteTrace) -> list[int]:

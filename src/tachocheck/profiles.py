@@ -6,10 +6,10 @@ is always relative to an explicit, auditable set of legal readings. Profiles
 are data (JSON), not code.
 
 A knob is one entry of `_KNOB_DEFAULTS` and nothing else: the fields of
-`InterpretationProfile`, its `__init__`, `to_dict` and `parse_profile` all
-walk that table. A knob's value has exactly the type of its default, however
-the profile is built; JSON spells an Enum knob by its value, and a bool or
-an int only as exactly that JSON type.
+`InterpretationProfile` and their defaults, its checks, `to_dict` and
+`parse_profile` all walk that table. A knob's value has exactly the type of
+its default, however the profile is built; JSON spells an Enum knob by its
+value, and a bool or an int only as exactly that JSON type.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .minutes import Rule51Semantics
 from .report import DivergenceReport
-from .timeline import LeapSecond, Record, SecondTrace, TimeGrid, WeekPolicy, set_field
+from .timeline import LeapSecond, Record, SecondTrace, TimeGrid, WeekPolicy
 
 
 class ProfileError(ValueError):
@@ -64,30 +64,20 @@ class InterpretationProfile(Record):
     """
 
     __slots__ = _fields = ("id", *_KNOB_DEFAULTS)
+    _defaults = _KNOB_DEFAULTS
 
-    def __init__(self, id: str, *knob_values, **knobs) -> None:
-        if len(knob_values) > len(_KNOB_DEFAULTS):
-            raise TypeError(
-                f"InterpretationProfile takes at most {len(self._fields)} arguments, "
-                f"got {1 + len(knob_values)}"
-            )
-        for name, value in zip(_KNOB_DEFAULTS, knob_values):
-            if name in knobs:
-                raise TypeError(f"InterpretationProfile got two values for {name!r}")
-            knobs[name] = value
-        unknown = knobs.keys() - _KNOB_DEFAULTS.keys()
-        if unknown:
-            raise TypeError(f"InterpretationProfile got unknown knobs {sorted(unknown)}")
-        if not id:
+    def __init__(self, *values, **named) -> None:
+        super().__init__(*values, **named)
+        if not isinstance(self.id, str):
+            raise ProfileError("profile id must be a string")
+        if not self.id:
             raise ProfileError("profile id must be non-empty")
-        set_field(self, "id", id)
         for name, default in _KNOB_DEFAULTS.items():
-            value = knobs.get(name, default)
+            value = getattr(self, name)
             kind = type(default)
             if type(value) is not kind:  # bool subclasses int, so no isinstance
                 expected = _TYPE_NAMES.get(kind) or f"a {kind.__name__} member"
                 raise ProfileError(f"knob {name!r}: expected {expected}, got {value!r}")
-            set_field(self, name, value)
         if not 15 <= self.daily_rest_threshold <= 1440:
             raise ProfileError(
                 f"daily_rest_threshold must be in [15, 1440] minutes, "
@@ -140,15 +130,7 @@ def parse_profile(text: str, default_id: str | None = None) -> InterpretationPro
     if unknown:
         raise ProfileError(f"unknown profile keys: {sorted(unknown)}")
 
-    kwargs = {}
-    for key, value in raw.items():
-        if key != "id":
-            kwargs[key] = _knob_value(key, value)
-        elif isinstance(value, str):
-            kwargs["id"] = value
-        else:
-            raise ProfileError("profile id must be a string")
-
+    kwargs = {key: value if key == "id" else _knob_value(key, value) for key, value in raw.items()}
     if "id" not in kwargs:
         if default_id is None:
             raise ProfileError("profile has no id and no default was supplied")

@@ -7,25 +7,12 @@ from __future__ import annotations
 
 import json
 import operator
-from typing import TYPE_CHECKING
 
-from .timeline import Record, set_field
-
-if TYPE_CHECKING:
-    from .profiles import InterpretationProfile
+from .timeline import Record
 
 
 class Violation(Record):
     __slots__ = _fields = ("article", "window_start", "window_end", "detail", "profile_id")
-
-    def __init__(
-        self, article: str, window_start: int, window_end: int, detail: str, profile_id: str
-    ) -> None:
-        set_field(self, "article", article)
-        set_field(self, "window_start", window_start)
-        set_field(self, "window_end", window_end)
-        set_field(self, "detail", detail)
-        set_field(self, "profile_id", profile_id)
 
     def to_dict(self) -> dict:
         return {
@@ -40,6 +27,8 @@ class Violation(Record):
 
 
 class Report(Record):
+    # `profile` is an `InterpretationProfile`, `violations` a tuple of
+    # `Violation`s, `notices` a tuple of strings
     __slots__ = _fields = (
         "trace_digest",
         "trace_start",
@@ -50,26 +39,6 @@ class Report(Record):
         "statistics",
         "notices",
     )
-
-    def __init__(
-        self,
-        trace_digest: str,
-        trace_start: int,
-        trace_seconds: int,
-        grid_offset: int,
-        profile: InterpretationProfile,
-        violations: tuple[Violation, ...],
-        statistics: dict,
-        notices: tuple[str, ...],
-    ) -> None:
-        set_field(self, "trace_digest", trace_digest)
-        set_field(self, "trace_start", trace_start)
-        set_field(self, "trace_seconds", trace_seconds)
-        set_field(self, "grid_offset", grid_offset)
-        set_field(self, "profile", profile)
-        set_field(self, "violations", violations)
-        set_field(self, "statistics", statistics)
-        set_field(self, "notices", notices)
 
     def _head(self) -> dict:
         """Every section of the report but its violations, which sort after
@@ -179,19 +148,10 @@ def _json_object(mapping: dict, indent: str) -> str:
 class DivergenceReport(Record):
     """Where profiles disagree about the same trace."""
 
+    # `verdicts`: article -> {profile id -> violation count};
+    # `disagreements`: the windows flagged by some profiles only;
+    # `notices`: profile id -> notices, empty when every profile has the same
     __slots__ = _fields = ("profile_ids", "verdicts", "disagreements", "notices")
-
-    def __init__(
-        self,
-        profile_ids: tuple[str, ...],
-        verdicts: dict,  # article -> {profile id -> violation count}
-        disagreements: tuple[dict, ...],  # windows flagged by some profiles only
-        notices: dict,  # profile id -> notices; empty when every profile has the same
-    ) -> None:
-        set_field(self, "profile_ids", profile_ids)
-        set_field(self, "verdicts", verdicts)
-        set_field(self, "disagreements", disagreements)
-        set_field(self, "notices", notices)
 
     @property
     def is_empty(self) -> bool:

@@ -59,22 +59,24 @@ class WeekPolicy(Enum):
     SPIRIT = "Spirit"
 
 
-# An `__init__` assigns its record's fields with this; `Record` refuses `=`.
+# A record's fields are assigned with this; `Record` refuses `=`.
 set_field = object.__setattr__
 
 
 class Record:
     """An immutable value with named fields.
 
-    A subclass lists its fields in `_fields`, in the order its `__init__`
-    takes them, declares them (and any cached, derived attributes) in
-    `__slots__`, and assigns them with `set_field`. Two records are equal
-    when they are of the same class and their fields are equal; the hash
-    and the repr read the same fields.
+    A subclass lists its fields in `_fields` and declares them (and any
+    cached, derived attributes) in `__slots__`. `__init__` binds values by
+    position, then by name, to `_fields` in order; a field left unbound
+    takes its value from `_defaults`. A subclass with checks runs them after
+    `super().__init__`. Two records are equal when they are of the same class
+    and their fields are equal; the hash and the repr read the same fields.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
 
     # the field values in `_fields` order, read by one `attrgetter` per class
     _values: tuple
@@ -86,6 +88,29 @@ class Record:
             cls._values = property(lambda record: (get(record),))
         else:
             cls._values = property(get)
+
+    def __init__(self, *values, **named) -> None:
+        fields = self._fields
+        for name, value in zip(fields, values):
+            set_field(self, name, value)
+        if len(values) == len(fields) and not named:
+            return
+        cls = self.__class__.__name__
+        if len(values) > len(fields):
+            raise TypeError(f"{cls} takes at most {len(fields)} arguments, got {len(values)}")
+        unknown = named.keys() - fields
+        if unknown:
+            raise TypeError(f"{cls} got unknown fields {sorted(unknown)}")
+        for name in fields[: len(values)]:
+            if name in named:
+                raise TypeError(f"{cls} got two values for {name!r}")
+        for name in fields[len(values) :]:
+            if name in named:
+                set_field(self, name, named[name])
+            elif name in self._defaults:
+                set_field(self, name, self._defaults[name])
+            else:
+                raise TypeError(f"{cls} got no value for {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -122,12 +147,11 @@ class LeapSecond(Record):
 
     __slots__ = _fields = ("sunday_index", "delta")
 
-    def __init__(self, sunday_index: int, delta: int) -> None:
+    def __init__(self, *values, **named) -> None:
+        super().__init__(*values, **named)
         # delta: +1 second inserted, -1 second removed
-        if delta not in (-1, 1):
-            raise TraceError(f"leap second delta must be -1 or +1, got {delta}")
-        set_field(self, "sunday_index", sunday_index)
-        set_field(self, "delta", delta)
+        if self.delta not in (-1, 1):
+            raise TraceError(f"leap second delta must be -1 or +1, got {self.delta}")
 
 
 def parse_leap_table(text: str) -> tuple[LeapSecond, ...]:
@@ -171,11 +195,13 @@ class TimeGrid(Record):
     """Phase of the minute grid: minute boundaries sit at offset (mod 60)."""
 
     __slots__ = _fields = ("minute_offset_seconds",)
+    _defaults = {"minute_offset_seconds": 0}
 
-    def __init__(self, minute_offset_seconds: int = 0) -> None:
-        if not 0 <= minute_offset_seconds < SECONDS_PER_MINUTE:
-            raise TraceError(f"grid offset must be in [0, 60), got {minute_offset_seconds}")
-        set_field(self, "minute_offset_seconds", minute_offset_seconds)
+    def __init__(self, *values, **named) -> None:
+        super().__init__(*values, **named)
+        offset = self.minute_offset_seconds
+        if not 0 <= offset < SECONDS_PER_MINUTE:
+            raise TraceError(f"grid offset must be in [0, 60), got {offset}")
 
     def minute_start(self, index: int) -> int:
         return index * SECONDS_PER_MINUTE + self.minute_offset_seconds
@@ -356,17 +382,14 @@ def parse_trace(data: bytes | str) -> SecondTrace:
     else:
         raw = data
     trace = _parse_canonical(raw)
-    if trace is None:
-        if isinstance(data, bytes):
-            try:
-                data = data.decode("ascii")
-            except UnicodeDecodeError as exc:
-                raise TraceParseError(f"trace is not ASCII text: {exc}") from exc
-        return _parse_lines(data)
-    if raw[-1] == 10 and len(trace.seconds) == raw.count(b"\n"):
-        # no two records merged, so the text is the canonical record text
-        set_field(trace, "_digest", hashlib.sha256(raw).hexdigest())
-    return trace
+    if trace is not None:
+        return trace
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise TraceParseError(f"trace is not ASCII text: {exc}") from exc
+    return _parse_lines(data)
 
 
 def _parse_canonical(raw: bytes) -> SecondTrace | None:
@@ -376,14 +399,17 @@ def _parse_canonical(raw: bytes) -> SecondTrace | None:
     through `_RECORD_LINE`, each start the sum of the first start and the
     durations before it, gives back its bytes: that proves every number is
     spelled as `to_records` spells it, every name exact, every line three
-    fields and the records contiguous.
+    fields and the records contiguous. When, besides, the text ends in a
+    line end and no two records merge, it is `to_records()` of the trace,
+    whose digest is then the SHA-256 of `raw`.
     """
     # one-character `in` scans turn the usual non-canonical texts (CRLF line
     # ends, comments, padded fields) away before any field is split
     if not raw or b"\r" in raw or b"#" in raw or b" " in raw or b"\t" in raw:
         return None
     fields = raw.replace(b"\n", b",").split(b",")
-    if raw[-1] == 10:
+    ended = raw[-1] == 10
+    if ended:
         fields.pop()  # the empty field after the final line end
     else:
         raw += b"\n"  # a missing final line end is allowed
@@ -408,7 +434,10 @@ def _parse_canonical(raw: bytes) -> SecondTrace | None:
     del fields  # the field objects outweigh the trace; free them first
     if any(map(is_, activities[1:], activities)):
         return SecondTrace(start, activities, durations)  # merges the split records
-    return SecondTrace._of_maximal(start, activities, durations, bounds)
+    trace = SecondTrace._of_maximal(start, activities, durations, bounds)
+    if ended:
+        set_field(trace, "_digest", hashlib.sha256(raw).hexdigest())
+    return trace
 
 
 # A line ends at "\n", "\r\n" or a lone "\r", never at the other characters

@@ -97,8 +97,9 @@ def test_knobs_bind_positionally_in_field_order():
         InterpretationProfile("p", *values, 0)
     with pytest.raises(TypeError, match="two values for 'leap_week_policy'"):
         InterpretationProfile("p", WeekPolicy.LETTER, leap_week_policy=WeekPolicy.SPIRIT)
-    with pytest.raises(TypeError, match=r"unknown knobs \['grid'\]"):
+    with pytest.raises(TypeError) as info:
         InterpretationProfile("p", grid=0)
+    assert str(info.value) == "InterpretationProfile got unknown fields ['grid']"
 
 
 @pytest.mark.parametrize(
@@ -135,6 +136,23 @@ def test_knob_values_of_the_wrong_type_are_rejected(key, value):
     else:
         member = type(getattr(SPIRIT, key))(value)
         assert parse_profile(text) == InterpretationProfile("x", **{key: member})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: InterpretationProfile(123), "profile id must be a string"),
+        (lambda: SPIRIT.replace(id=1), "profile id must be a string"),
+        (lambda: InterpretationProfile(""), "profile id must be non-empty"),
+    ],
+    ids=["int", "replaced-int", "empty"],
+)
+def test_a_profile_id_is_a_non_empty_string(build, message):
+    # a non-string id would be written into the report, and ids 1 and "a"
+    # would not sort in a diff
+    with pytest.raises(ProfileError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_threshold_and_offset_bounds():

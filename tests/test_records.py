@@ -1,5 +1,6 @@
 """The value records of the check and diff path: construction, equality,
-hash, immutability, repr and `replace`, one table row per class."""
+hash, immutability, repr and `replace`, one table row per class; then the
+errors and defaults of the one binder, `Record.__init__`."""
 
 import pickle
 
@@ -20,6 +21,7 @@ from tachocheck import (
     WeekPolicy,
     label_minutes,
 )
+from tachocheck.profiles import _KNOB_DEFAULTS
 from tachocheck.timeline import validate_leap_table
 from traces import D, R
 
@@ -152,6 +154,38 @@ def test_record_behaviour(cls, args, text, bad, error):
 
     assert pickle.loads(pickle.dumps(record)) == record
     assert repr(pickle.loads(pickle.dumps(record))) == text
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: Violation("7", 0, 60, "d", "p", "extra"),
+            "Violation takes at most 5 arguments, got 6",
+        ),
+        (
+            lambda: Violation("7", 0, 60, "d", "p", article="8.2"),
+            "Violation got two values for 'article'",
+        ),
+        (lambda: Violation("7", 0, 60, "d"), "Violation got no value for 'profile_id'"),
+        (
+            lambda: Violation("7", 0, 60, "d", "p", window=0),
+            "Violation got unknown fields ['window']",
+        ),
+        (lambda: Violation(article="7"), "Violation got no value for 'window_start'"),
+        (lambda: InterpretationProfile(), "InterpretationProfile got no value for 'id'"),
+    ],
+    ids=["too-many", "twice", "missing", "unknown", "missing-by-name", "profile-without-id"],
+)
+def test_binding_errors(build, message):
+    with pytest.raises(TypeError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_unbound_fields_take_their_defaults():
+    assert TimeGrid() == TimeGrid(0)
+    assert InterpretationProfile("p")._values[1:] == tuple(_KNOB_DEFAULTS.values())
 
 
 def test_leap_table_error_quotes_the_entry_repr():
