@@ -15,12 +15,7 @@ from .timeline import (
     shift_grid,
 )
 from .minutes import MinuteTrace, Rule51Semantics, label_minutes, label_rule52
-from .periods import (
-    DailyDrivingSpan,
-    accumulate_driving,
-    classify_rests,
-    daily_driving_spans,
-)
+from .periods import accumulate_driving, classify_rests, daily_driving_spans
 from .profiles import (
     ExtendedAttribution,
     InterpretationProfile,

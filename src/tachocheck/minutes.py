@@ -80,24 +80,27 @@ class MinuteTrace(Record):
     def __init__(
         self, start: int, activities: Sequence[Activity], counts: Sequence[int]
     ) -> None:
-        self._set_columns(start, *maximal_columns(activities, counts))
+        self._set_columns(start, *maximal_columns(activities, counts), None)
 
     @classmethod
     def _of_maximal(
-        cls, start: int, activities: tuple, counts: tuple[int, ...]
+        cls, start: int, activities: tuple, counts: tuple[int, ...], bounds: tuple | None
     ) -> "MinuteTrace":
         """The minute trace of columns its caller has proven to be what
-        `__init__` builds: tuples of maximal runs, every count positive.
-        Nothing is checked."""
+        `__init__` builds: tuples of maximal runs, every count positive,
+        with `bounds` their prefix sums from 0, or None to have them summed
+        here. Nothing is checked."""
         mt = cls.__new__(cls)
-        mt._set_columns(start, activities, counts)
+        mt._set_columns(start, activities, counts, bounds)
         return mt
 
-    def _set_columns(self, start, activities, counts) -> None:
+    def _set_columns(self, start, activities, counts, bounds) -> None:
         set_field(self, "start", start)
         set_field(self, "activities", activities)
         set_field(self, "counts", counts)
-        set_field(self, "bounds", tuple(accumulate(counts, initial=0)))
+        if bounds is None:
+            bounds = tuple(accumulate(counts, initial=0))
+        set_field(self, "bounds", bounds)
         # True * count is count: the driving runs' minutes, summed in C
         driven = map(mul, map(is_, activities, repeat(Activity.DRIVING)), counts)
         set_field(self, "driving", tuple(accumulate(driven, initial=0)))
@@ -129,8 +132,12 @@ class MinuteTrace(Record):
         return SecondTrace(self.start, self.activities, seconds).to_records()
 
 
-def _rule52_runs(trace: SecondTrace, grid: TimeGrid) -> tuple[int, tuple, tuple[int, ...]]:
-    """First-layer label runs as (start instant, activities, minute counts).
+def _rule52_runs(
+    trace: SecondTrace, grid: TimeGrid
+) -> tuple[int, tuple, tuple[int, ...], tuple[int, ...] | None]:
+    """First-layer label runs as (start instant, activities, minute counts,
+    minute bounds), the bounds being the counts' prefix sums from 0 where
+    the labeling found them, else None.
 
     The runs start at the first grid minute of the trace. A trace that
     covers no grid minute has no runs. A trace whose runs, but for the first
@@ -138,6 +145,10 @@ def _rule52_runs(trace: SecondTrace, grid: TimeGrid) -> tuple[int, tuple, tuple[
     two run boundaries, and its labels have a closed form. Any other trace
     is walked run by run. Either way the runs are maximal and every count
     is positive, so they need no check on their way into a `MinuteTrace`.
+    The closed form finds the bounds on its way to the counts, and a minute
+    trace of its runs shares them. The walk finds none: each minute trace
+    of its runs sums its own, so that the runs kept on the trace hold no
+    bounds that every reading's upgrade would leave unread.
 
     The runs are kept on the trace as `(offset, runs, {reading:
     MinuteTrace})`, which a call on another grid offset replaces.
@@ -150,21 +161,22 @@ def _rule52_runs(trace: SecondTrace, grid: TimeGrid) -> tuple[int, tuple, tuple[
     start = grid.minute_start(first)
     seconds = trace.seconds
     if last <= first:
-        activities, counts = (), ()
+        runs = start, (), (), (0,)
     # stops at the first short interior run
     elif all(map(ge, islice(seconds, 1, len(seconds) - 1), repeat(SECONDS_PER_MINUTE))):
-        activities, counts = _closed_form_runs(trace, grid, first, last)
+        runs = start, *_closed_form_runs(trace, grid, first, last)
     else:
         activities, counts = _walk_runs(trace, start)
-    runs = start, tuple(activities), tuple(counts)
+        runs = start, tuple(activities), tuple(counts), None
     set_field(trace, "_labels", (offset, runs, {}))
     return runs
 
 
 def _closed_form_runs(
     trace: SecondTrace, grid: TimeGrid, first: int, last: int
-) -> tuple[tuple, list[int]]:
-    """The label runs of a trace with no minute holding two run boundaries.
+) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
+    """The label runs of a trace with no minute holding two run boundaries,
+    as (activities, minute counts, minute bounds from minute `first`).
 
     Labels are kept for minutes `first` to `last - 1`. A minute holding the
     end of run `i`, `p` seconds after the minute starts, holds `p` seconds
@@ -172,22 +184,21 @@ def _closed_form_runs(
     `p >= 31`; at `p = 30` the two pieces are equally long, and rule 52
     gives a tie to the latest activity, run `i + 1`. So the labels of run
     `i` end before minute `(end_i - offset + 29) // 60`. These cuts rise
-    with `i`, each interior run keeping at least one minute; clamped to
-    [first, last] by two bisections, they leave without a minute only runs
-    at the edges, which are dropped.
+    with `i`, each interior run keeping at least one minute. Counted from
+    minute `first` and clamped to [0, last - first] by two bisections, they
+    are the runs' minute bounds; they leave without a minute only runs at
+    the edges, which are dropped.
     """
     seconds = trace.seconds
-    # end_i - offset + 29 for every run but the last
-    ends = islice(
-        accumulate(seconds, initial=trace.start - grid.minute_offset_seconds + 29),
-        1,
-        len(seconds),
-    )
+    # end_i - offset + 29 - 60 * first for every run but the last: one sum
+    # over the seconds runs faster than shifting each of `trace._bounds`
+    shift = trace.start - grid.minute_offset_seconds + 29 - first * SECONDS_PER_MINUTE
+    ends = islice(accumulate(seconds, initial=shift), 1, len(seconds))
     cuts = list(map(floordiv, ends, repeat(SECONDS_PER_MINUTE)))
-    lo = bisect.bisect_right(cuts, first)
-    hi = bisect.bisect_left(cuts, last, lo)
-    bounds = [first, *cuts[lo:hi], last]
-    return trace.activities[lo : hi + 1], list(map(sub, bounds[1:], bounds))
+    lo = bisect.bisect_right(cuts, 0)
+    hi = bisect.bisect_left(cuts, last - first, lo)
+    bounds = (0, *cuts[lo:hi], last - first)
+    return trace.activities[lo : hi + 1], tuple(map(sub, bounds[1:], bounds)), bounds
 
 
 def _walk_runs(trace: SecondTrace, start: int) -> tuple[list, list[int]]:
@@ -266,20 +277,19 @@ def label_minutes(
     its first layer (see `_rule52_runs`), so a repeat returns the same
     minute trace.
     """
-    start, activities, counts = _rule52_runs(trace, grid)
+    runs = _rule52_runs(trace, grid)
     labelings = trace._labels[2]
     # Fixpoint takes the NeighborRule52 path: see the module docstring
     raw = semantics is Rule51Semantics.NEIGHBOR_RAW
     mt = labelings.get(raw)
     if mt is None:
-        mt = labelings[raw] = _upgraded(trace, start, activities, counts, raw)
+        mt = labelings[raw] = _upgraded(trace, runs, raw)
     return mt
 
 
-def _upgraded(
-    trace: SecondTrace, start: int, activities: tuple, counts: tuple[int, ...], raw: bool
-) -> MinuteTrace:
-    """The first layer with rule 51's driving upgrade applied."""
+def _upgraded(trace: SecondTrace, runs: tuple, raw: bool) -> MinuteTrace:
+    """The first layer `runs` with rule 51's driving upgrade applied."""
+    start, activities, counts, _ = runs
     upgraded = None  # the labels, copied at the first upgrade
     # only a one-minute run can be upgraded
     if 1 in counts:
@@ -298,6 +308,6 @@ def _upgraded(
                         upgraded = list(activities)
                     upgraded[k] = driving
     if upgraded is None:
-        return MinuteTrace._of_maximal(start, activities, counts)  # the first layer's runs
+        return MinuteTrace._of_maximal(*runs)  # the first layer's runs and bounds
     # an upgraded run merges with its two driving neighbours
     return MinuteTrace(start, upgraded, counts)

@@ -18,19 +18,13 @@ from typing import Sequence
 
 from .minutes import MinuteTrace
 from .profiles import InterpretationProfile, WeeklyGapSemantics
-from .timeline import SECONDS_PER_MINUTE, Activity, Record
+from .timeline import SECONDS_PER_MINUTE, Activity
 
 BREAK_MIN_MINUTES = 15
 SPLIT_SECOND_MIN_MINUTES = 30
 FULL_BREAK_MIN_MINUTES = 45
 REDUCED_WEEKLY_MIN_MINUTES = 24 * 60
 REGULAR_WEEKLY_MIN_MINUTES = 45 * 60
-
-
-class DailyDrivingSpan(Record):
-    """A driving accumulation between two bounding rests (or trace edges)."""
-
-    __slots__ = _fields = ("start", "end", "driving_minutes")
 
 
 def classify_rests(mt: MinuteTrace) -> list[int]:
@@ -85,8 +79,11 @@ def daily_driving_spans(
     mt: MinuteTrace,
     rests: Sequence[int],
     profile: InterpretationProfile,
-) -> list[DailyDrivingSpan]:
+) -> list[tuple[int, int, int]]:
     """Driving accumulations delimited by daily/weekly rests.
+
+    Each span is a `(start, end, driving_minutes)` tuple: the instants it
+    begins and ends at, and the driving minutes between them.
 
     Under the Strict weekly-gap reading, a stretch delimited by two weekly
     rests defines no daily driving time and yields no span. When the trace
@@ -114,17 +111,12 @@ def daily_driving_spans(
         weekly = minutes >= REDUCED_WEEKLY_MIN_MINUTES
         driven = driving[i] - driving[after]
         if have_left and driven and not (strict and left_weekly and weekly):
-            spans.append(
-                DailyDrivingSpan(
-                    origin + bounds[after] * SECONDS_PER_MINUTE,
-                    origin + bounds[i] * SECONDS_PER_MINUTE,
-                    driven,
-                )
-            )
+            start = origin + bounds[after] * SECONDS_PER_MINUTE
+            spans.append((start, origin + bounds[i] * SECONDS_PER_MINUTE, driven))
         after, left_weekly, have_left = i + 1, weekly, True
     if edge:
         driven = driving[-1] - driving[after]
         if driven:
             start = origin + bounds[after] * SECONDS_PER_MINUTE
-            spans.append(DailyDrivingSpan(start, mt.end, driven))
+            spans.append((start, mt.end, driven))
     return spans

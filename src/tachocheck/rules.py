@@ -20,12 +20,7 @@ import bisect
 from typing import Sequence
 
 from .minutes import MinuteTrace, label_minutes
-from .periods import (
-    DailyDrivingSpan,
-    accumulate_driving,
-    classify_rests,
-    daily_driving_spans,
-)
+from .periods import accumulate_driving, classify_rests, daily_driving_spans
 from .profiles import ExtendedAttribution, InterpretationProfile, ProfileError
 from .report import Report, Violation
 from .timeline import (
@@ -87,18 +82,19 @@ def check_article7(
 
 
 def check_article61(
-    spans: Sequence[DailyDrivingSpan],
+    spans: Sequence[tuple[int, int, int]],
     profile: InterpretationProfile,
     calendar: Calendar = Calendar(),
 ) -> list[Violation]:
     """Daily driving limit with the twice-per-week 10-hour extension.
 
-    `spans` must be disjoint and in time order, as `daily_driving_spans`
-    returns them. An extension (over 540, at most 600 minutes) counts
-    against its week. One that crosses Sunday 24:00 counts against its
-    start week or its end week, as `extended_attribution` says; under
-    MinimizeViolations, against whichever leaves the fewest third-or-later
-    extensions, ties going to the start week, earlier spans first.
+    `spans` are `(start, end, driving_minutes)` tuples, disjoint and in
+    time order, as `daily_driving_spans` returns them. An extension (over
+    540, at most 600 minutes) counts against its week. One that crosses
+    Sunday 24:00 counts against its start week or its end week, as
+    `extended_attribution` says; under MinimizeViolations, against
+    whichever leaves the fewest third-or-later extensions, ties going to
+    the start week, earlier spans first.
 
     Lemma: whichever week each crossing extension takes, the week an
     extension counts against never decreases along the spans, since its end
@@ -114,20 +110,21 @@ def check_article61(
     violations = []
     extensions = []  # (span, the weeks it may count against: start week first)
     for span in spans:
-        if span.driving_minutes > EXTENDED_DAILY_LIMIT_MINUTES:
+        start, end, driving = span
+        if driving > EXTENDED_DAILY_LIMIT_MINUTES:
             violations.append(
                 Violation(
                     "6.1",
-                    span.start,
-                    span.end,
-                    f"daily driving of {span.driving_minutes} minutes exceeds even "
+                    start,
+                    end,
+                    f"daily driving of {driving} minutes exceeds even "
                     f"the {EXTENDED_DAILY_LIMIT_MINUTES}-minute extension cap",
                     profile.id,
                 )
             )
-        elif span.driving_minutes > DAILY_DRIVING_LIMIT_MINUTES:
-            start_week = calendar.week_of(span.start)
-            end_week = calendar.week_of(span.end - 1)
+        elif driving > DAILY_DRIVING_LIMIT_MINUTES:
+            start_week = calendar.week_of(start)
+            end_week = calendar.week_of(end - 1)
             if start_week == end_week or attribution is ExtendedAttribution.START_WEEK:
                 extensions.append((span, (start_week,)))
             elif attribution is ExtendedAttribution.END_WEEK:
@@ -147,7 +144,7 @@ def check_article61(
             )
 
     state = (None, 0)
-    for i, (span, weeks) in enumerate(extensions):
+    for i, ((start, end, driving), weeks) in enumerate(extensions):
         for week in weeks:
             after, third = _count_extension(state, week)
             if third + least.get((i + 1, after), 0) == least[i, state]:
@@ -157,9 +154,9 @@ def check_article61(
             violations.append(
                 Violation(
                     "6.1",
-                    span.start,
-                    span.end,
-                    f"daily driving of {span.driving_minutes} minutes is a third "
+                    start,
+                    end,
+                    f"daily driving of {driving} minutes is a third "
                     f"or later 10-hour extension in week {week}",
                     profile.id,
                 )

@@ -361,7 +361,7 @@ class SecondTrace(Record):
         return b"".join(self._record_batches()).decode("ascii")
 
 
-def parse_trace(data: bytes | str) -> SecondTrace:
+def parse_trace(data: bytes | bytearray | memoryview | str) -> SecondTrace:
     """Parse the record-per-line text format into a trace.
 
     Each record is `start_second,ACTIVITY,duration_seconds`; records must be
@@ -372,7 +372,8 @@ def parse_trace(data: bytes | str) -> SecondTrace:
     final newline, is parsed in bulk, and when it is exactly `to_records()`
     of the trace (no two records merged), the trace's digest is the SHA-256
     of the input. Any other text is parsed line by line, which also words
-    every error.
+    every error. Any other bytes-like input is copied to `bytes` first, so
+    the caller's buffer is never changed.
     """
     if isinstance(data, str):
         try:
@@ -380,6 +381,9 @@ def parse_trace(data: bytes | str) -> SecondTrace:
         except UnicodeEncodeError:
             return _parse_lines(data)  # not ASCII, so not canonical
     else:
+        if not isinstance(data, bytes):
+            # a memoryview refuses a non-buffer, where `bytes(n)` makes n zeros
+            data = bytes(memoryview(data))
         raw = data
     trace = _parse_canonical(raw)
     if trace is not None:

@@ -16,7 +16,6 @@ from operator import and_
 
 from tachocheck import (
     Activity,
-    DailyDrivingSpan,
     ExtendedAttribution,
     Rule51Semantics,
     TraceParseError,
@@ -207,10 +206,11 @@ def article7(labels, origin: int, threshold: int, profile_id: str) -> list[Viola
     return violations
 
 
-def daily_driving(labels, origin: int, profile) -> list[DailyDrivingSpan]:
+def daily_driving(labels, origin: int, profile) -> list[tuple[int, int, int]]:
     """Art. 4(k): the driving between a rest period's end and the next one's
-    start; the trace edges are daily rests under `trace_edge_is_rest`, and
-    Strict `weekly_gap` drops a span between two weekly rests."""
+    start, as (start, end, driving minutes); the trace edges are daily rests
+    under `trace_edge_is_rest`, and Strict `weekly_gap` drops a span between
+    two weekly rests."""
     bounds = rest_periods(labels, profile.daily_rest_threshold)
     if profile.trace_edge_is_rest:
         bounds = [(0, 0, "daily rest"), *bounds, (len(labels), len(labels), "daily rest")]
@@ -219,7 +219,7 @@ def daily_driving(labels, origin: int, profile) -> list[DailyDrivingSpan]:
     for (_, end, left), (start, _, right) in zip(bounds, bounds[1:]):
         driving = labels[end:start].count(D)
         if driving and not (strict and left in WEEKLY_RESTS and right in WEEKLY_RESTS):
-            spans.append(DailyDrivingSpan(origin + end * MINUTE, origin + start * MINUTE, driving))
+            spans.append((origin + end * MINUTE, origin + start * MINUTE, driving))
     return spans
 
 
@@ -260,15 +260,16 @@ def article61(spans, profile, leap_table=()) -> list[Violation]:
     choice, start weeks and earlier days first, with the fewest third ones."""
     violations, extensions = [], []
     for span in spans:
-        if span.driving_minutes > EXTENDED_DRIVING:
+        start, end, driving = span
+        if driving > EXTENDED_DRIVING:
             detail = (
-                f"daily driving of {span.driving_minutes} minutes exceeds even "
+                f"daily driving of {driving} minutes exceeds even "
                 f"the {EXTENDED_DRIVING}-minute extension cap"
             )
-            violations.append(Violation("6.1", span.start, span.end, detail, profile.id))
-        elif span.driving_minutes > DAILY_DRIVING:
+            violations.append(Violation("6.1", start, end, detail, profile.id))
+        elif driving > DAILY_DRIVING:
             policy = profile.leap_week_policy
-            weeks = [week_of(t, leap_table, policy) for t in (span.start, span.end - 1)]
+            weeks = [week_of(t, leap_table, policy) for t in (start, end - 1)]
             if profile.extended_attribution is ExtendedAttribution.START_WEEK:
                 weeks = weeks[:1]
             elif profile.extended_attribution is ExtendedAttribution.END_WEEK:
@@ -284,12 +285,13 @@ def article61(spans, profile, leap_table=()) -> list[Violation]:
         return out
 
     choices = itertools.product(*(weeks for _, weeks in extensions))
-    for span, week in thirds(min(choices, key=lambda choice: len(thirds(choice)))):
+    fewest = min(choices, key=lambda choice: len(thirds(choice)))
+    for (start, end, driving), week in thirds(fewest):
         detail = (
-            f"daily driving of {span.driving_minutes} minutes is a third "
+            f"daily driving of {driving} minutes is a third "
             f"or later 10-hour extension in week {week}"
         )
-        violations.append(Violation("6.1", span.start, span.end, detail, profile.id))
+        violations.append(Violation("6.1", start, end, detail, profile.id))
     return violations
 
 

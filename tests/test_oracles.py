@@ -77,7 +77,6 @@ from traces import (
 # the data types the specification may import from the package
 SPEC_MAY_IMPORT = {
     "Activity",
-    "DailyDrivingSpan",
     "ExtendedAttribution",
     "Rule51Semantics",
     "TraceParseError",
@@ -252,10 +251,10 @@ def test_closed_form_labels_match_the_oracles_and_the_walk(monkeypatch):
                     assert label_minutes(trace, grid, semantics) == empty
                 too_short += 1
                 continue
-            closed = minutes._rule52_runs(trace, grid)
-            assert closed[0] == start
+            closed_start, activities, counts, _ = minutes._rule52_runs(trace, grid)
+            assert closed_start == start
             walked = walk(trace, start)
-            assert closed[1:] == (tuple(walked[0]), tuple(walked[1]))
+            assert (activities, counts) == (tuple(walked[0]), tuple(walked[1]))
             for semantics in Rule51Semantics:
                 _assert_labels_and_article7_match(trace, grid, semantics)
             upgraded += (
@@ -354,7 +353,9 @@ def _assert_maximal(mt: MinuteTrace) -> None:
 def test_first_layers_and_unupgraded_labelings_hold_maximal_columns():
     # The first layer and a labeling rule 51 leaves alone skip the
     # constructor's checks: on every path their columns must pass them
-    # unchanged.
+    # unchanged. The closed form hands over the minute bounds it found,
+    # which must be the counts' prefix sums, and the kept first layer and
+    # its unupgraded minute traces share that one tuple.
     rng = random.Random(2900)
     kinds = (random_trace, stop_and_go_trace, long_run_trace)
     seen = collections.Counter()
@@ -365,11 +366,19 @@ def test_first_layers_and_unupgraded_labelings_hold_maximal_columns():
             grid = TimeGrid(offset)
             first = label_rule52(trace, grid)
             _assert_maximal(first)
+            bounds = trace._labels[1][3]  # None from the walk
+            assert bounds is not None or not closed
+            if bounds is not None:
+                assert bounds == tuple(itertools.accumulate(first.counts, initial=0))
+                assert first.bounds is bounds
             seen["closed form" if closed else "walk", 1 in first.counts] += 1
             for semantics in Rule51Semantics:
                 mt = label_minutes(trace, grid, semantics)
                 _assert_maximal(mt)
-                seen["unupgraded" if mt == first else "upgraded"] += 1
+                unupgraded = mt == first
+                if bounds is not None:
+                    assert (mt.bounds is bounds) == unupgraded
+                seen["unupgraded" if unupgraded else "upgraded"] += 1
     for path in ("closed form", "walk"):
         for one_minute_run in (False, True):
             assert seen[path, one_minute_run] >= 10, seen

@@ -134,17 +134,17 @@ def test_sandwich_spans_strict_vs_spirit():
     strict = daily_driving_spans(mt, rests, LETTER)
     spirit = daily_driving_spans(mt, rests, SPIRIT)
     assert strict == []
-    assert len(spirit) == 1
-    assert spirit[0].driving_minutes == 810
+    [(_, _, driving)] = spirit
+    assert driving == 810
 
 
 def test_trace_edge_counts_as_rest_when_enabled():
     mt = labeled((D, 60), (R, 9 * 60), (O, 30))
     rests = classify_rests(mt)
     with_edge = daily_driving_spans(mt, rests, SPIRIT)
-    assert len(with_edge) == 1
-    assert with_edge[0].driving_minutes == 60
-    assert with_edge[0].start == mt.start
+    [(start, _, driving)] = with_edge
+    assert driving == 60
+    assert start == mt.start
     without_edge = daily_driving_spans(mt, rests, LETTER)
     assert without_edge == []
 
@@ -159,7 +159,7 @@ def test_weekly_to_daily_stretch_still_counts_under_strict():
     mt = labeled((R, 45 * 60), (D, 100), (R, 9 * 60), (D, 50), (R, 45 * 60))
     rests = classify_rests(mt)
     strict = daily_driving_spans(mt, rests, LETTER)
-    assert [s.driving_minutes for s in strict] == [100, 50]
+    assert [driving for _, _, driving in strict] == [100, 50]
 
 
 def test_span_driving_sums_to_total_under_spirit_with_edges():
@@ -169,7 +169,7 @@ def test_span_driving_sums_to_total_under_spirit_with_edges():
         mt = labeled(*runs)
         rests = classify_rests(mt)
         spans = daily_driving_spans(mt, rests, SPIRIT)
-        assert sum(s.driving_minutes for s in spans) == mt.driving_minutes()
+        assert sum(driving for _, _, driving in spans) == mt.driving_minutes()
 
 
 def test_periods_are_disjoint_and_ordered():

@@ -6,8 +6,8 @@ import pickle
 
 import pytest
 
+import tachocheck
 from tachocheck import (
-    DailyDrivingSpan,
     DivergenceReport,
     InterpretationProfile,
     LeapSecond,
@@ -22,7 +22,7 @@ from tachocheck import (
     label_minutes,
 )
 from tachocheck.profiles import _KNOB_DEFAULTS
-from tachocheck.timeline import validate_leap_table
+from tachocheck.timeline import Record, validate_leap_table
 from traces import D, R
 
 PROFILE_REPR = (
@@ -68,13 +68,6 @@ RECORDS = [
         (TraceError, "2 activities but 1 lengths"),
     ),
     (
-        DailyDrivingSpan,
-        (0, 3600, 60),
-        "DailyDrivingSpan(start=0, end=3600, driving_minutes=60)",
-        None,
-        None,
-    ),
-    (
         InterpretationProfile,
         ("p", WeekPolicy.LETTER),
         PROFILE_REPR,
@@ -104,6 +97,15 @@ RECORDS = [
         None,
     ),
 ]
+
+
+def test_the_table_covers_every_exported_record():
+    exported = {
+        value
+        for value in vars(tachocheck).values()
+        if isinstance(value, type) and issubclass(value, Record)
+    }
+    assert exported == {row[0] for row in RECORDS}
 
 
 @pytest.mark.parametrize(

@@ -1,20 +1,24 @@
+import collections
+import gc
 import random
 import time
 
 import pytest
 
 import spec
-from tachocheck import weekly
+from tachocheck import rules, weekly
 from tachocheck.minutes import label_minutes
 from tachocheck.patterns import fill_week, gen_compensation_chain, gen_weeks, week_runs
 from tachocheck.periods import accumulate_driving, classify_rests, daily_driving_spans
 from tachocheck.profiles import ExtendedAttribution, ProfileError, diff_verdicts
+from tachocheck.report import Report
 from tachocheck.rules import check_all, check_article7, check_article61, check_article82
 from tachocheck.weekly import check_article86, solve_weekly_rests
 from tachocheck.timeline import (
     SECONDS_PER_WEEK,
     Calendar,
     LeapSecond,
+    Record,
     SecondTrace,
     TimeGrid,
     TraceError,
@@ -153,10 +157,11 @@ def test_three_extensions_in_one_week_flag_the_third():
     trace = SecondTrace.from_runs(0, runs)
     mt, rests = pipeline(trace)
     spans = daily_driving_spans(mt, rests, SPIRIT)
-    assert [s.driving_minutes for s in spans] == [570, 570, 570]
+    assert [driving for _, _, driving in spans] == [570, 570, 570]
     violations = check_article61(spans, SPIRIT)
     assert len(violations) == 1
-    assert violations[0].window_start == spans[2].start
+    third_start, _, _ = spans[2]
+    assert violations[0].window_start == third_start
 
 
 def test_two_extensions_and_a_plain_day_are_fine():
@@ -183,7 +188,7 @@ def test_extension_attribution_knob_changes_the_verdict():
     trace = crossing_week_trace()
     mt, rests = pipeline(trace)
     spans = daily_driving_spans(mt, rests, SPIRIT)
-    crossing = [s for s in spans if s.start < SECONDS_PER_WEEK < s.end]
+    crossing = [(start, end) for start, end, _ in spans if start < SECONDS_PER_WEEK < end]
     assert len(crossing) == 1
 
     def with_attribution(attribution):
@@ -240,7 +245,7 @@ def test_minimize_violations_is_linear_in_crossing_extensions():
     trace = SecondTrace.from_runs(0, runs)
     mt, rests = pipeline(trace)
     spans = daily_driving_spans(mt, rests, SPIRIT)
-    assert sum(1 for s in spans if s.driving_minutes == 600) == 25 + 13 * 2 + 13
+    assert sum(1 for _, _, driving in spans if driving == 600) == 25 + 13 * 2 + 13
     profile = SPIRIT.replace(
         id="x", extended_attribution=ExtendedAttribution.MINIMIZE_VIOLATIONS
     )
@@ -767,6 +772,31 @@ def test_check_all_statistics():
     trace = minutes_of((D, 60), (R, 1), (D, 60))
     report = check_all(trace, GRID, SPIRIT)
     assert report.statistics["total_driving_minutes"] == 121
+
+
+def test_check_all_builds_no_record_per_day(monkeypatch):
+    # Counted as the report is built, while every stage's result is still
+    # alive: records are built per trace, per violation and per report,
+    # never per day, so 13 weeks of a violation-free pattern hold as many
+    # as 4 weeks.
+    def records():
+        return collections.Counter(
+            type(o).__name__ for o in gc.get_objects() if isinstance(o, Record)
+        )
+
+    made = []
+
+    def counting_report(*args, **kwargs):
+        made.append(records() - before)
+        return Report(*args, **kwargs)
+
+    monkeypatch.setattr(rules, "Report", counting_report)
+    for weeks in (4, 13):
+        trace = gen_weeks([45] * weeks)
+        before = records()
+        report = check_all(trace, GRID, SPIRIT)
+        assert report.violations == () and report.statistics["daily_driving_spans"] >= 20
+    assert made[0] == made[1] == {"MinuteTrace": 1}, made
 
 
 def test_check_all_refuses_a_grid_that_is_not_the_profiles():

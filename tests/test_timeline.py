@@ -93,6 +93,20 @@ def test_lf_crlf_and_lone_cr_texts_give_the_same_trace(newline):
         parse_trace(newline.join([*lines[:3], "60,BAD,90"]))
 
 
+@pytest.mark.parametrize("final", ["", "\n"])
+@pytest.mark.parametrize("comment", ["", "# two records\n"])
+def test_bytearray_and_memoryview_parse_like_their_bytes(final, comment):
+    # bulk parsed, or line by line after a comment; either way the caller's
+    # buffer is read, never extended by the missing final line end
+    data = (comment + "0,DRIVING,60\n60,REST,90" + final).encode("ascii")
+    expected = parse_trace(data)
+    buffer = bytearray(data)
+    for view in (buffer, memoryview(data)):
+        trace = parse_trace(view)
+        assert trace == expected and trace.digest() == expected.digest()
+    assert buffer == data
+
+
 def test_parse_empty_input():
     with pytest.raises(TraceParseError, match="no records"):
         parse_trace("\n# only a comment\n")

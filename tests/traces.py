@@ -14,7 +14,6 @@ import random
 import spec
 from tachocheck.minutes import MinuteTrace, Rule51Semantics
 from tachocheck.patterns import fill_week, week_runs, workday_runs
-from tachocheck.periods import DailyDrivingSpan
 from tachocheck.profiles import ExtendedAttribution, builtin_profiles
 from tachocheck.timeline import (
     SECONDS_PER_WEEK,
@@ -285,7 +284,8 @@ def random_minute_trace(rng: random.Random, grid: TimeGrid | None = None) -> Min
 
 
 def article61_instance(rng: random.Random):
-    """Disjoint, time-ordered daily spans over 1-12 weeks and a random leap
+    """Disjoint, time-ordered daily spans, `(start, end, driving_minutes)`
+    as `daily_driving_spans` returns them, over 1-12 weeks and a random leap
     table. Each week holds 0-3 days inside it, and most weeks end in a day
     that crosses Sunday 24:00, at most 10 of them extensions; some crossing
     days start or end a second or two from the (leap-shifted) boundary, and
@@ -308,14 +308,14 @@ def article61_instance(rng: random.Random):
             end = start + rng.randint(3600, 50000)
             if end > boundary - 40000:
                 break
-            spans.append(DailyDrivingSpan(start, end, rng.choice(driving_minutes)))
+            spans.append((start, end, rng.choice(driving_minutes)))
             at = end
         if at >= boundary - 2 or crossing == 10 or rng.random() < 0.15:
             continue
         start = max(at, boundary - rng.choice((1, 2, rng.randint(1, 40000))))
         end = boundary + rng.choice((0, 1, 2, rng.randint(1, 40000), SECONDS_PER_WEEK + 1))
         driving = rng.choice(driving_minutes[2:])
-        spans.append(DailyDrivingSpan(start, end, driving))
+        spans.append((start, end, driving))
         crossing += 540 < driving <= 600
         at = end
     return spans, leap_table
