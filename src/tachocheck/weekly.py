@@ -13,6 +13,14 @@ them regular. Greedy choices are unsound, because a compensation can force
 the donor week's own rest to shrink, cascading arbitrarily far forward: a
 pass keeps every undominated state instead. A scope must be consecutive
 weeks in ascending order; any other scope raises ValueError.
+
+One lemma settles most scopes without a pass. If every non-waived week
+can count a run of at least 2700 minutes of its own, that assignment owes
+no debt and gives every pair two regular rests, so the scope is feasible.
+Whether such a matching exists is decided by a greedy match from the
+earliest unmatched week: a run's candidate weeks form a range whose both
+ends rise along the runs, so the earliest run that can still count a week
+is never better spent on a later one.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Container, Iterator, Optional, Sequence
+from typing import Collection, Container, Iterator, Optional, Sequence
 
 from .minutes import MinuteTrace
 from .periods import REDUCED_WEEKLY_MIN_MINUTES, REGULAR_WEEKLY_MIN_MINUTES
@@ -75,21 +83,26 @@ class WeeklyRestProblem:
         )
         first, last = (scope[0], scope[-1]) if scope else (0, -1)
         # the scope weeks' Mondays through the last deadline, in one pass
-        self.mondays = calendar.mondays(first, last + COMPENSATION_WINDOW_WEEKS + 2)
-        self.deadlines = dict(zip(scope, self.mondays[COMPENSATION_WINDOW_WEEKS + 1 :]))
+        self.mondays = mondays = calendar.mondays(first, last + COMPENSATION_WINDOW_WEEKS + 2)
+        self.deadlines = dict(zip(scope, mondays[COMPENSATION_WINDOW_WEEKS + 1 :]))
         n = len(self.starts)
         self.candidates: list = [()] * n
         self.candidate_runs = []  # the runs with a candidate week, then n
+        self.regular = []  # the candidate weeks of each run of at least 2700 minutes
         last_candidate = {}
         for i in [i for i, m in enumerate(self.minutes) if m >= REDUCED_WEEKLY_MIN_MINUTES]:
             start = self.starts[i]
             end = start + self.minutes[i] * SECONDS_PER_MINUTE
+            # the weeks holding the run's first and last second, by bisection
             weeks = range(
-                max(first, calendar.week_of(start)), min(last, calendar.week_of(end - 1)) + 1
+                first + max(0, bisect.bisect_right(mondays, start) - 1),
+                first + bisect.bisect_right(mondays, end - 1, 0, len(scope)),
             )
             if weeks:
                 self.candidates[i] = weeks
                 self.candidate_runs.append(i)
+                if self.minutes[i] >= REGULAR_WEEKLY_MIN_MINUTES:
+                    self.regular.append(weeks)
                 last_candidate.update(zip(weeks, itertools.repeat(i)))
         self.candidate_runs.append(n)
         self.pairs = range(first, last)  # by first week
@@ -105,6 +118,25 @@ class WeeklyRestProblem:
     def unserved(self, waived: Container[int]) -> bool:
         """Whether a pair no run can serve is left when `waived` are waived."""
         return any(pair not in waived and pair + 1 not in waived for pair in self.unservable)
+
+    def regular_each(self, waived: Collection[int]) -> bool:
+        """Whether every non-waived scope week can count a regular run of its
+        own, matched greedily from the earliest week (see the module
+        docstring): if so, `waived` leaves a feasible scope."""
+        scope = range(self.pairs.start, self.pairs.stop + 1)
+        # each week left needs a run; len(waived) bounds the waived scope weeks
+        if len(self.regular) < len(scope) - len(waived):
+            return False
+        runs = iter(self.regular)
+        for week in itertools.filterfalse(waived.__contains__, scope):
+            for weeks in runs:  # the first unmatched run that reaches the week
+                if weeks[-1] >= week:
+                    break
+            else:
+                return False
+            if weeks[0] > week:  # no later run starts earlier
+                return False
+        return True
 
     def divergence(self, weeks: Sequence[int]) -> int:
         """The first run whose candidate weeks meet weeks[0] - 1 through
@@ -300,7 +332,7 @@ class _Pass:
     def __init__(
         self,
         problem: WeeklyRestProblem,
-        waived: Container[int],
+        waived: Collection[int],
         source: Optional[_Pass] = None,
         extra: Sequence[int] = (),
     ) -> None:
@@ -334,9 +366,14 @@ class _Pass:
         return self.records[bisect.bisect_left(self.records, run, key=operator.itemgetter(0))]
 
     def feasible(self) -> bool:
-        """Whether an assignment satisfies every pair the pass leaves."""
+        """Whether an assignment satisfies every pair the pass leaves. When
+        each week it leaves has a regular run of its own, no pass starts."""
         if self.problem.unserved(self.waived):
             return False
+        return self.problem.regular_each(self.waived) or self.ends_debt_free()
+
+    def ends_debt_free(self) -> bool:
+        """Whether the pass, run to the end, holds a state with no debt."""
         end = self.frontier(len(self.problem.starts))
         return end is not None and any(not debts for (debts, _), _ in end[1])
 
@@ -345,7 +382,7 @@ class _Pass:
         back along the back-pointers of the records from the first debt-free
         state at the end; None when the pass is infeasible. Only a pass
         without a `source` holds the records of every run."""
-        if not self.feasible():
+        if self.problem.unserved(self.waived) or not self.ends_debt_free():
             return None
         records = reversed(self.records)
         _, end = next(records)
@@ -423,7 +460,8 @@ def check_article86(
     rests are prepared once per check, and each probe resumes from a
     recorded pass (see `_blamed_weeks`), so a scope infeasible only at its
     end costs about one pass: the 26-week 45/24/66 rotation takes 3, two of
-    them two steps long.
+    them two steps long. A scope whose weeks each have a regular rest of
+    their own takes none.
     """
     scope = list(weeks)
     if len(scope) < 2:
@@ -463,9 +501,10 @@ def _blamed_weeks(scope: list[int], problem: WeeklyRestProblem) -> list[int]:
     resumes, at the divergence of the weeks it adds, from the pass of the
     longest shorter prefix, or of its own prefix; a prefix's pass goes only
     as far as the passes resumed from it ask. So a probe costs the runs
-    from its week on, and one whose source died before that week costs no
-    pass. A scope whose one obstruction lies at week d costs the unwaived
-    pass, O(log d) prefix passes, most of them short, and a few probes.
+    from its week on; one whose source died before that week costs no pass,
+    and neither does one that `regular_each` settles. A scope whose one
+    obstruction lies at week d costs the unwaived pass, O(log d) prefix
+    passes, most of them short, and a few probes.
     """
     n = len(problem.starts)
     prefixes = {0: _Pass(problem, range(0))}  # k -> the pass waiving scope[:k]

@@ -649,6 +649,50 @@ def test_article86_blame_matches_the_fresh_solve_bisections():
     assert seen["infeasible"] >= 800 and seen["several"] >= 200 and seen["long scope"] >= 200, seen
 
 
+def test_the_regular_rest_certificate_agrees_with_the_exact_pass(monkeypatch):
+    # `regular_each` settles a probe without a pass. On the two waiver
+    # shapes of the blame's probes, a prefix scope[:k] and such a prefix
+    # with one later week, a scope it certifies must be one whose exact pass, run to the end,
+    # holds a debt-free state; the blame must be the same without it; and
+    # the candidate weeks it reads, bisected from the list of Mondays, must
+    # be `Calendar.week_of`'s for every long rest, including rests that
+    # start before the scope or end after it.
+    rng = random.Random(8627)
+    seen = collections.Counter()
+    for case in range(600):
+        if case % 2:
+            scope, mt, profile, leap_table, _ = weekly_rest_instance(rng, rng.choice((4, 10)))
+        else:
+            scope, mt, profile, leap_table = weekly_layout_instance(rng, rng.choice((8, 24)))
+        rests = classify_rests(mt)
+        calendar = Calendar(leap_table)
+        problem = WeeklyRestProblem(scope, mt, rests, profile, calendar)
+        seen["negative leap second"] += any(ls.delta == -1 for ls in leap_table)
+        for i, (start, minutes) in enumerate(zip(problem.starts, problem.minutes)):
+            if minutes < REDUCED_WEEKLY_MIN_MINUTES:
+                continue
+            first, last = calendar.week_of(start), calendar.week_of(start + minutes * 60 - 1)
+            weeks = range(max(first, scope[0]), min(last, scope[-1]) + 1)
+            assert problem.candidates[i] == (weeks or ()), (case, i)
+            seen["starts before the scope"] += bool(weeks) and first < scope[0]
+            seen["ends after the scope"] += bool(weeks) and last > scope[-1]
+        for _ in range(4):
+            k = rng.randrange(len(scope))
+            later = [frozenset([*scope[:k], w]) for w in scope[k + 1 :]]
+            for waived in (range(scope[0], scope[0] + k), *rng.sample(later, min(2, len(later)))):
+                if problem.regular_each(waived):
+                    assert not problem.unserved(waived), (case, waived)
+                    assert weekly._Pass(problem, waived).ends_debt_free(), (case, waived)
+                    seen["certified", type(waived).__name__] += 1
+        blamed = check_article86(scope, mt, rests, profile, calendar)
+        with monkeypatch.context() as patched:
+            patched.setattr(WeeklyRestProblem, "regular_each", lambda self, waived: False)
+            assert check_article86(scope, mt, rests, profile, calendar) == blamed, case
+        seen["blamed"] += bool(blamed)
+        seen["certified scope"] += not blamed and problem.regular_each(range(0))
+    assert min(seen.values()) >= 40, seen
+
+
 def _letter_week(t: int, leap_table) -> int | str:
     """The specification's Letter week of t, or the message its lookup raises."""
     try:

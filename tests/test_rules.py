@@ -654,7 +654,9 @@ def test_compensation_chain_has_no_depth_cliff():
 def count_passes(monkeypatch) -> list:
     """Make the 8.6 forward pass append one entry per pass started to the
     returned list: a full solve, or a pass resumed from a recorded frontier.
-    A probe whose source died before the week it waives starts none."""
+    A probe whose source died before the week it waives starts none, and so
+    does a probe the certificate settles, one that leaves every week a
+    regular rest of its own."""
     calls = []
     frontiers = weekly.WeeklyRestProblem.frontiers
 
@@ -709,7 +711,9 @@ def test_early_obstruction_with_a_long_tail_checks_quickly(monkeypatch):
     # ten reduced weeks and a 66 h week, then 300 regular weeks: the
     # unwaived pass dies in week 1, so the prefix search starts there and
     # its infeasible passes die early too; each probe of the tail resumes
-    # from a prefix's pass, and those past where it died start no pass
+    # from a prefix's pass, and those past where it died start no pass.
+    # Waiving weeks 0-9 leaves every week a regular rest of its own, so
+    # that probe starts none either.
     calls = count_passes(monkeypatch)
     trace = gen_weeks([*[24] * 10, 66, *[45] * 300])
     started = time.perf_counter()
@@ -718,7 +722,7 @@ def test_early_obstruction_with_a_long_tail_checks_quickly(monkeypatch):
     assert [(v.article, CALENDAR.week_of(v.window_start)) for v in report.violations] == [
         ("8.6", week) for week in [*range(7), 8]
     ]
-    assert len(calls) == 12
+    assert len(calls) == 11
     assert elapsed < 1.0
 
 
@@ -733,8 +737,18 @@ def test_early_obstruction_with_a_long_tail_checks_quickly(monkeypatch):
         (lambda: parse_trace("0,REST,100000000\n"), [*range(162), 163], 9),
         (lambda: parse_trace("0,REST,1000000000\n"), [*range(1650), 1651], 9),
         (lambda: parse_trace("0,REST,10000000000\n"), [*range(16531), 16532], 9),
+        # a long regular scope with a late obstruction: every probe leaves
+        # week 2000 or 2001 without a regular rest, so the certificate
+        # settles none and each takes the pass it takes without one
+        (lambda: gen_weeks([45] * 2000 + [24, 24, 66]), [2000], 5),
     ],
-    ids=["week-runs-24-x104", "rest-1e8-seconds", "rest-1e9-seconds", "rest-1e10-seconds"],
+    ids=[
+        "week-runs-24-x104",
+        "rest-1e8-seconds",
+        "rest-1e9-seconds",
+        "rest-1e10-seconds",
+        "regular-2000-then-24-24-66",
+    ],
 )
 def test_long_infeasible_traces_blame_the_same_weeks_quickly(
     monkeypatch, trace, blamed, passes
@@ -749,6 +763,36 @@ def test_long_infeasible_traces_blame_the_same_weeks_quickly(
     ]
     assert len(calls) == passes
     assert elapsed < 2.0
+
+
+def test_a_scope_of_regular_weeks_starts_no_pass(monkeypatch):
+    # every week has a 45 h rest of its own: the check is settled by the
+    # certificate, with the report the exact pass gives, and the witness is
+    # still read back from one pass
+    trace = gen_weeks([45] * 52)
+    calls = count_passes(monkeypatch)
+    report = check_all(trace, GRID, SPIRIT)
+    assert calls == []
+    with monkeypatch.context() as patched:
+        patched.setattr(weekly.WeeklyRestProblem, "regular_each", lambda self, waived: False)
+        assert check_all(trace, GRID, SPIRIT).to_json() == report.to_json()
+    assert len(calls) == 1
+    mt, rests = pipeline(trace)
+    witness = solve_weekly_rests(scope_of(trace), mt, rests, SPIRIT)
+    assert len(calls) == 2
+    assert witness == {
+        "assignments": [
+            {
+                "week": week,
+                "run_start": week * SECONDS_PER_WEEK,
+                "run_minutes": 2700,
+                "counted_minutes": 2700,
+                "role": "regular",
+            }
+            for week in range(52)
+        ],
+        "compensations": [],
+    }
 
 
 def test_short_trace_skips_86_with_notice():
