@@ -167,18 +167,23 @@ def _cmd_machine(args) -> int:
 def _cmd_logic(args) -> int:
     from .proplogic import find_falsifying, format_formula, parse_formula, truth_table
 
-    formula = parse_formula(args.formula)
-    witness = find_falsifying(formula)
-    payload = {
-        "formula": format_formula(formula),
-        "tautology": witness is None,
-        "witness": witness,
-    }
-    if args.table:
-        payload["table"] = [
-            {"valuation": valuation, "value": value}
-            for valuation, value in truth_table(formula)
-        ]
+    # the parser, the evaluator and the printer recurse once per level of
+    # nesting, and a left-deep chain of `&` nests as deeply as it is long
+    try:
+        formula = parse_formula(args.formula)
+        witness = find_falsifying(formula)
+        payload = {
+            "formula": format_formula(formula),
+            "tautology": witness is None,
+            "witness": witness,
+        }
+        if args.table:
+            payload["table"] = [
+                {"valuation": valuation, "value": value}
+                for valuation, value in truth_table(formula)
+            ]
+    except RecursionError:
+        raise ValueError("formula is nested too deeply to evaluate") from None
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 

@@ -87,9 +87,7 @@ def is_shift_divergent(trace: SecondTrace, offsets: tuple[int, int] = (0, 27)) -
     return totals[0] != totals[1]
 
 
-def find_shift_divergent(
-    offsets: tuple[int, int] = (0, 27), max_minutes: int = 300
-) -> SecondTrace:
+def find_shift_divergent(offsets: tuple[int, int] = (0, 27)) -> SecondTrace:
     """A trace legal on one minute grid and illegal on the other.
 
     On one of the offsets every minute labels as rest; on the other, all
@@ -98,8 +96,6 @@ def find_shift_divergent(
     witness is re-verified through the labeling and break checks before
     being handed out.
     """
-    if max_minutes < 300:
-        raise ValueError(f"max_minutes must be at least 300, got {max_minutes}")
     first, second = offsets
     shift = (second - first) % SECONDS_PER_MINUTE
     if shift == 0:
@@ -117,10 +113,10 @@ def find_shift_divergent(
 
     # Anchor the blocks to the rest-side grid so its minutes see the rest
     # run whole; the other grid then cuts every block across two windows.
-    minutes = min(max_minutes, 280)
+    # 280 one-minute blocks pass the 270-minute limit within 5 hours.
     trace = SecondTrace.from_runs(
         rest_offset % SECONDS_PER_MINUTE,
-        [(Activity.REST, rest), (Activity.DRIVING, drive)] * minutes,
+        [(Activity.REST, rest), (Activity.DRIVING, drive)] * 280,
     )
 
     legal_mt = label_minutes(trace, TimeGrid(rest_offset % SECONDS_PER_MINUTE))

@@ -121,7 +121,7 @@ def parse_profile(text: str, default_id: str | None = None) -> InterpretationPro
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ProfileError(f"profile is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ProfileError("profile must be a JSON object")

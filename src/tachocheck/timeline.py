@@ -163,7 +163,7 @@ def parse_leap_table(text: str) -> tuple[LeapSecond, ...]:
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise TraceError(f"leap table is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise TraceError("leap table must be a JSON list")

@@ -87,7 +87,7 @@ def test_criterion_03_weekly_sandwich_splits_strict_and_spirit():
 
 def test_criterion_04_grid_shift_flips_the_break_verdict():
     start = time.perf_counter()
-    trace = find_shift_divergent(offsets=(0, 27), max_minutes=300)
+    trace = find_shift_divergent(offsets=(0, 27))
     unix = check_all(trace, TimeGrid(0), BUILTINS["unix-grid"])
     utc = check_all(trace, TimeGrid(27), BUILTINS["utc-grid"])
     elapsed = time.perf_counter() - start

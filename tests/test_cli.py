@@ -4,16 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import tachocheck
-from tachocheck.cli import main, run
+from tachocheck.cli import _DEMOS, main, run
 from tachocheck.patterns import gen_weekly_sandwich, gen_weeks, week_runs
 from tachocheck.profiles import builtin_profiles
-from tachocheck.timeline import SecondTrace
-from traces import HOUR, D
+from tachocheck.rules import check_all
+from tachocheck.timeline import SecondTrace, _parse_canonical, parse_trace
+from traces import HOUR, SPIRIT, D, record_text
 
 
 @pytest.fixture
@@ -27,6 +29,15 @@ def sandwich_file(tmp_path):
 def all_rest_file(tmp_path):
     path = tmp_path / "all_rest.trace"
     path.write_text("0,REST,604800\n")
+    return path
+
+
+@pytest.fixture(params=list(_DEMOS))
+def demo_file(request, tmp_path, capsys):
+    """The trace file of each demo the CLI offers, so that a new one is covered too."""
+    path = tmp_path / f"{request.param}.trace"
+    assert main(["demo", request.param, "--out", str(path)]) == 0
+    capsys.readouterr()
     return path
 
 
@@ -290,36 +301,75 @@ def test_check_digest_is_the_sha256_of_the_demo_file(tmp_path, capsys):
     assert report["trace"]["digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def test_every_spelling_of_a_demo_file_gives_its_report(demo_file, capsys):
+    # CRLF, commented, unterminated and split spellings hold the same trace:
+    # the same status and report bytes, whose digest is the file's SHA-256
+    raw = demo_file.read_bytes()
+    status = main(["check", str(demo_file), "--profile", "spirit"])
+    out = capsys.readouterr().out
+    assert json.loads(out)["trace"]["digest"] == hashlib.sha256(raw).hexdigest()
+    trace = parse_trace(raw)
+    # every record cut in two of the same activity: still parsed in bulk
+    split = record_text(
+        trace.start, [run for a, n in trace.segments for run in ((a, n // 2), (a, n - n // 2))]
+    ).encode()
+    parsed = _parse_canonical(split)
+    assert parsed is not None and 2 * len(parsed.seconds) == split.count(b"\n")
+    crlf = raw.replace(b"\n", b"\r\n")
+    spellings = [crlf, b"# demo\n" + raw, raw[:-1], split, b"# demo\r\n" + crlf]
+    for spelling in spellings:
+        demo_file.write_bytes(spelling)
+        assert main(["check", str(demo_file), "--profile", "spirit"]) == status
+        assert capsys.readouterr().out == out
+
+
+def test_no_valid_input_exits_two(demo_file, tmp_path, capsys):
+    # no builtin profile minimizes Article 6.1 violations, and under this
+    # table of both signs week 1 has no Sunday 24:00
+    minimize = tmp_path / "minimize.json"
+    minimize.write_text('{"id": "minimize", "extended_attribution": "MinimizeViolations"}')
+    leap = tmp_path / "leap.json"
+    leap.write_text(
+        '[{"sunday_index": 0, "delta": 1}, {"sunday_index": 1, "delta": -1},'
+        ' {"sunday_index": 2, "delta": 1}]'
+    )
+    profiles = [*builtin_profiles(), str(minimize)]
+    trace = str(demo_file)
+    for argv in [
+        ["check", trace, "--profile", str(minimize)],
+        ["diff", trace, "--profiles", *profiles],
+        *(["check", trace, "--profile", p, "--leap-table", str(leap)] for p in profiles),
+    ]:
+        assert main(argv) in (0, 1), argv
+        assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("seconds, bound", [(10**8, 10), (10**9, 10), (10**11, 20)])
+def test_one_long_rest_checks_within_its_bound(seconds, bound, tmp_path, capsys):
+    # 10**11 s is about 165,000 weeks: the 8.6 scope looks up every Monday
+    path = tmp_path / "rest.trace"
+    path.write_text(f"0,REST,{seconds}\n")
+    start = time.perf_counter()
+    status = main(["check", str(path), "--profile", "spirit"])
+    elapsed = time.perf_counter() - start
+    capsys.readouterr()
+    assert status == 1
+    assert elapsed < bound
+
+
+def test_a_report_of_16534_violations_is_json_dumps_of_its_dict(tmp_path, capsys):
+    path = tmp_path / "driving.trace"
+    path.write_text("0,DRIVING,10000000000\n")
+    assert main(["check", str(path), "--profile", "spirit"]) == 1
+    out = capsys.readouterr().out
+    report = check_all(parse_trace(path.read_bytes()), SPIRIT.grid(), SPIRIT)
+    assert len(report.violations) == 16534
+    assert out == json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
 def test_demo_unknown_name_exits_two(capsys):
     assert main(["demo", "nonsense"]) == 2
     capsys.readouterr()
-
-
-def test_demo_weekly_sandwich_compares_letter_and_spirit(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    status = main(["demo", "weekly-sandwich"])
-    summary = json.loads(capsys.readouterr().out)
-    assert status == 0
-    assert summary["verdicts"]["letter"]["violations"] == 0
-    assert summary["verdicts"]["spirit"]["violations"] == 1
-    assert (tmp_path / "weekly-sandwich.trace").exists()
-
-
-def test_demo_compensation_chain_with_depth(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    status = main(["demo", "compensation-chain", "--depth", "2"])
-    summary = json.loads(capsys.readouterr().out)
-    assert status == 0
-    assert summary["verdicts"]["spirit"]["violations"] == 0
-
-
-def test_demo_shift_divergence(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    status = main(["demo", "shift-divergence"])
-    summary = json.loads(capsys.readouterr().out)
-    assert status == 0
-    verdicts = summary["verdicts"]
-    assert verdicts["unix-grid"]["violations"] != verdicts["utc-grid"]["violations"]
 
 
 def test_machine_collatz_output(capsys):
@@ -381,6 +431,22 @@ def test_logic_syntax_error_exits_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "formula, status",
+    [
+        ("!" * 100 + "p", 0),
+        ("!" * 2000 + "p", 2),
+        (" & ".join(["p"] * 3000), 2),  # parsed in a loop, evaluated recursively
+        ("(" * 1200 + "p" + ")" * 1200, 2),
+    ],
+    ids=["100 negations", "2000 negations", "3000 conjuncts", "1200 parentheses"],
+)
+def test_logic_refuses_only_a_formula_nested_too_deeply(formula, status, capsys):
+    assert main(["logic", formula]) == status
+    err = capsys.readouterr().err
+    assert err == ("error: formula is nested too deeply to evaluate\n" if status else "")
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
@@ -419,6 +485,9 @@ def test_leap_table_naming_a_sunday_twice_exits_two(tmp_path, all_rest_file, cap
 
 
 # Each documented input error exits 2 with one `error:` line and no report.
+DEEP_JSON = "[" * 200_000 + "]" * 200_000  # past the decoder's recursion limit
+
+
 @pytest.mark.parametrize(
     "files, argv, message",
     [
@@ -466,6 +535,22 @@ def test_leap_table_naming_a_sunday_twice_exits_two(tmp_path, all_rest_file, cap
             {},
             ["diff", "{trace}", "--profiles", "spirit", "spirit"],
             "profile ids must be unique",
+        ),
+        # a form feed does not end a line: one record line, one error
+        (
+            {"ff.trace": "0,DRIVING,60\f60,REST,60\n"},
+            ["check", "ff.trace", "--profile", "spirit"],
+            "line 1: expected 'start,ACTIVITY,duration'",
+        ),
+        (
+            {"leap.json": DEEP_JSON},
+            ["check", "{trace}", "--profile", "spirit", "--leap-table", "leap.json"],
+            "leap table is not valid JSON",
+        ),
+        (
+            {"p.json": DEEP_JSON},
+            ["check", "{trace}", "--profile", "p.json"],
+            "profile is not valid JSON",
         ),
     ],
 )
@@ -517,12 +602,12 @@ def test_machine_rejects_an_unknown_program_and_names_the_known_ones(capsys):
     assert "decrement, increment-forever, collatz" in err
 
 
-def _child(argv, **kwargs):
-    """`python -m tachocheck ARGV` with this checkout's package on the path."""
+def _child(argv, module="tachocheck", **kwargs):
+    """`python -m MODULE ARGV` with this checkout's package on the path."""
     src = Path(tachocheck.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src), **kwargs.pop("env", {})}
     return subprocess.run(
-        [sys.executable, "-m", "tachocheck", *argv], env=env, timeout=60, **kwargs
+        [sys.executable, "-m", module, *argv], env=env, timeout=60, **kwargs
     )
 
 
@@ -549,22 +634,24 @@ def test_run_freezes_the_heap_and_exits_with_the_status_of_main(
     assert json.loads(capsys.readouterr().out)["violations"]
 
 
+# each row: the module `python -m` runs, then the arguments
 @pytest.mark.parametrize(
     "argv, status",
     [
-        (["check", "{sandwich}", "--profile", "spirit"], 1),
-        (["diff", "{all_rest}", "--profiles", "letter", "spirit"], 0),
-        (["diff", "{sandwich}", "--profiles", "letter", "spirit"], 1),
-        (["check", "{sandwich}"], 2),  # --profile is required
+        (["tachocheck", "check", "{sandwich}", "--profile", "spirit"], 1),
+        (["tachocheck", "diff", "{all_rest}", "--profiles", "letter", "spirit"], 0),
+        (["tachocheck", "diff", "{sandwich}", "--profiles", "letter", "spirit"], 1),
+        (["tachocheck", "check", "{sandwich}"], 2),  # --profile is required
+        (["tachocheck.cli", "check", "{sandwich}", "--profile", "spirit"], 1),
     ],
 )
 def test_python_dash_m_matches_main_in_process(
     argv, status, sandwich_file, all_rest_file, capsys
 ):
-    argv = [a.format(sandwich=sandwich_file, all_rest=all_rest_file) for a in argv]
+    module, *argv = [a.format(sandwich=sandwich_file, all_rest=all_rest_file) for a in argv]
     assert main(argv) == status
     captured = capsys.readouterr()
-    proc = _child(argv, capture_output=True)
+    proc = _child(argv, module, capture_output=True)
     assert proc.returncode == status
     assert proc.stdout == captured.out.encode()
     assert proc.stderr == captured.err.encode()

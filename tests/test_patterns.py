@@ -105,8 +105,6 @@ def test_find_shift_divergent_is_a_genuine_witness():
 
 
 def test_find_shift_divergent_validates_bounds():
-    with pytest.raises(ValueError):
-        find_shift_divergent(max_minutes=200)
     with pytest.raises(PatternNotFoundError):
         find_shift_divergent(offsets=(5, 5))
 

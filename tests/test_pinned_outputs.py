@@ -9,12 +9,17 @@ the four builtin profiles and a `NeighborRaw` one, and diffed over the
 five. A change that keeps every verdict and every byte keeps the hash; one
 that changes any report must say why and pin the new hash.
 
-CI runs this module under two fixed `PYTHONHASHSEED`s as well, so that no
-report byte depends on the order of a set or a dict.
+The pinned test also runs, with two other pinned tests, in child processes
+under two fixed `PYTHONHASHSEED`s, so that no report byte depends on the
+order of a set or a dict.
 """
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from tachocheck.minutes import Rule51Semantics
 from tachocheck.patterns import gen_weeks
@@ -58,3 +63,29 @@ def test_report_bytes_are_pinned():
         h.update(diff_verdicts(trace, PROFILES).to_json().encode())
         h.update(b"\0")
     assert h.hexdigest() == CORPUS_SHA256
+
+
+# the 8.6 witnesses and the certificate read waivers as ranges and frozensets
+HASH_SEED_NODES = [
+    "tests/test_pinned_outputs.py::test_report_bytes_are_pinned",
+    "tests/test_rules.py::test_witnesses_are_pinned",
+    "tests/test_oracles.py::test_the_regular_rest_certificate_agrees_with_the_exact_pass",
+]
+
+
+def test_report_bytes_do_not_depend_on_the_hash_seed():
+    root = Path(__file__).resolve().parents[1]
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *HASH_SEED_NODES],
+            cwd=root,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(root / "src")},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        for seed in ("0", "12345")
+    ]
+    for child in children:
+        out, _ = child.communicate(timeout=120)
+        assert child.returncode == 0, out
